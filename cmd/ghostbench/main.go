@@ -60,7 +60,6 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile (after the experiment) to this file")
 		profDir    = flag.String("profile-cache", "", "directory for the on-disk profiling-report cache (empty = in-process memo only)")
-		serialStep = flag.Bool("serialstep", false, "force serial per-core stepping inside multi-core runs (disable the epoch-parallel fast path)")
 	)
 	flag.Parse()
 
@@ -100,8 +99,6 @@ func main() {
 	idleCfg, busyCfg := sim.DefaultConfig(), sim.BusyConfig()
 	idleCfg.CycleStep = *cycleStep
 	busyCfg.CycleStep = *cycleStep
-	idleCfg.SerialStep = *serialStep
-	busyCfg.SerialStep = *serialStep
 
 	names := workloads.AllWorkloadNames()
 	if *workSet != "" {

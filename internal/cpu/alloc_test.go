@@ -9,36 +9,28 @@ import "testing"
 // state) silently costs double-digit percent throughput, so it fails the
 // build instead of waiting for a profile.
 func TestStepZeroAllocs(t *testing.T) {
-	base := int64(1 << 14)
-	for _, mode := range []struct {
-		name      string
-		interpret bool
-	}{
-		{"superblock", false},
-		{"interpret", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Interpret = mode.interpret
-			c := buildRig(cfg, 1<<17, chaseInit(base, 1<<12, 9))
-			c.Load(chaseProgram(base, 200_000), nil)
-			// Warm up past Load-time sizing and any one-time wheel growth.
-			for i := 0; i < 5_000; i++ {
-				if !c.Step() {
-					t.Fatal("program finished during warm-up")
-				}
+	// The core dispatches one decoded instruction at a time; the
+	// "interpret" subtest measures that per-instruction path.
+	t.Run("interpret", func(t *testing.T) {
+		base := int64(1 << 14)
+		c := buildRig(DefaultConfig(), 1<<17, chaseInit(base, 1<<12, 9))
+		c.Load(chaseProgram(base, 200_000), nil)
+		// Warm up past Load-time sizing and any one-time wheel growth.
+		for i := 0; i < 5_000; i++ {
+			if !c.Step() {
+				t.Fatal("program finished during warm-up")
 			}
-			if c.Err() != nil {
-				t.Fatal(c.Err())
-			}
-			allocs := testing.AllocsPerRun(2_000, func() {
-				if !c.Step() {
-					t.Fatal("program finished inside the measurement window")
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s: Core.Step allocates %.1f objects/step, want 0", mode.name, allocs)
+		}
+		if c.Err() != nil {
+			t.Fatal(c.Err())
+		}
+		allocs := testing.AllocsPerRun(2_000, func() {
+			if !c.Step() {
+				t.Fatal("program finished inside the measurement window")
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Errorf("Core.Step allocates %.1f objects/step, want 0", allocs)
+		}
+	})
 }

@@ -50,12 +50,6 @@ type Config struct {
 	SpawnCostMain   int64 // cycles the spawning thread is blocked
 	SpawnCostHelper int64 // cycles before the helper starts fetching
 	JoinCost        int64 // cycles the main thread pays to deactivate/join
-
-	// Interpret disables superblock dispatch, routing every instruction
-	// through the per-instruction reference interpreter. Timing and
-	// results are bit-identical either way (the equivalence suite proves
-	// it); the flag exists so that proof can run, and as a debugging aid.
-	Interpret bool
 }
 
 // DefaultConfig returns the evaluation configuration.

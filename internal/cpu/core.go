@@ -228,13 +228,6 @@ type Core struct {
 	// is bit-identical across step modes.
 	fault *fault.Injector
 
-	// Turn gate for parallel multi-core stepping (nil = serial; see
-	// gate.go and sim.System). haveTurn tracks whether this step already
-	// acquired the cycle's turn.
-	gate     *StepGate
-	rank     int
-	haveTurn bool
-
 	err error
 }
 
@@ -345,24 +338,6 @@ func (c *Core) sqCap() int {
 	return c.cfg.StoreQ
 }
 
-// SetGate attaches (or with nil detaches) the turn gate for parallel
-// multi-core stepping, with this core's rank in the current cycle's
-// serial order. Attached by sim.System's parallel loop only.
-func (c *Core) SetGate(g *StepGate, rank int) {
-	c.gate = g
-	c.rank = rank
-}
-
-// turn acquires this cycle's shared-access turn once per step: the first
-// shared-resource touch (cache hierarchy, memory image) waits until every
-// lower-ranked core has finished its step, reproducing the serial order.
-func (c *Core) turn() {
-	if c.gate != nil && !c.haveTurn {
-		c.gate.acquire(c.rank)
-		c.haveTurn = true
-	}
-}
-
 // claimIssue claims an issue port at the earliest cycle at or after
 // ready with a free slot and returns that cycle. Ports beyond the ring
 // horizon are untracked (see the issueCnt field comment).
@@ -433,12 +408,8 @@ func (c *Core) mshrBusy(at int64) int {
 // the core is done.
 func (c *Core) Step() bool {
 	if c.Done() {
-		if c.gate != nil {
-			c.gate.finish(c.rank)
-		}
 		return false
 	}
-	c.haveTurn = false
 	c.now++
 	if c.events.len() > 0 {
 		c.processEvents()
@@ -449,9 +420,6 @@ func (c *Core) Step() bool {
 	c.dispatch()
 	if c.trace != nil {
 		c.traceStalls()
-	}
-	if c.gate != nil {
-		c.gate.finish(c.rank)
 	}
 	return !c.Done()
 }
@@ -650,7 +618,7 @@ func (c *Core) processEvents() {
 		case evGovRespawn:
 			if c.govResyncPC > 0 {
 				// Defer the re-seed to the main thread's next region-loop
-				// header crossing (see dispatchRun) — and keep it armed, so
+				// header crossing (see dispatchOne) — and keep it armed, so
 				// every later crossing refreshes the ghost for its phase.
 				c.govArmed = true
 			} else {
@@ -688,7 +656,6 @@ func (c *Core) govRespawn() {
 	c.GovRespawns++
 	c.ghostStart = c.now
 	if c.govCtrAddr > 0 {
-		c.turn()
 		c.mem.StoreWord(c.govCtrAddr, 0)
 	}
 	if c.trace != nil {
@@ -950,30 +917,25 @@ func (c *Core) issueMem(t *thread, d *dInstr, addr, floor int64) int64 {
 }
 
 // dispatch fetches, functionally executes, and inserts instructions into
-// the ROB, sharing FetchWidth between the threads. Straight-line ALU
-// runs dispatch as superblocks (see dispatchALURun) unless
-// Config.Interpret forces the per-instruction reference path.
+// the ROB one at a time, sharing FetchWidth between the threads.
 func (c *Core) dispatch() {
 	slots := c.cfg.FetchWidth
 	first := int(c.now & 1)
 	for k := 0; k < 2 && slots > 0; k++ {
 		t := &c.threads[(first+k)&1]
-		for slots > 0 {
-			n := c.dispatchRun(t, slots)
-			if n == 0 {
-				break
-			}
-			slots -= n
+		for slots > 0 && c.dispatchOne(t) {
+			slots--
 		}
 	}
 }
 
-// dispatchRun dispatches the next superblock (or single instruction) of
-// t, bounded by the available fetch slots, and returns how many
-// instructions it consumed (0 when the thread cannot dispatch).
-func (c *Core) dispatchRun(t *thread, slots int) int {
+// dispatchOne dispatches the next instruction of t, returning false when
+// the thread cannot dispatch this cycle. Execution switches on the
+// original isa.Instr; the decoded twin supplies class, latency and flag
+// lookups.
+func (c *Core) dispatchOne(t *thread) bool {
 	if !t.active || t.halted || t.finished || c.err != nil {
-		return 0
+		return false
 	}
 	if t.id == 0 && c.govArmed {
 		// Armed PC-synchronized respawn: re-seed the ghost the moment the
@@ -991,149 +953,6 @@ func (c *Core) dispatchRun(t *thread, slots int) int {
 		} else {
 			c.govAtResync = false
 		}
-	}
-	if c.now < t.startAt || c.now < t.fetchBlockedUntil || t.serializeBlocked {
-		return 0
-	}
-	robCap := c.robCap()
-	if t.count >= robCap {
-		return 0
-	}
-	if t.pc < 0 || t.pc >= len(t.code) {
-		c.err = fmt.Errorf("cpu: %q thread %d pc %d out of range", t.prog.Name, t.id, t.pc)
-		return 0
-	}
-	d := &t.code[t.pc]
-	if d.class != clALU || c.cfg.Interpret {
-		if c.dispatchOne(t) {
-			return 1
-		}
-		return 0
-	}
-	n := int(d.run)
-	if n > slots {
-		n = slots
-	}
-	if free := robCap - t.count; n > free {
-		n = free
-	}
-	return c.dispatchALURun(t, n)
-}
-
-// dispatchALURun executes and inserts n straight-line ALU instructions
-// starting at t.pc as one fused superblock: one loop over pre-decoded
-// entries with no structural checks (ALU ops have none) and no
-// per-instruction class switch on the way in. Cycle accounting is
-// untouched — each instruction still occupies its own ROB slot, claims
-// its issue port at the first port-free cycle after its operand floor,
-// and claims its destination — so the timing is bit-identical to
-// dispatching the run one instruction at a time (the equivalence suite
-// diffs exactly that via Config.Interpret).
-func (c *Core) dispatchALURun(t *thread, n int) int {
-	code := t.code
-	robLen := len(t.state)
-	pc := t.pc
-	tail := t.tail
-	for i := 0; i < n; i++ {
-		d := &code[pc]
-		var v int64
-		switch d.op {
-		case isa.OpNop:
-		case isa.OpConst:
-			v = d.imm
-		case isa.OpMov:
-			v = t.regs[d.src1]
-		case isa.OpAdd:
-			v = t.regs[d.src1] + t.regs[d.src2]
-		case isa.OpSub:
-			v = t.regs[d.src1] - t.regs[d.src2]
-		case isa.OpMul:
-			v = t.regs[d.src1] * t.regs[d.src2]
-		case isa.OpDiv:
-			if t.regs[d.src2] != 0 {
-				v = t.regs[d.src1] / t.regs[d.src2]
-			}
-		case isa.OpRem:
-			if t.regs[d.src2] != 0 {
-				v = t.regs[d.src1] % t.regs[d.src2]
-			}
-		case isa.OpAnd:
-			v = t.regs[d.src1] & t.regs[d.src2]
-		case isa.OpOr:
-			v = t.regs[d.src1] | t.regs[d.src2]
-		case isa.OpXor:
-			v = t.regs[d.src1] ^ t.regs[d.src2]
-		case isa.OpShl:
-			v = t.regs[d.src1] << (uint64(t.regs[d.src2]) & 63)
-		case isa.OpShr:
-			v = int64(uint64(t.regs[d.src1]) >> (uint64(t.regs[d.src2]) & 63))
-		case isa.OpMin:
-			v = min(t.regs[d.src1], t.regs[d.src2])
-		case isa.OpMax:
-			v = max(t.regs[d.src1], t.regs[d.src2])
-		case isa.OpAddI:
-			v = t.regs[d.src1] + d.imm
-		case isa.OpMulI:
-			v = t.regs[d.src1] * d.imm
-		case isa.OpAndI:
-			v = t.regs[d.src1] & d.imm
-		case isa.OpXorI:
-			v = t.regs[d.src1] ^ d.imm
-		case isa.OpShlI:
-			v = t.regs[d.src1] << (uint64(d.imm) & 63)
-		case isa.OpShrI:
-			v = int64(uint64(t.regs[d.src1]) >> (uint64(d.imm) & 63))
-		default:
-			c.err = fmt.Errorf("cpu: %q pc %d: unimplemented op %s", t.prog.Name, pc, d.op)
-			t.pc = pc
-			t.tail = tail
-			t.count += i
-			return i
-		}
-		idx := int32(tail)
-		ready := c.now + 1
-		if f := t.readyFloor(d); f > ready {
-			ready = f
-		}
-		if d.hasDst {
-			t.regs[d.dst] = v
-			t.producer[d.dst] = idx
-		}
-		t.rpc[idx] = int32(pc)
-		t.cmeta[idx] = d.cmeta
-		t.completeAt[idx] = c.claimIssue(ready) + c.lat[d.latClass]
-		t.state[idx] = stIssued
-		if c.trace != nil {
-			if d.skipFlag {
-				if !t.inSkip {
-					t.inSkip = true
-					c.trace.Emit(obs.Event{Cycle: c.now, Arg: int64(pc),
-						Kind: obs.KindSyncSkip, Core: c.id, Ctx: uint8(t.id)})
-				}
-			} else {
-				t.inSkip = false
-			}
-		}
-		tail++
-		if tail == robLen {
-			tail = 0
-		}
-		pc++
-	}
-	t.tail = tail
-	t.count += n
-	t.pc = pc
-	return n
-}
-
-// dispatchOne is the per-instruction reference path: non-ALU
-// instructions always take it, and Config.Interpret routes everything
-// through it so the differential suite can prove superblock dispatch
-// changes nothing. It works off the original isa.Instr deliberately —
-// this is the interpreter the decoded fast path is measured against.
-func (c *Core) dispatchOne(t *thread) bool {
-	if !t.active || t.halted || t.finished || c.err != nil {
-		return false
 	}
 	if c.now < t.startAt || c.now < t.fetchBlockedUntil || t.serializeBlocked {
 		return false
@@ -1234,7 +1053,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 			return false
 		}
 		memAddr = addr
-		c.turn()
 		if c.shadow != nil && t.id == 0 {
 			c.shadow.demand(addr)
 		}
@@ -1256,7 +1074,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 			return false
 		}
 		memAddr = addr
-		c.turn()
 		c.mem.StoreWord(addr, t.regs[in.Src2])
 		t.sq++
 	case isa.OpPrefetch:
@@ -1272,7 +1089,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 			addr = 0
 		}
 		memAddr = addr
-		c.turn()
 		t.lq++
 	case isa.OpAtomicAdd:
 		addr := t.regs[in.Src1] + in.Imm
@@ -1281,7 +1097,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 			return false
 		}
 		memAddr = addr
-		c.turn()
 		if c.shadow != nil && t.id == 0 {
 			c.shadow.demand(addr)
 		}
@@ -1384,7 +1199,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 		// A sync check: the ghost just read the main thread's published
 		// counter. Its own count is the published ghost counter word
 		// (requires core.SyncParams.Trace).
-		c.turn()
 		if c.met != nil && c.met.GhostLead != nil {
 			c.met.GhostLead.Observe(c.mem.LoadWord(c.met.GhostCounterAddr) - t.regs[in.Dst])
 		}
@@ -1497,9 +1311,8 @@ func (c *Core) SetMetrics(m *obs.CoreMetrics) { c.met = m }
 // telemetry accumulator. ghostAddr is the memory word holding the
 // ghost's published iteration count (core.Counters.GhostAddr; the
 // ghost-lead tap needs core.SyncParams.Trace so the ghost publishes
-// there). The recorder is single-writer (this core) and drained only
-// between epochs by the run coordinator, so windowed runs stay eligible
-// for parallel stepping.
+// there). The recorder is drained by sim.System at window-boundary
+// flushes.
 func (c *Core) SetWindowRecorder(w *obs.WindowRecorder, ghostAddr int64) {
 	c.wrec = w
 	c.wrecAddr = ghostAddr
@@ -1533,9 +1346,8 @@ func (c *Core) SetGovResync(pc, cap int64) { c.govResyncPC, c.govRespawnCap = pc
 
 // ScheduleGovKill schedules a governor ghost-kill for the next stepped
 // cycle. It rides the timing wheel exactly like the evFaultKill trigger,
-// so it fires at the same cycle under per-cycle stepping, event skipping,
-// and parallel stepping (NextEvent never skips past a pending wheel
-// event). Call only between steps (window-boundary flushes qualify).
+// so it fires at the same cycle under per-cycle stepping and event
+// skipping (NextEvent never skips past a pending wheel event). Call only between steps (window-boundary flushes qualify).
 func (c *Core) ScheduleGovKill() {
 	c.events.push(c.now, event{at: c.now + 1, kind: evGovKill})
 }

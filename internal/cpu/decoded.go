@@ -3,9 +3,8 @@ package cpu
 import "ghostthread/internal/isa"
 
 // Instruction classes for decoded dispatch. clALU covers every
-// straight-line functional op (including nop): the ops a superblock can
-// execute back-to-back without touching memory, control flow, or thread
-// state.
+// straight-line functional op (including nop): the ops that touch no
+// memory, control flow, or thread state.
 const (
 	clALU = iota
 	clLoad
@@ -28,30 +27,23 @@ const (
 	latDiv
 )
 
-// dInstr is one pre-decoded instruction: register indices widened to
-// native ints, the dispatch class and issue-latency class precomputed,
-// and the flag tests the hot path needs folded to booleans, so dispatch,
-// issue, completion, and commit never re-interpret an isa.Instr.
+// dInstr is one pre-decoded instruction: the dispatch class and
+// issue-latency class precomputed and the hard-branch flag test folded to
+// a boolean, so issue, completion, commit and the event-skip lookahead
+// never re-interpret an isa.Instr.
 type dInstr struct {
-	op       isa.Op // original opcode: the execute-switch key
 	class    uint8
-	dst      uint8
 	src1     uint8
 	src2     uint8
 	nsrc     uint8
 	latClass uint8
-	hasDst   bool
-	hard     bool // conditional branch with FlagHardBranch
-	syncLoad bool // load with (FlagSync|FlagSyncSkip) == FlagSync
-	skipFlag bool // FlagSyncSkip set (trace tap)
-	run      uint16
+	hard     bool   // conditional branch with FlagHardBranch
 	cmeta    uint16 // packed commit metadata, copied into the ROB slot
 	imm      int64
-	target   int32
 }
 
 // Commit-side metadata layout (dInstr.cmeta / thread.cmeta): everything
-// retirement needs, packed so commit never touches the 40-byte dInstr.
+// retirement needs, packed so commit never touches the dInstr.
 // Bits 0–7 are the destination register, bit 8 marks a live destination,
 // and bits 9–10 select which queue entry (if any) the retiring
 // instruction releases.
@@ -65,11 +57,7 @@ const (
 )
 
 // decodedProgram caches the decoded form of one isa.Program, built once
-// per Core.Load. Superblocks are encoded by run: for a clALU instruction
-// at pc, code[pc].run is the length of the maximal straight-line ALU run
-// starting there (ending at the first branch, memory op, serialize, or
-// thread op), so every pc is implicitly the entry of its own superblock
-// suffix and dispatch needs no separate block table.
+// per Core.Load.
 //
 // There is no invalidation: isa.Program is immutable once built (see the
 // package isa contract) and the decoded image is keyed to the *Program a
@@ -88,18 +76,11 @@ func decodeProgram(p *isa.Program) *decodedProgram {
 	for i := range p.Code {
 		in := &p.Code[i]
 		d := &dp.code[i]
-		d.op = in.Op
-		d.dst = uint8(in.Dst)
 		d.src1 = uint8(in.Src1)
 		d.src2 = uint8(in.Src2)
 		d.nsrc = uint8(in.Op.NumSrcs())
-		d.hasDst = in.Op.HasDst()
 		d.imm = in.Imm
-		d.target = in.Target
 		d.hard = in.Op.IsCondBranch() && in.HasFlag(isa.FlagHardBranch)
-		d.syncLoad = in.Op == isa.OpLoad &&
-			in.Flags&(isa.FlagSync|isa.FlagSyncSkip) == isa.FlagSync
-		d.skipFlag = in.Flags&isa.FlagSyncSkip != 0
 		switch in.Op {
 		case isa.OpLoad:
 			d.class = clLoad
@@ -132,8 +113,8 @@ func decodeProgram(p *isa.Program) *decodedProgram {
 		default:
 			d.latClass = latInt
 		}
-		d.cmeta = uint16(d.dst)
-		if d.hasDst {
+		d.cmeta = uint16(in.Dst)
+		if in.Op.HasDst() {
 			d.cmeta |= cmetaHasDst
 		}
 		switch d.class {
@@ -141,17 +122,6 @@ func decodeProgram(p *isa.Program) *decodedProgram {
 			d.cmeta |= cmetaQStore << cmetaQShift
 		case clLoad, clPrefetch, clAtomic:
 			d.cmeta |= cmetaQLoad << cmetaQShift
-		}
-	}
-	run := 0
-	for i := len(dp.code) - 1; i >= 0; i-- {
-		if dp.code[i].class == clALU {
-			if run < int(^uint16(0)) {
-				run++
-			}
-			dp.code[i].run = uint16(run)
-		} else {
-			run = 0
 		}
 	}
 	return dp

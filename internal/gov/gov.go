@@ -104,7 +104,7 @@ type Config struct {
 	// TooFarAddr/CloseAddr (the governor-owned memory words an opt-in
 	// dynamic sync segment loads its thresholds from) and their initial
 	// values.
-	Retune    bool
+	Retune     bool
 	TooFarAddr int64
 	CloseAddr  int64
 	TooFarInit int64
@@ -134,7 +134,7 @@ type Config struct {
 	// MSHRBudget, when > 0 on a multi-core machine, is the shared
 	// per-window MSHR-peak budget: if the helper-active cores' summed
 	// MSHR peaks exceed it, the least accurate ghosts are killed until
-	// the rest fit — cross-core coordination at the epoch barrier.
+	// the rest fit — cross-core coordination at the window flush.
 	MSHRBudget int64
 }
 

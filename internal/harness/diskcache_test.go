@@ -41,7 +41,6 @@ func testKey(workload string) profKey {
 		maxCycles:   cfg.MaxCycles,
 		sampleEvery: cfg.SampleEvery,
 		cycleStep:   cfg.CycleStep,
-		serialStep:  cfg.SerialStep,
 	}
 }
 

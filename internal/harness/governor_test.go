@@ -72,7 +72,7 @@ func TestGovernedHealthyGhostsUnharmed(t *testing.T) {
 
 // TestGovernorDecisionDeterminism asserts the governed decision log —
 // and the governed cycle count — are bit-identical across the stepping
-// mode matrix (CycleStep × SerialStep) and across a straight replay,
+// modes (CycleStep on and off) and across a straight replay,
 // for a workload where the governor actually acts (bfs.kron compiler).
 func TestGovernorDecisionDeterminism(t *testing.T) {
 	if testing.Short() {

@@ -86,7 +86,6 @@ type profKey struct {
 	maxCycles   int64
 	sampleEvery int64
 	cycleStep   bool
-	serialStep  bool
 	fault       fault.Config
 	shadow      sim.ShadowConfig
 	governor    gov.Config
@@ -131,7 +130,6 @@ func profileWorkload(workload string, build workloads.Builder, cfg sim.Config) (
 		maxCycles:   cfg.MaxCycles,
 		sampleEvery: cfg.SampleEvery,
 		cycleStep:   cfg.CycleStep,
-		serialStep:  cfg.SerialStep,
 		fault:       cfg.Fault,
 		shadow:      cfg.Shadow,
 		governor:    cfg.Governor,

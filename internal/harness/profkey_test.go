@@ -21,7 +21,6 @@ var profKeyField = map[string]string{
 	"MaxCycles":   "maxCycles",
 	"SampleEvery": "sampleEvery",
 	"CycleStep":   "cycleStep",
-	"SerialStep":  "serialStep",
 	"Fault":       "fault",
 	"Shadow":      "shadow",
 	"Governor":    "governor",

@@ -221,7 +221,7 @@ type Loop struct {
 // transformation passes (the slicer, the sync inserter, fuzz mutators)
 // build a new Program via a fresh Builder. Consumers rely on this:
 // internal/cpu decodes each Program once at Core.Load into a cached
-// superblock image with no invalidation path, and the analysis packages
+// image with no invalidation path, and the analysis packages
 // share Programs across goroutines without synchronization. Breaking
 // the contract silently desynchronizes the decoded image from the IR.
 type Program struct {

@@ -64,37 +64,6 @@ func (h *Histogram) Observe(v int64) {
 // (from the embedded sketch; 0 when empty).
 func (h *Histogram) Quantile(q float64) int64 { return h.sketch.Quantile(q) }
 
-// Merge folds o's observations into h. The histograms must share the
-// same bucket bounds (per-core shards of one metric always do); Merge
-// panics otherwise, since silently mixing layouts would corrupt the
-// counts. Bucket, summary, and sketch merging are all count additions,
-// so the result is identical for any shard-merge order.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.bounds) != len(o.bounds) {
-		panic(fmt.Sprintf("obs: merging histograms %s/%s with different bucket layouts", h.name, o.name))
-	}
-	for i, b := range h.bounds {
-		if o.bounds[i] != b {
-			panic(fmt.Sprintf("obs: merging histograms %s/%s with different bucket layouts", h.name, o.name))
-		}
-	}
-	if o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.count == 0 || o.max > h.max {
-		h.max = o.max
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.count += o.count
-	h.sum += o.sum
-	h.sketch.Merge(&o.sketch)
-}
-
 // Name returns the histogram's registry name.
 func (h *Histogram) Name() string { return h.name }
 
@@ -161,23 +130,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	h := NewHistogram(name, bounds)
 	r.histograms[name] = h
 	return h
-}
-
-// Merge folds o into r: counters add, histograms with the same name
-// merge bucket-wise (see Histogram.Merge), histograms only present in o
-// are adopted as-is. Used to fold per-core sharded registries into one;
-// the result is identical for any merge order.
-func (r *Registry) Merge(o *Registry) {
-	for name, v := range o.counters {
-		r.counters[name] += v
-	}
-	for name, oh := range o.histograms {
-		if h, ok := r.histograms[name]; ok {
-			h.Merge(oh)
-		} else {
-			r.histograms[name] = oh
-		}
-	}
 }
 
 // JSON renders the registry: counters as a name→value object, histograms

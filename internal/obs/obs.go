@@ -58,8 +58,7 @@ const (
 	// live-ins (Arg = helper id).
 	KindGovRespawn
 	// KindGovRetune: the governor republished the dynamic sync window
-	// (Arg = new TooFar; emitted by the run coordinator at a window
-	// boundary).
+	// (Arg = new TooFar; emitted at a window boundary).
 	KindGovRetune
 
 	kindCount

@@ -6,10 +6,7 @@ import "math/bits"
 // HDR-style log-linear bucketing (exact below 2^(subBits+1), then
 // 2^subBits sub-buckets per power of two) that answers p50/p95/p99
 // queries with bounded relative error and without storing raw
-// observations. Merging two sketches is plain bucket-count addition, so
-// merge is commutative and associative — any shard-merge order yields
-// the same sketch, which is what makes per-core sharded recorders
-// deterministic. All bucket math is integer-only (bits.Len64, shifts),
+// observations. All bucket math is integer-only (bits.Len64, shifts),
 // so results are bit-identical across platforms; no float log is ever
 // taken.
 type Sketch struct {
@@ -110,25 +107,6 @@ func (s *Sketch) Quantile(q float64) int64 {
 		}
 	}
 	return 0 // unreachable: counts sum to n
-}
-
-// Merge folds o into s (o is unchanged). Bucket-count addition: the
-// result is identical for any merge order.
-func (s *Sketch) Merge(o *Sketch) {
-	s.n += o.n
-	s.zero += o.zero
-	if len(o.pos) > len(s.pos) {
-		s.pos = append(s.pos, make([]int64, len(o.pos)-len(s.pos))...)
-	}
-	for i, c := range o.pos {
-		s.pos[i] += c
-	}
-	if len(o.neg) > len(s.neg) {
-		s.neg = append(s.neg, make([]int64, len(o.neg)-len(s.neg))...)
-	}
-	for i, c := range o.neg {
-		s.neg[i] += c
-	}
 }
 
 // Reset discards all observations, keeping the bucket allocations.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 )
@@ -109,60 +108,6 @@ func TestSketchValueRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSketchMergeEqualsCombined: merging shards must be exactly
-// equivalent to observing the combined stream — the property that makes
-// per-core sharding deterministic — for any shard split and merge order.
-func TestSketchMergeEqualsCombined(t *testing.T) {
-	var vals []int64
-	x := uint64(99)
-	for i := 0; i < 3000; i++ {
-		x = x*2862933555777941757 + 3037000493
-		vals = append(vals, int64(x%200_000)-100_000)
-	}
-	combined := sketchFrom(vals)
-
-	for _, shards := range []int{2, 3, 7} {
-		// Round-robin split, then merge in forward and reverse order.
-		parts := make([][]int64, shards)
-		for i, v := range vals {
-			parts[i%shards] = append(parts[i%shards], v)
-		}
-		var fwd, rev Sketch
-		for i := 0; i < shards; i++ {
-			fwd.Merge(sketchFrom(parts[i]))
-			rev.Merge(sketchFrom(parts[shards-1-i]))
-		}
-		for _, m := range []*Sketch{&fwd, &rev} {
-			if m.Count() != combined.Count() {
-				t.Fatalf("%d shards: merged count %d != %d", shards, m.Count(), combined.Count())
-			}
-			for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
-				if got, want := m.Quantile(q), combined.Quantile(q); got != want {
-					t.Errorf("%d shards q=%v: merged %d != combined %d", shards, q, got, want)
-				}
-			}
-		}
-		if !reflect.DeepEqual(trimSketch(&fwd), trimSketch(&rev)) {
-			t.Errorf("%d shards: forward and reverse merge orders produced different sketches", shards)
-		}
-	}
-}
-
-// trimSketch normalises trailing zero buckets (merge order can leave
-// different slice capacities) for structural comparison.
-func trimSketch(s *Sketch) Sketch {
-	out := Sketch{zero: s.zero, n: s.n}
-	out.pos = append([]int64(nil), s.pos...)
-	out.neg = append([]int64(nil), s.neg...)
-	for len(out.pos) > 0 && out.pos[len(out.pos)-1] == 0 {
-		out.pos = out.pos[:len(out.pos)-1]
-	}
-	for len(out.neg) > 0 && out.neg[len(out.neg)-1] == 0 {
-		out.neg = out.neg[:len(out.neg)-1]
-	}
-	return out
-}
-
 // TestSketchReset keeps allocations but discards observations.
 func TestSketchReset(t *testing.T) {
 	s := sketchFrom([]int64{1, 100, -50, 0})
@@ -176,87 +121,29 @@ func TestSketchReset(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantilesAndMerge: the histogram's embedded sketch
-// surfaces quantiles and survives merges exactly (satellite: p50/p95/p99
-// without raw observations).
-func TestHistogramQuantilesAndMerge(t *testing.T) {
-	bounds := []int64{10, 100, 1000}
-	a := NewHistogram("lat", bounds)
-	b := NewHistogram("lat", bounds)
+// TestHistogramQuantiles: the histogram's embedded sketch surfaces
+// quantiles without keeping raw observations (p50/p95/p99), matching a
+// bare sketch fed the same stream.
+func TestHistogramQuantiles(t *testing.T) {
+	h := NewHistogram("lat", []int64{10, 100, 1000})
 	var all []int64
+	var sum int64
 	for i := int64(1); i <= 200; i++ {
 		v := i * 3 % 47
 		all = append(all, v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
+		sum += v
+		h.Observe(v)
 	}
-	a.Merge(b)
-	if a.Count() != int64(len(all)) {
-		t.Fatalf("merged count %d, want %d", a.Count(), len(all))
+	if h.Count() != int64(len(all)) {
+		t.Fatalf("count %d, want %d", h.Count(), len(all))
 	}
 	ref := sketchFrom(all)
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got, want := a.Quantile(q), ref.Quantile(q); got != want {
-			t.Errorf("q=%v: merged histogram %d != combined %d", q, got, want)
+		if got, want := h.Quantile(q), ref.Quantile(q); got != want {
+			t.Errorf("q=%v: histogram %d != sketch %d", q, got, want)
 		}
 	}
-	var sum int64
-	for _, v := range all {
-		sum += v
-	}
-	if a.Sum() != sum {
-		t.Errorf("merged sum %d, want %d", a.Sum(), sum)
-	}
-}
-
-// TestHistogramMergePanicsOnLayoutMismatch: silently mixing bucket
-// layouts would corrupt counts, so Merge must refuse.
-func TestHistogramMergePanicsOnLayoutMismatch(t *testing.T) {
-	a := NewHistogram("a", []int64{1, 2})
-	b := NewHistogram("b", []int64{1, 3})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merge with mismatched bounds did not panic")
-		}
-	}()
-	a.Merge(b)
-}
-
-// TestRegistryMergeOrderInvariant: folding per-core registries must be
-// order-independent, including histograms only present in one shard.
-func TestRegistryMergeOrderInvariant(t *testing.T) {
-	mk := func(seed int64) *Registry {
-		r := NewRegistry()
-		r.AddCounter("steps", seed*10)
-		h := r.Histogram("lead", []int64{0, 10, 100})
-		for i := int64(0); i < 50; i++ {
-			h.Observe(seed * i % 137)
-		}
-		if seed == 2 {
-			r.Histogram("only2", []int64{5}).Observe(3)
-		}
-		return r
-	}
-	ab := NewRegistry()
-	ab.Merge(mk(1))
-	ab.Merge(mk(2))
-	ab.Merge(mk(3))
-	ba := NewRegistry()
-	ba.Merge(mk(3))
-	ba.Merge(mk(1))
-	ba.Merge(mk(2))
-	j1, err := ab.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := ba.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(j1) != string(j2) {
-		t.Fatalf("merge order changed registry JSON\n ab: %s\n ba: %s", j1, j2)
+	if h.Sum() != sum {
+		t.Errorf("sum %d, want %d", h.Sum(), sum)
 	}
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-
-	"ghostthread/internal/cache"
-)
+import "ghostthread/internal/cache"
 
 // WindowSample is one per-core sample of the streaming telemetry
 // time-series: the activity deltas of one W-cycle window, emitted at the
@@ -14,9 +10,8 @@ import (
 // surfaces both read samples one at a time.
 //
 // Samples are produced only at deterministic points — window boundaries
-// the skipper never jumps over and, under parallel stepping, only by the
-// coordinator between epochs — so the stream is bit-identical across
-// per-cycle, event-skip, and parallel stepping (DESIGN.md §14).
+// the skipper never jumps over — so the stream is bit-identical across
+// per-cycle and event-skip stepping (DESIGN.md §14).
 type WindowSample struct {
 	// Window is the zero-based window index; Start/End the cycle range
 	// [Start, End) the sample covers. The final window of a run may be
@@ -97,10 +92,9 @@ type WindowSample struct {
 
 // WindowRecorder accumulates the per-event window statistics one core
 // feeds between flushes: ghost-lead observations at sync checks and MSHR
-// occupancy at miss allocations. It is single-writer (its core) like a
-// trace Recorder, and drained only at window flush by the coordinator,
-// so it needs no locking under parallel stepping. Like all observers it
-// is observation-only: nothing the core computes depends on it.
+// occupancy at miss allocations. It is fed by its core and drained only
+// at window flushes. Like all observers it is observation-only: nothing
+// the core computes depends on it.
 type WindowRecorder struct {
 	lead    Sketch
 	leadSum int64
@@ -238,81 +232,4 @@ func (d *PhaseDetector) Step(stallDelta []int64) (phase int, boundary bool, dist
 	d.prev = cur
 	d.havePrev = true
 	return d.phase, boundary, dist
-}
-
-// ShardedRecorder is a set of per-core trace recorders with a
-// deterministic merge: each core emits into its own shard (single
-// writer, no synchronisation), and Events() interleaves the shards into
-// one global, deterministic event order. This is what lets traced runs
-// use the parallel stepping path — the legacy single shared Recorder
-// defines event order as serial core order, which only a serial loop can
-// produce.
-//
-// Determinism: each shard's contents are deterministic (one core,
-// deterministic simulation), and the merged order — by start cycle, ties
-// broken by shard (core) index — depends only on those contents, never
-// on scheduling. So a sharded-traced parallel run yields the same merged
-// event sequence as a serial run.
-type ShardedRecorder struct {
-	shards []*Recorder
-}
-
-// NewShardedRecorder builds one recorder per core, each holding up to
-// perShard events (<= 0 selects DefaultCapacity).
-func NewShardedRecorder(cores, perShard int) *ShardedRecorder {
-	s := &ShardedRecorder{shards: make([]*Recorder, cores)}
-	for i := range s.shards {
-		s.shards[i] = NewRecorder(perShard)
-	}
-	return s
-}
-
-// Cores returns the number of shards.
-func (s *ShardedRecorder) Cores() int { return len(s.shards) }
-
-// Shard returns core i's recorder (attach it with cpu.Core.SetTrace via
-// sim.System.SetShardedTrace).
-func (s *ShardedRecorder) Shard(i int) *Recorder { return s.shards[i] }
-
-// Emitted returns the total events emitted across all shards.
-func (s *ShardedRecorder) Emitted() uint64 {
-	var n uint64
-	for _, r := range s.shards {
-		n += r.Emitted()
-	}
-	return n
-}
-
-// Dropped returns the total events lost to ring wrap across all shards.
-func (s *ShardedRecorder) Dropped() uint64 {
-	var n uint64
-	for _, r := range s.shards {
-		n += r.Dropped()
-	}
-	return n
-}
-
-// Events returns all retained events merged into the canonical order:
-// ascending start cycle, ties in core (shard) order, preserving each
-// core's emission order within a cycle. The result is independent of how
-// core stepping was scheduled.
-func (s *ShardedRecorder) Events() []Event {
-	var out []Event
-	for _, r := range s.shards {
-		out = append(out, r.Events()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Cycle != out[j].Cycle {
-			return out[i].Cycle < out[j].Cycle
-		}
-		return out[i].Core < out[j].Core
-	})
-	return out
-}
-
-// Reset discards all shards' events, keeping their allocations.
-func (s *ShardedRecorder) Reset() {
-	for _, r := range s.shards {
-		r.Reset()
-	}
 }

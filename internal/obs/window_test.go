@@ -67,79 +67,6 @@ func TestPhaseDetector(t *testing.T) {
 	}
 }
 
-// TestShardedRecorderMergeDeterministic is the shard-merge property
-// test: for any interleaving of per-core emissions — any schedule a
-// parallel run could produce — the merged event stream is identical,
-// because each shard's content is per-core deterministic and the merge
-// orders only by (start cycle, core, per-core emission order).
-func TestShardedRecorderMergeDeterministic(t *testing.T) {
-	const cores = 4
-	// Per-core deterministic event sequences, including same-cycle events
-	// on one core (order must be preserved) and across cores (core order
-	// must win), plus a span that closes late but starts early.
-	perCore := make([][]Event, cores)
-	for c := 0; c < cores; c++ {
-		var evs []Event
-		x := uint64(c + 1)
-		cycle := int64(0)
-		for i := 0; i < 200; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			cycle += int64(x % 3) // repeats some cycles
-			evs = append(evs, Event{
-				Cycle: cycle, Dur: int64(x % 7), Arg: int64(i),
-				Kind: Kind(x % uint64(kindCount)), Core: uint8(c), Ctx: uint8(x % 2),
-			})
-		}
-		perCore[c] = evs
-	}
-
-	// A deterministic family of interleavings: for each seed, repeatedly
-	// pick the next core by a seeded LCG and emit its next pending event.
-	// Each interleaving is a different "schedule"; the shards see the
-	// same per-core order every time (which is exactly the guarantee a
-	// single-writer shard has under the turn gate).
-	merge := func(seed uint64) []Event {
-		sr := NewShardedRecorder(cores, 4096)
-		idx := make([]int, cores)
-		remaining := 0
-		for _, evs := range perCore {
-			remaining += len(evs)
-		}
-		x := seed
-		for remaining > 0 {
-			x = x*2862933555777941757 + 3037000493
-			c := int(x % cores)
-			for idx[c] >= len(perCore[c]) {
-				c = (c + 1) % cores
-			}
-			sr.Shard(c).Emit(perCore[c][idx[c]])
-			idx[c]++
-			remaining--
-		}
-		return sr.Events()
-	}
-
-	ref := merge(1)
-	if len(ref) == 0 {
-		t.Fatal("no events merged")
-	}
-	for seed := uint64(2); seed < 12; seed++ {
-		if got := merge(seed); !reflect.DeepEqual(ref, got) {
-			t.Fatalf("interleaving %d produced a different merged stream", seed)
-		}
-	}
-	// The canonical order: non-decreasing cycle; within a cycle,
-	// non-decreasing core; within (cycle, core), emission order.
-	pos := make(map[uint8]int, cores)
-	for i := 1; i < len(ref); i++ {
-		a, b := ref[i-1], ref[i]
-		if b.Cycle < a.Cycle || (b.Cycle == a.Cycle && b.Core < a.Core) {
-			t.Fatalf("merged stream out of order at %d: %+v then %+v", i, a, b)
-		}
-	}
-	_ = pos
-}
-
 // TestWindowSampleJSONRoundTrip: samples are the NDJSON wire format of
 // gtrun/ghostbench and gtmon's input; field names must survive a round
 // trip and include the phase-boundary marker metrics-smoke greps for.

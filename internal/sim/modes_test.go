@@ -1,118 +1,77 @@
 package sim_test
 
-// modes_test.go — the execution-mode equivalence suite. The simulator
-// has three independent speed axes, each with a reference setting:
+// modes_test.go — the stepping-mode equivalence suite. The simulator has
+// one speed path with a reference setting:
 //
-//   - superblock dispatch      vs  cpu.Config.Interpret (per-instruction)
 //   - event-skip fast-forward  vs  sim.Config.CycleStep (per-cycle)
-//   - epoch-parallel stepping  vs  sim.Config.SerialStep (in-order cores)
 //
-// Every combination must produce a bit-identical sim.Result (and final
-// memory image), alone and composed with fault injection and the shadow
-// oracle. `make ci` additionally runs this file under the race detector,
-// which turns the parallel-stepping cases into a data-race proof of the
-// turn-gate discipline.
+// Both must produce a bit-identical sim.Result (and final memory image),
+// alone and composed with fault injection and the shadow oracle, on
+// single-core and multi-core machines.
 
 import (
-	"errors"
-	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"ghostthread/internal/fault"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/workloads"
 )
 
-// stepModes is the {Interpret} × {CycleStep} grid; the first entry is
-// the all-fast-paths configuration the experiments run.
-var stepModes = []struct {
-	name      string
-	interpret bool
-	cycleStep bool
-}{
-	{"superblock/skip", false, false},
-	{"superblock/cycle", false, true},
-	{"interpret/skip", true, false},
-	{"interpret/cycle", true, true},
-}
-
-// runMode builds a fresh instance of workload/variant and runs it with
-// the given mode knobs applied on top of base, returning the Result and
-// the final memory image.
-func runMode(t *testing.T, workload, variant string, base sim.Config, interpret, cycleStep bool) (sim.Result, []int64) {
+// runMode runs workload/variant (see runSingle) with CycleStep applied on
+// top of base.
+func runMode(t *testing.T, workload, variant string, base sim.Config, cycleStep bool) (sim.Result, []int64) {
 	t.Helper()
-	build, err := workloads.Lookup(workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := build(workloads.ProfileOptions())
-	v := inst.VariantByName(variant)
-	if v == nil {
-		t.Fatalf("%s has no %s variant", workload, variant)
-	}
 	cfg := base
-	cfg.CPU.Interpret = interpret
 	cfg.CycleStep = cycleStep
-	res, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers)
-	if err != nil {
-		t.Fatalf("%s/%s (interpret=%v cycleStep=%v): %v", workload, variant, interpret, cycleStep, err)
-	}
-	if err := inst.CheckFor(variant)(inst.Mem); err != nil {
-		t.Fatalf("%s/%s (interpret=%v cycleStep=%v): check: %v", workload, variant, interpret, cycleStep, err)
-	}
-	return res, snapshot(inst.Mem)
+	return runSingle(t, workload, variant, cfg)
 }
 
-// assertMode compares a mode run against the reference run of the same
-// workload.
-func assertMode(t *testing.T, label, mode string, refRes, res sim.Result, refMem, m []int64) {
+// assertMode compares an event-skip run against the per-cycle reference
+// run of the same workload.
+func assertMode(t *testing.T, label string, refRes, res sim.Result, refMem, m []int64) {
 	t.Helper()
 	if !reflect.DeepEqual(refRes, res) {
-		t.Errorf("%s: %s Result diverged from reference\n ref: %+v\n got: %+v", label, mode, refRes, res)
+		t.Errorf("%s: event-skip Result diverged from per-cycle reference\n ref: %+v\n got: %+v", label, refRes, res)
 	}
 	if !reflect.DeepEqual(refMem, m) {
-		t.Errorf("%s: %s final memory image diverged from reference", label, mode)
+		t.Errorf("%s: event-skip final memory image diverged from per-cycle reference", label)
 	}
 }
 
-// TestModeEquivalenceSingleCore proves the dispatch × stepping grid on
-// the representative single-core slice.
+// TestModeEquivalenceSingleCore proves the stepping modes agree on the
+// representative single-core slice.
 func TestModeEquivalenceSingleCore(t *testing.T) {
 	for _, wl := range []struct{ workload, variant string }{
 		{"camel", "ghost"},
 		{"bfs.kron", "ghost"},
 		{"hj8", "ghost"},
 	} {
-		refRes, refMem := runMode(t, wl.workload, wl.variant, sim.DefaultConfig(), false, false)
-		for _, m := range stepModes[1:] {
-			res, img := runMode(t, wl.workload, wl.variant, sim.DefaultConfig(), m.interpret, m.cycleStep)
-			assertMode(t, wl.workload+"/"+wl.variant, m.name, refRes, res, refMem, img)
-		}
+		refRes, refMem := runMode(t, wl.workload, wl.variant, sim.DefaultConfig(), true)
+		res, img := runMode(t, wl.workload, wl.variant, sim.DefaultConfig(), false)
+		assertMode(t, wl.workload+"/"+wl.variant, refRes, res, refMem, img)
 	}
 }
 
-// TestModeEquivalenceComposed re-proves the grid with fault injection
-// and the shadow oracle enabled at once: the mode axes must not perturb
+// TestModeEquivalenceComposed re-proves the modes with fault injection
+// and the shadow oracle enabled at once: event skipping must not perturb
 // the fault draw schedule or the oracle's classification.
 func TestModeEquivalenceComposed(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.Fault = combinedSchedule()
 	base.Shadow.Enabled = true
-	refRes, refMem := runMode(t, "camel", "ghost", base, false, false)
+	refRes, refMem := runMode(t, "camel", "ghost", base, true)
 	if refRes.Fault == (fault.Stats{}) {
 		t.Fatal("fault schedule injected nothing; composition proves nothing")
 	}
-	for _, m := range stepModes[1:] {
-		res, img := runMode(t, "camel", "ghost", base, m.interpret, m.cycleStep)
-		assertMode(t, "camel/ghost(faulted+shadowed)", m.name, refRes, res, refMem, img)
-	}
+	res, img := runMode(t, "camel", "ghost", base, false)
+	assertMode(t, "camel/ghost(faulted+shadowed)", refRes, res, refMem, img)
 }
 
 // runMultiMode builds a fresh MultiGhost PageRank machine and runs it
-// with the given mode knobs, returning the Result and the memory image.
-func runMultiMode(t *testing.T, base sim.Config, serial, interpret, cycleStep bool) (sim.Result, []int64) {
+// with CycleStep applied on top of base, returning the Result and the
+// memory image.
+func runMultiMode(t *testing.T, base sim.Config, cycleStep bool) (sim.Result, []int64) {
 	t.Helper()
 	inst, err := workloads.NewMulti("pr", "kron", 4, workloads.MultiGhost, workloads.ProfileOptions())
 	if err != nil {
@@ -120,8 +79,6 @@ func runMultiMode(t *testing.T, base sim.Config, serial, interpret, cycleStep bo
 	}
 	cfg := base
 	cfg.Cores = inst.Cores
-	cfg.SerialStep = serial
-	cfg.CPU.Interpret = interpret
 	cfg.CycleStep = cycleStep
 	s := sim.New(cfg, inst.Mem)
 	for c := range inst.Per {
@@ -129,85 +86,35 @@ func runMultiMode(t *testing.T, base sim.Config, serial, interpret, cycleStep bo
 	}
 	res, err := s.Run()
 	if err != nil {
-		t.Fatalf("pr.kron multighost (serial=%v interpret=%v cycleStep=%v): %v", serial, interpret, cycleStep, err)
+		t.Fatalf("pr.kron multighost (cycleStep=%v): %v", cycleStep, err)
 	}
 	if err := inst.Check(inst.Mem); err != nil {
-		t.Fatalf("pr.kron multighost (serial=%v interpret=%v cycleStep=%v): check: %v", serial, interpret, cycleStep, err)
+		t.Fatalf("pr.kron multighost (cycleStep=%v): check: %v", cycleStep, err)
 	}
 	return res, snapshot(inst.Mem)
 }
 
-// TestModeEquivalenceMultiGhostPR proves the full {SerialStep} ×
-// {Interpret} × {CycleStep} cube on a 4-core MultiGhost PageRank run:
-// the epoch-parallel worker pool must hand the shared LLC, memory
-// controller, and memory image to cores in exactly the serial order.
-// The reference corner is the fully serial, interpreted, per-cycle
-// machine — every fast path disabled.
+// TestModeEquivalenceMultiGhostPR proves the stepping modes agree on a
+// 4-core MultiGhost PageRank run, where the cores interact through the
+// shared LLC, memory controller and memory image.
 func TestModeEquivalenceMultiGhostPR(t *testing.T) {
-	refRes, refMem := runMultiMode(t, sim.DefaultConfig(), true, true, true)
-	for _, serial := range []bool{true, false} {
-		for _, m := range stepModes {
-			if serial && m.interpret && m.cycleStep {
-				continue // the reference corner itself
-			}
-			name := fmt.Sprintf("serial=%v/%s", serial, m.name)
-			res, img := runMultiMode(t, sim.DefaultConfig(), serial, m.interpret, m.cycleStep)
-			assertMode(t, "pr.kron/multighost", name, refRes, res, refMem, img)
-		}
-	}
+	refRes, refMem := runMultiMode(t, sim.DefaultConfig(), true)
+	res, img := runMultiMode(t, sim.DefaultConfig(), false)
+	assertMode(t, "pr.kron/multighost", refRes, res, refMem, img)
 }
 
-// TestModeEquivalenceMultiCoreComposed drives the parallel worker pool
+// TestModeEquivalenceMultiCoreComposed re-proves the multi-core case
 // with fault injection and the shadow oracle live — the strongest
-// composition the machine supports. Under `-race` this doubles as the
-// data-race proof for injector and oracle state during parallel
-// stepping (both are per-core, ordered by the turn gate).
+// composition the machine supports: per-core fault schedules, memory
+// jitter on the shared controller, and one oracle per core.
 func TestModeEquivalenceMultiCoreComposed(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.Fault = combinedSchedule()
 	base.Shadow.Enabled = true
-	refRes, refMem := runMultiMode(t, base, true, false, false)
+	refRes, refMem := runMultiMode(t, base, true)
 	if refRes.Fault == (fault.Stats{}) {
 		t.Fatal("fault schedule injected nothing; composition proves nothing")
 	}
-	res, img := runMultiMode(t, base, false, false, false)
-	assertMode(t, "pr.kron/multighost(faulted+shadowed)", "parallel", refRes, res, refMem, img)
-}
-
-// TestBudgetErrorDetachesGates proves runParallel's error path leaves no
-// core attached to the step gate: a parallel run that exhausts MaxCycles
-// must still allow the cores to be stepped directly afterwards. Before
-// the deferred SetGate(nil, 0) cleanup, the BudgetError return skipped
-// gate detachment and this test deadlocked in gate.acquire.
-func TestBudgetErrorDetachesGates(t *testing.T) {
-	inst, err := workloads.NewMulti("pr", "kron", 4, workloads.MultiGhost, workloads.ProfileOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Cores = inst.Cores
-	cfg.MaxCycles = 1_000
-	s := sim.New(cfg, inst.Mem)
-	for c := range inst.Per {
-		s.Load(c, inst.Per[c].Main, inst.Per[c].Helpers)
-	}
-	var be *sim.BudgetError
-	if _, err := s.Run(); !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *sim.BudgetError", err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < s.Cores(); i++ {
-			c := s.Core(i)
-			for n := 0; n < 100 && !c.Done(); n++ {
-				c.Step()
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("stepping after BudgetError deadlocked: cores still gated")
-	}
+	res, img := runMultiMode(t, base, false)
+	assertMode(t, "pr.kron/multighost(faulted+shadowed)", refRes, res, refMem, img)
 }

@@ -4,8 +4,7 @@ package sim_test
 
 // raceDetectorOn gates the heaviest differential sweeps down to a
 // representative subset: the race detector's ~10x slowdown pushes the
-// full 36-workload shadow sweep past the test timeout, and the
-// race-relevant property (oracle updates under concurrent cores) does
-// not need every registry entry. Full coverage runs in the plain
-// tier-1 suite.
+// full 36-workload shadow sweep past the test timeout, and simulations
+// run on one goroutine, so the race run gains nothing from every
+// registry entry. Full coverage runs in the plain tier-1 suite.
 const raceDetectorOn = true

@@ -8,9 +8,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ghostthread/internal/cache"
 	"ghostthread/internal/cpu"
@@ -43,15 +40,6 @@ type Config struct {
 	// it, and as an escape hatch when bisecting simulator changes.
 	CycleStep bool
 
-	// SerialStep forces serial in-index-order core stepping inside
-	// multi-core runs, disabling the epoch-parallel worker pool (see
-	// runParallel). Results are bit-identical either way — the parallel
-	// path hands the shared memory system to cores in exactly the serial
-	// order — and, like CycleStep, this escape hatch exists so the
-	// equivalence suites can keep proving that, and for bisection.
-	// Single-core machines always step serially.
-	SerialStep bool
-
 	// Fault selects deterministic fault injection (see internal/fault).
 	// The zero value disables it. Faults perturb timing only: the final
 	// memory image and main-thread architectural state are bit-identical
@@ -66,19 +54,17 @@ type Config struct {
 
 	// Telemetry enables streaming windowed telemetry (see obs.WindowSample
 	// and DESIGN.md §14). Observation only: a windowed run's Result is
-	// bit-identical minus Result.Windows, in every stepping mode, and
-	// windowing never disqualifies a run from parallel stepping — samples
-	// are assembled by the run coordinator at epoch-boundary flushes.
+	// bit-identical minus Result.Windows, in both stepping modes.
 	Telemetry TelemetryConfig
 
 	// Governor enables the online adaptive ghost governor (internal/gov,
 	// DESIGN.md §15). Requires Telemetry — the window stream is the
 	// governor's input. Unlike the pure observers above, the governor
 	// ACTS: kills, respawns and retunes perturb timing. But its decisions
-	// fire only at window-boundary flush cycles, computed by the run
-	// coordinator and applied through each core's timing wheel, so a
-	// governed run is still bit-identical across CycleStep × SerialStep ×
-	// parallel stepping and composes with fault schedules and replay.
+	// fire only at window-boundary flush cycles and are applied through
+	// each core's timing wheel, so a governed run is still bit-identical
+	// with and without CycleStep and composes with fault schedules and
+	// replay.
 	Governor gov.Config
 }
 
@@ -100,9 +86,8 @@ type TelemetryConfig struct {
 	GhostCounterAddr int64
 
 	// Sink, when non-nil, receives every sample as it is flushed (live
-	// streaming: NDJSON writers, gtmon feeds). Called from the run
-	// coordinator goroutine, in (window, core) order. Samples also
-	// accumulate into Result.Windows regardless.
+	// streaming: NDJSON writers, gtmon feeds), in (window, core) order.
+	// Samples also accumulate into Result.Windows regardless.
 	Sink func(obs.WindowSample)
 }
 
@@ -155,34 +140,21 @@ type System struct {
 	finishAt []int64
 	now      int64
 
-	// traced[i]/metered[i] mark core i as carrying a SHARED attached
-	// recorder or metrics hooks (SetTrace/SetMetrics). Such runs step
-	// serially: a shared recorder's event order (and the metrics
-	// observation order) is defined as the serial core order, which
-	// parallel private-compute overlap would scramble without changing
-	// any timing. Sharded observers (SetShardedTrace/SetShardedMetrics)
-	// give each core a private shard with a deterministic merge, so they
-	// do NOT set these flags and stay parallel-eligible.
-	traced  []bool
-	metered []bool
-
-	tele        *telemetry
-	gov         *gov.Governor
-	govLog      []gov.Decision
-	ranParallel bool
+	tele   *telemetry
+	gov    *gov.Governor
+	govLog []gov.Decision
 }
 
-// telemetry is the per-run windowed-aggregation state the coordinator
-// owns: per-core snapshots of the previous flush, the per-core window
-// recorders the cores feed, and the phase detectors. All of it is read
-// and written only between epochs (after the worker barrier under
-// parallel stepping), so windowed runs need no locking.
+// telemetry is the per-run windowed-aggregation state: per-core
+// snapshots of the previous flush, the per-core window recorders the
+// cores feed, and the phase detectors. All of it is read and written
+// only at window-boundary flushes, between stepped cycles.
 type telemetry struct {
 	wrec      []*obs.WindowRecorder
 	det       []*obs.PhaseDetector
-	prev      []cpu.Stats // per-core counter snapshot at the last flush
-	prevStall [][]int64   // per-core main-context stallPC copy at the last flush
-	stallBuf  []int64     // scratch delta vector, reused across flushes
+	prev      []cpu.Stats        // per-core counter snapshot at the last flush
+	prevStall [][]int64          // per-core main-context stallPC copy at the last flush
+	stallBuf  []int64            // scratch delta vector, reused across flushes
 	flushBuf  []obs.WindowSample // current window's samples (governor input)
 	windows   []obs.WindowSample
 	lastFlush int64
@@ -201,8 +173,6 @@ func New(cfg Config, m *mem.Memory) *System {
 		llc:      cache.New("LLC", cfg.LLC),
 		cores:    make([]*cpu.Core, cfg.Cores),
 		finishAt: make([]int64, cfg.Cores),
-		traced:   make([]bool, cfg.Cores),
-		metered:  make([]bool, cfg.Cores),
 	}
 	for i := range s.cores {
 		h := cache.NewHierarchy(cfg.Hier, s.llc, s.mc)
@@ -278,66 +248,12 @@ func (s *System) Load(i int, main *isa.Program, helpers []*isa.Program) {
 }
 
 // SetTrace attaches an event recorder to core i (nil detaches). Cores
-// may share one recorder — events carry the core id. A traced machine
-// steps its cores serially (see System.traced).
-func (s *System) SetTrace(i int, r *obs.Recorder) {
-	s.cores[i].SetTrace(r, i)
-	s.traced[i] = r != nil
-}
+// may share one recorder — events carry the core id, and cores emit in
+// index order within each cycle.
+func (s *System) SetTrace(i int, r *obs.Recorder) { s.cores[i].SetTrace(r, i) }
 
-// SetMetrics attaches histogram hooks to core i (nil detaches). A
-// metered machine steps its cores serially (see System.traced).
-func (s *System) SetMetrics(i int, m *obs.CoreMetrics) {
-	s.cores[i].SetMetrics(m)
-	s.metered[i] = m != nil
-}
-
-// SetShardedTrace attaches sr's per-core shards to the cores (nil
-// detaches all). Unlike SetTrace, sharded tracing keeps the machine
-// eligible for parallel stepping: each core is the single writer of its
-// own shard, and sr.Events() merges the shards into a deterministic
-// global order afterwards. sr must have exactly Cores() shards.
-func (s *System) SetShardedTrace(sr *obs.ShardedRecorder) {
-	if sr == nil {
-		for i, c := range s.cores {
-			c.SetTrace(nil, i)
-			s.traced[i] = false
-		}
-		return
-	}
-	if sr.Cores() != len(s.cores) {
-		panic(fmt.Sprintf("sim: sharded recorder has %d shards for %d cores", sr.Cores(), len(s.cores)))
-	}
-	for i, c := range s.cores {
-		c.SetTrace(sr.Shard(i), i)
-	}
-}
-
-// SetShardedMetrics attaches one private CoreMetrics per core (nil
-// detaches all; otherwise ms must have exactly Cores() entries, each
-// backed by its own registry). Like SetShardedTrace it keeps the machine
-// parallel-eligible — fold the per-core registries together afterwards
-// with obs.Registry.Merge, which is order-independent.
-func (s *System) SetShardedMetrics(ms []*obs.CoreMetrics) {
-	if ms == nil {
-		for i, c := range s.cores {
-			c.SetMetrics(nil)
-			s.metered[i] = false
-		}
-		return
-	}
-	if len(ms) != len(s.cores) {
-		panic(fmt.Sprintf("sim: %d metric shards for %d cores", len(ms), len(s.cores)))
-	}
-	for i, c := range s.cores {
-		c.SetMetrics(ms[i])
-	}
-}
-
-// RanParallel reports whether the last Run used the epoch-parallel
-// stepping path (the observability suites assert sharded-observed runs
-// still do).
-func (s *System) RanParallel() bool { return s.ranParallel }
+// SetMetrics attaches histogram hooks to core i (nil detaches).
+func (s *System) SetMetrics(i int, m *obs.CoreMetrics) { s.cores[i].SetMetrics(m) }
 
 // Result summarises a run.
 type Result struct {
@@ -424,18 +340,12 @@ func (e *BudgetError) Error() string {
 }
 
 // Run simulates until every core is done, returning aggregate statistics.
-// Unless cfg.CycleStep is set, it fast-forwards over spans in which no
-// core can change state (see skipAhead); the Result is bit-identical
-// either way. Multi-core machines step their cores in parallel (see
-// runParallel) unless cfg.SerialStep is set or an observer is attached;
-// that axis, too, is bit-identical.
+// Each stepped cycle steps the unfinished cores in index order, so the
+// shared LLC, memory controller and memory image see all of core 0's
+// accesses, then all of core 1's, and so on. Unless cfg.CycleStep is
+// set, it fast-forwards over spans in which no core can change state
+// (see skipAhead); the Result is bit-identical either way.
 func (s *System) Run() (Result, error) {
-	if s.parallelOK() {
-		if err := s.runParallel(); err != nil {
-			return Result{}, err
-		}
-		return s.collect()
-	}
 	sampleAt := s.cfg.SampleEvery
 	windowAt := s.cfg.Telemetry.WindowCycles
 	for {
@@ -474,11 +384,10 @@ func (s *System) Run() (Result, error) {
 // for each core, in index order, it diffs the core's counters against
 // the previous flush's snapshot, drains the core's WindowRecorder, runs
 // the phase detector over the window's stall-attribution delta, and
-// emits one WindowSample. It runs only at deterministic cycles — window
-// boundaries the skipper is capped below, and (under parallel stepping)
-// on the coordinator after the epoch barrier — so the sample stream is
-// bit-identical across stepping modes and observation never perturbs the
-// simulation (reads only; the cores never see the aggregation state).
+// emits one WindowSample. It runs only at window boundaries, which the
+// skipper is capped below, so the sample stream is bit-identical across
+// stepping modes and observation never perturbs the simulation (reads
+// only; the cores never see the aggregation state).
 //
 // When the governor is attached, the window's samples are staged, judged
 // (gov.Governor.Step annotates them with the decisions taken), and the
@@ -486,7 +395,7 @@ func (s *System) Run() (Result, error) {
 // wheel for the next stepped cycle, retunes as direct stores to the
 // governor-owned sync words — before the annotated samples are appended
 // and sunk. Decisions therefore land at window-boundary cycles only,
-// which every stepping mode steps on, preserving bit-identity.
+// which both stepping modes step on, preserving bit-identity.
 func (s *System) flushWindows() {
 	t := s.tele
 	start, end := t.lastFlush, s.now
@@ -571,8 +480,8 @@ func (s *System) flushWindows() {
 // core's timing wheel (they fire at the next stepped cycle, exactly like
 // the fault injector's triggers); retunes store the new throttle window
 // into the governor-owned sync words, which the dynamic sync segment
-// reads on its next check. All of it runs on the coordinator between
-// epochs, at the same cycle in every stepping mode.
+// reads on its next check. All of it runs between stepped cycles, at the
+// same cycle in both stepping modes.
 func (s *System) governWindow() {
 	t := s.tele
 	refs := make([]*obs.WindowSample, len(t.flushBuf))
@@ -599,28 +508,11 @@ func (s *System) governWindow() {
 	s.govLog = append(s.govLog, decisions...)
 }
 
-// parallelOK reports whether this run may use the epoch-parallel worker
-// pool: a multi-core machine with no serial-step override and no
-// attached observer (recorders and metrics define their emission order
-// as the serial core order — see System.traced — so observed runs take
-// the reference loop; their timing is identical either way).
-func (s *System) parallelOK() bool {
-	if len(s.cores) < 2 || s.cfg.SerialStep {
-		return false
-	}
-	for i := range s.cores {
-		if s.traced[i] || s.metered[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // collect gathers the aggregate Result after the main loop finishes.
 func (s *System) collect() (Result, error) {
 	if s.tele != nil {
 		// Close the partial tail window [lastFlush, now). Both stepping
-		// loops exit with the same s.now, so the tail sample is identical
+		// modes exit with the same s.now, so the tail sample is identical
 		// across modes; flushWindows no-ops when the run ended exactly on
 		// a window boundary.
 		s.flushWindows()
@@ -722,176 +614,6 @@ func (s *System) skipAhead(sampleAt int64) {
 		}
 	}
 	s.now = target
-}
-
-// runParallel is the multi-core main loop: within each stepped cycle the
-// unfinished cores step concurrently on a bounded worker pool, while a
-// cpu.StepGate forces their shared-state interactions (the LLC, the
-// memory controller, the functional memory image) into exactly the
-// serial core order — all of core 0's accesses, then all of core 1's,
-// and so on — so the run is bit-identical to the serial loop (DESIGN.md
-// §13 extends §9's equivalence argument). Each core's private work
-// (register execution, probes of its own L1/L2, ROB bookkeeping)
-// overlaps freely; only a step's first shared access blocks on the turn
-// token. The end-of-epoch barrier doubles as the safety point for the
-// shared event-skip machinery: NextEvent/SkipTo run on the coordinating
-// goroutine only while no worker is stepping.
-func (s *System) runParallel() error {
-	s.ranParallel = true
-	gate := cpu.NewStepGate()
-	pool := newStepPool(min(len(s.cores), runtime.GOMAXPROCS(0)))
-	defer pool.shutdown()
-	// Detach gates on every exit path (including the BudgetError return):
-	// a core left gated with no coordinator would deadlock any later
-	// Step/Run on this System inside gate.acquire.
-	defer func() {
-		for _, c := range s.cores {
-			c.SetGate(nil, 0)
-		}
-	}()
-
-	stepping := make([]*cpu.Core, 0, len(s.cores))
-	sampleAt := s.cfg.SampleEvery
-	windowAt := s.cfg.Telemetry.WindowCycles
-	for {
-		stepping = stepping[:0]
-		for i, c := range s.cores {
-			if c.Done() {
-				if s.finishAt[i] < 0 {
-					s.finishAt[i] = c.Now()
-				}
-				continue
-			}
-			// Ranks are dense over this cycle's stepping cores, in core
-			// order: the turn token visits exactly the cores that step.
-			c.SetGate(gate, len(stepping))
-			stepping = append(stepping, c)
-		}
-		if len(stepping) > 0 {
-			gate.Begin()
-			pool.stepAll(stepping)
-		}
-		s.now++
-		if s.cfg.Sampler != nil && sampleAt > 0 && s.now%sampleAt == 0 {
-			s.cfg.Sampler(s.now)
-		}
-		if windowAt > 0 && s.now%windowAt == 0 {
-			// Coordinator-only, after the epoch barrier: no worker is
-			// stepping, so reading core counters here is race-free and the
-			// flush lands at the same cycle as in the serial loop.
-			s.flushWindows()
-		}
-		if len(stepping) == 0 {
-			break
-		}
-		if s.now >= s.cfg.MaxCycles {
-			return &BudgetError{Limit: s.cfg.MaxCycles}
-		}
-		if !s.cfg.CycleStep {
-			s.skipAhead(sampleAt)
-		}
-	}
-	return nil
-}
-
-// stepPool is the bounded worker pool behind runParallel: a fixed set of
-// goroutines that, once per epoch, claim stepping cores off a shared
-// counter in rank order and step them. Claiming in rank order makes the
-// pool deadlock-free at any size: a worker blocked on rank r's turn can
-// only be waiting on lower ranks, every one of which has already been
-// claimed by some worker (the claimed set is always a rank prefix), and
-// rank `pos` itself is never turn-blocked. The epoch hand-off reuses the
-// pool's own fields, so steady-state stepping allocates nothing.
-//
-// Claims are epoch-validated: `next` packs the epoch number into its
-// high 32 bits and the rank cursor into its low 32, and workers claim
-// with a CompareAndSwap that only succeeds while the counter still
-// carries the epoch they were woken for. This closes the straggler
-// race a blind fetch-and-add would have: a worker preempted at the top
-// of its claim loop can resume after stepAll has already returned
-// (its wg.Done for the final core happens-before its next claim
-// attempt, but nothing orders that attempt before the coordinator's
-// next epoch). Under CAS the stale attempt fails the tag comparison —
-// it can neither consume a rank from the new epoch (which would strand
-// a core and hang wg.Wait), nor step against its stale `cores` slice
-// while the coordinator is re-appending into the shared backing array,
-// nor run wg.Done against the new epoch's counter. (The tag is the
-// epoch mod 2^32; a false match needs a worker frozen at the same load
-// for an exact multiple of 2^32 consecutive epochs.)
-type stepPool struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	epoch    uint64
-	stop     bool
-	stepping []*cpu.Core
-	next     atomic.Uint64 // epoch<<32 | rank cursor
-	wg       sync.WaitGroup
-}
-
-func newStepPool(workers int) *stepPool {
-	p := &stepPool{}
-	p.cond = sync.NewCond(&p.mu)
-	for w := 0; w < workers; w++ {
-		go p.work()
-	}
-	return p
-}
-
-// stepAll steps every core in the slice (rank = slice index) and returns
-// once all have finished their cycle. The epoch bump, counter re-tag,
-// slice publish, and wg.Add all happen under the mutex before the
-// broadcast, so a worker that observes the new epoch also observes the
-// new counter tag and a WaitGroup already sized for it.
-func (p *stepPool) stepAll(cores []*cpu.Core) {
-	p.mu.Lock()
-	p.epoch++
-	p.next.Store(p.epoch << 32)
-	p.stepping = cores
-	p.wg.Add(len(cores))
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-func (p *stepPool) work() {
-	var seen uint64
-	for {
-		p.mu.Lock()
-		for p.epoch == seen && !p.stop {
-			p.cond.Wait()
-		}
-		if p.stop {
-			p.mu.Unlock()
-			return
-		}
-		seen = p.epoch
-		cores := p.stepping
-		p.mu.Unlock()
-		tag := seen << 32
-		for {
-			v := p.next.Load()
-			if v&^uint64(1<<32-1) != tag {
-				break // coordinator has moved to a later epoch
-			}
-			k := int(uint32(v))
-			if k >= len(cores) {
-				break
-			}
-			if !p.next.CompareAndSwap(v, v+1) {
-				continue
-			}
-			cores[k].Step()
-			p.wg.Done()
-		}
-	}
-}
-
-// shutdown terminates the workers (idempotent; callers hold no epoch).
-func (p *stepPool) shutdown() {
-	p.mu.Lock()
-	p.stop = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
 }
 
 // RunProgram is the single-core convenience path: build a machine with

@@ -2,11 +2,9 @@ package sim_test
 
 // window_test.go — the windowed-telemetry differential suite. Telemetry
 // must be observation only (a windowed run's Result is bit-identical
-// minus Result.Windows, in every stepping mode), the sample stream
-// itself must be bit-identical across stepping modes, and sharded
-// observation must keep a multi-core run on the parallel stepping path
-// while producing exactly the serial run's events and metrics. `make ci`
-// re-runs the parallel cases here under the race detector.
+// minus Result.Windows, in both stepping modes), the sample stream
+// itself must be bit-identical across stepping modes, and the full
+// observation stack must leave a multi-core run untouched.
 
 import (
 	"reflect"
@@ -134,12 +132,11 @@ func TestWindowSinkStreamsSamples(t *testing.T) {
 	}
 }
 
-// multiObserved runs the 4-core MultiGhost PageRank with the given
-// stepping mode and (optionally) the full sharded observation stack —
-// sharded trace, sharded metrics, windowed telemetry — attached. It
-// returns the Result, final memory, merged events, and merged registry
-// JSON.
-func multiObserved(t *testing.T, serial, observed bool) (sim.Result, []int64, []obs.Event, []byte, bool) {
+// multiObserved runs the 4-core MultiGhost PageRank, optionally with the
+// full observation stack attached: one event recorder shared by every
+// core, per-core metrics hooks, and windowed telemetry. It returns the
+// Result, the final memory image, and the recorded events.
+func multiObserved(t *testing.T, observed bool) (sim.Result, []int64, []obs.Event) {
 	t.Helper()
 	inst, err := workloads.NewMulti("pr", "kron", 4, workloads.MultiGhost, workloads.ProfileOptions())
 	if err != nil {
@@ -147,7 +144,6 @@ func multiObserved(t *testing.T, serial, observed bool) (sim.Result, []int64, []
 	}
 	cfg := sim.DefaultConfig()
 	cfg.Cores = inst.Cores
-	cfg.SerialStep = serial
 	if observed {
 		cfg.Telemetry.WindowCycles = 50_000
 	}
@@ -155,94 +151,50 @@ func multiObserved(t *testing.T, serial, observed bool) (sim.Result, []int64, []
 	for c := range inst.Per {
 		s.Load(c, inst.Per[c].Main, inst.Per[c].Helpers)
 	}
-	var sr *obs.ShardedRecorder
-	var regs []*obs.Registry
+	var rec *obs.Recorder
 	if observed {
-		sr = obs.NewShardedRecorder(inst.Cores, obs.DefaultCapacity)
-		s.SetShardedTrace(sr)
-		ms := make([]*obs.CoreMetrics, inst.Cores)
-		regs = make([]*obs.Registry, inst.Cores)
-		for i := range ms {
-			regs[i] = obs.NewRegistry()
-			ms[i] = obs.DefaultCoreMetrics(regs[i], cfg.CPU.MSHRs, 0)
+		rec = obs.NewRecorder(obs.DefaultCapacity)
+		for i := 0; i < inst.Cores; i++ {
+			s.SetTrace(i, rec)
+			s.SetMetrics(i, obs.DefaultCoreMetrics(obs.NewRegistry(), cfg.CPU.MSHRs, 0))
 		}
-		s.SetShardedMetrics(ms)
 	}
 	res, err := s.Run()
 	if err != nil {
-		t.Fatalf("pr.kron multighost (serial=%v observed=%v): %v", serial, observed, err)
+		t.Fatalf("pr.kron multighost (observed=%v): %v", observed, err)
 	}
 	if err := inst.Check(inst.Mem); err != nil {
-		t.Fatalf("pr.kron multighost (serial=%v observed=%v): check: %v", serial, observed, err)
+		t.Fatalf("pr.kron multighost (observed=%v): check: %v", observed, err)
 	}
 	var events []obs.Event
-	var regJSON []byte
 	if observed {
-		if sr.Dropped() > 0 {
-			t.Fatalf("sharded recorder wrapped (%d dropped); raise capacity", sr.Dropped())
-		}
-		events = sr.Events()
-		merged := obs.NewRegistry()
-		for _, r := range regs {
-			merged.Merge(r)
-		}
-		regJSON, err = merged.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
+		events = rec.Events()
 	}
-	return res, snapshot(inst.Mem), events, regJSON, s.RanParallel()
+	return res, snapshot(inst.Mem), events
 }
 
-// TestShardedObservationRunsParallel is the headline acceptance test:
-// a fully observed multi-core run (sharded trace + sharded metrics +
-// windowed telemetry) must (a) actually take the epoch-parallel stepping
-// path, (b) leave Result and memory bit-identical to the unobserved
-// serial reference, and (c) produce exactly the events, metrics, and
-// window samples of the observed serial run — the deterministic
-// shard-merge guarantee. Run under -race by `make ci`, this is also the
-// data-race proof for the sharded observer paths.
-func TestShardedObservationRunsParallel(t *testing.T) {
-	refRes, refMem, _, _, _ := multiObserved(t, true, false)
-	serRes, serMem, serEvents, serReg, _ := multiObserved(t, true, true)
-	parRes, parMem, parEvents, parReg, ranParallel := multiObserved(t, false, true)
-
-	if !ranParallel {
-		t.Fatal("observed run fell back to serial stepping; sharded observation must stay parallel-eligible")
+// TestMultiCoreObservationPurity: a fully observed multi-core run (shared
+// trace recorder, per-core metrics, windowed telemetry) must leave Result
+// (minus Windows) and the final memory image bit-identical to the
+// unobserved run, while actually observing something.
+func TestMultiCoreObservationPurity(t *testing.T) {
+	refRes, refMem, _ := multiObserved(t, false)
+	obsRes, obsMem, events := multiObserved(t, true)
+	if !reflect.DeepEqual(refRes, stripWindows(obsRes)) {
+		t.Errorf("observed Result diverged from unobserved\n ref: %+v\n got: %+v",
+			refRes, stripWindows(obsRes))
 	}
-	if !reflect.DeepEqual(refRes, stripWindows(parRes)) {
-		t.Errorf("observed-parallel Result diverged from unobserved-serial\n ref: %+v\n got: %+v",
-			refRes, stripWindows(parRes))
+	if !reflect.DeepEqual(refMem, obsMem) {
+		t.Error("observed memory image diverged from unobserved")
 	}
-	if !reflect.DeepEqual(refMem, parMem) {
-		t.Error("observed-parallel memory image diverged from unobserved-serial")
-	}
-	if !reflect.DeepEqual(serRes.Windows, parRes.Windows) {
-		t.Errorf("window streams differ between serial (%d samples) and parallel (%d samples) observed runs",
-			len(serRes.Windows), len(parRes.Windows))
-	}
-	if len(parRes.Windows) == 0 {
+	if len(obsRes.Windows) == 0 {
 		t.Error("observed run emitted no window samples; test proves nothing")
 	}
-	if !reflect.DeepEqual(serEvents, parEvents) {
-		n := min(len(serEvents), len(parEvents))
-		for i := 0; i < n; i++ {
-			if serEvents[i] != parEvents[i] {
-				t.Errorf("first divergent merged event at %d\n serial: %+v\nparallel: %+v",
-					i, serEvents[i], parEvents[i])
-				break
-			}
-		}
-		t.Fatalf("merged event streams differ (serial %d, parallel %d)", len(serEvents), len(parEvents))
+	cores := map[uint8]bool{}
+	for _, e := range events {
+		cores[e.Core] = true
 	}
-	if len(parEvents) == 0 {
-		t.Error("sharded recorder captured no events; test proves nothing")
-	}
-	if string(serReg) != string(parReg) {
-		t.Errorf("merged registry JSON differs between serial and parallel observed runs\n serial: %s\nparallel: %s",
-			serReg, parReg)
-	}
-	if !reflect.DeepEqual(serMem, parMem) {
-		t.Error("memory images differ between serial and parallel observed runs")
+	if len(cores) != len(refRes.CoreCycles) {
+		t.Errorf("shared recorder saw events from %d of %d cores", len(cores), len(refRes.CoreCycles))
 	}
 }
