@@ -1,13 +1,16 @@
 GO ?= go
 TRACE_OUT ?= TRACE_camel_ghost.json
 
-.PHONY: build vet test race lint detlint advise-smoke verify-smoke advise-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden ci
+.PHONY: build vet test race lint detlint advise-smoke verify-smoke advise-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig10-smoke fig10-golden ci
 
 build:
 	$(GO) build ./...
 
+# go vet plus a formatting gate: any file gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt would reformat:" >&2; echo "$$out" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -143,4 +146,20 @@ governor-golden:
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -govern \
 		-window-out testdata/governed_windows_golden.ndjson > /dev/null
 
-ci: vet build race lint detlint advise-smoke verify-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke
+# Figure-10 smoke: the inter-thread distance traces (the ghost/main
+# counter words read at every window boundary) diffed against the
+# checked-in golden. Any drift means window scheduling or the sync
+# mechanism changed behavior — fix it, or review and re-bless with
+# `make fig10-golden`.
+fig10-smoke:
+	$(GO) run ./cmd/ghostbench -experiment fig10a -csv > FIG10.txt
+	$(GO) run ./cmd/ghostbench -experiment fig10b -csv >> FIG10.txt
+	diff -u testdata/fig10_golden.txt FIG10.txt
+
+# Re-bless the figure-10 golden after a reviewed change. Inspect the diff
+# before committing.
+fig10-golden:
+	$(GO) run ./cmd/ghostbench -experiment fig10a -csv > testdata/fig10_golden.txt
+	$(GO) run ./cmd/ghostbench -experiment fig10b -csv >> testdata/fig10_golden.txt
+
+ci: vet build race lint detlint advise-smoke verify-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig10-smoke

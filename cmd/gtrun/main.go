@@ -82,7 +82,7 @@ func main() {
 	if *window > 0 {
 		// The ghost publishes its iteration counter only under sync
 		// tracing; the lead series needs it. (This changes the ghost
-		// program slightly, like gttrace -metrics does.)
+		// program slightly, like gttrace -chrome does.)
 		opts.Sync.Trace = true
 	}
 	inst := build(opts)

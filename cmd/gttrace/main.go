@@ -1,15 +1,16 @@
 // Command gttrace observes a workload run: it samples pipeline occupancy
-// into a text/CSV timeline (the dynamics behind the paper's figure 2 and
-// figure 10), exports a structured event trace as Chrome trace-event
-// JSON for Perfetto, dumps the metrics registry (ghost lead, serialize
-// stalls, MSHR occupancy histograms), and renders a folded-stacks
-// per-PC cycle attribution for flamegraph tools.
+// at every telemetry window boundary into a text/CSV timeline (the
+// dynamics behind the paper's figure 2 and figure 10), exports a
+// structured event trace as Chrome trace-event JSON for Perfetto (with
+// the windowed telemetry, ghost lead included, as counter tracks), and
+// renders a folded-stacks per-PC cycle attribution for flamegraph tools.
+// Per-window histograms of the ghost lead, serialize stalls and MSHR
+// occupancy come from `gtrun -window N -window-out FILE`.
 //
 //	gttrace -workload camel -variant ghost
-//	gttrace -workload bfs.urand -variant baseline -every 2000 -csv
-//	gttrace -workload camel -variant ghost -chrome out.json   # open in ui.perfetto.dev
-//	gttrace -workload camel -variant ghost -chrome out.json -window 20000   # + counter tracks
-//	gttrace -workload camel -variant ghost -metrics met.json -folded stacks.txt
+//	gttrace -workload bfs.urand -variant baseline -window 2000 -csv
+//	gttrace -workload camel -variant ghost -chrome out.json -window 20000   # open in ui.perfetto.dev
+//	gttrace -workload camel -variant ghost -folded stacks.txt
 //	gttrace -validate out.json
 package main
 
@@ -30,14 +31,12 @@ func main() {
 		workload = flag.String("workload", "camel", "workload name")
 		variant  = flag.String("variant", "ghost", "variant to trace (baseline | swpf | smt-openmp | ghost)")
 		scale    = flag.String("scale", "profile", "input scale: eval | profile")
-		every    = flag.Int64("every", 5000, "sampling period in cycles (must be > 0)")
 		rows     = flag.Int("rows", 60, "timeline rows to print")
 		csv      = flag.Bool("csv", false, "emit sample CSV instead of the timeline")
 		chrome   = flag.String("chrome", "", "write Chrome trace-event JSON to this file")
-		metrics  = flag.String("metrics", "", "write the metrics-registry JSON to this file")
 		folded   = flag.String("folded", "", "write folded stacks (main-thread stall cycles per pc) to this file")
 		bufSize  = flag.Int("buf", obs.DefaultCapacity, "trace ring-buffer capacity in events")
-		window   = flag.Int64("window", 0, "add Perfetto counter tracks from windowed telemetry every N cycles (0 = off; with -chrome)")
+		window   = flag.Int64("window", 5000, "telemetry window in cycles: the timeline's sampling period and, with -chrome, the counter-track period (must be > 0)")
 		validate = flag.String("validate", "", "validate an existing Chrome trace JSON file and exit")
 	)
 	flag.Parse()
@@ -54,8 +53,8 @@ func main() {
 	// Flag validation up front, before any workload construction: bad
 	// values exit with a usage message rather than a panic (division by a
 	// zero period) or a silently empty timeline.
-	if *every <= 0 {
-		usageError(fmt.Sprintf("-every must be positive, got %d", *every))
+	if *window <= 0 {
+		usageError(fmt.Sprintf("-window must be positive, got %d", *window))
 	}
 	if !knownVariant(*variant) {
 		usageError(fmt.Sprintf("unknown -variant %q (want one of %s)",
@@ -67,9 +66,6 @@ func main() {
 	if *bufSize <= 0 {
 		usageError(fmt.Sprintf("-buf must be positive, got %d", *bufSize))
 	}
-	if *window < 0 {
-		usageError(fmt.Sprintf("-window must be non-negative, got %d", *window))
-	}
 
 	build, err := workloads.Lookup(*workload)
 	fatalIf(err)
@@ -77,8 +73,9 @@ func main() {
 	if *scale == "eval" {
 		opts = workloads.DefaultOptions()
 	}
-	if *metrics != "" || *window > 0 {
-		// Ghost-lead sampling needs the ghost's published counter word.
+	if *chrome != "" {
+		// The counter tracks' ghost lead needs the ghost's published
+		// counter word.
 		opts.Sync.Trace = true
 	}
 	inst := build(opts)
@@ -88,16 +85,20 @@ func main() {
 	}
 
 	// Drive the run through sim.Run so tracing rides the same event-skip
-	// fast path every other tool uses; the sampler fires on the exact
-	// per-cycle schedule regardless of skipping.
+	// fast path every other tool uses; windows flush on the exact
+	// per-cycle schedule regardless of skipping, and the timeline samples
+	// the pipeline at each full window's boundary.
 	cfg := sim.DefaultConfig()
-	cfg.SampleEvery = *every
+	cfg.Telemetry.WindowCycles = *window
+	if *chrome != "" {
+		cfg.Telemetry.GhostCounterAddr = inst.Counters.GhostAddr
+	}
 	var samples []cpu.PipelineSample
 	var core0 *cpu.Core
-	cfg.Sampler = func(now int64) { samples = append(samples, core0.Sample()) }
-	if *window > 0 {
-		cfg.Telemetry.WindowCycles = *window
-		cfg.Telemetry.GhostCounterAddr = inst.Counters.GhostAddr
+	cfg.Telemetry.Sink = func(ws obs.WindowSample) {
+		if ws.End%*window == 0 {
+			samples = append(samples, core0.Sample())
+		}
 	}
 	s := sim.New(cfg, inst.Mem)
 	s.Load(0, v.Main, v.Helpers)
@@ -108,11 +109,6 @@ func main() {
 		rec = obs.NewRecorder(*bufSize)
 		s.SetTrace(0, rec)
 	}
-	var reg *obs.Registry
-	if *metrics != "" {
-		reg = obs.NewRegistry()
-		s.SetMetrics(0, obs.DefaultCoreMetrics(reg, cfg.CPU.MSHRs, inst.Counters.GhostAddr))
-	}
 	res, err := s.Run()
 	fatalIf(err)
 	if err := inst.CheckFor(*variant)(inst.Mem); err != nil {
@@ -121,16 +117,6 @@ func main() {
 
 	if *chrome != "" {
 		writeChrome(*chrome, rec, res.Windows, core0, *workload, *variant)
-	}
-	if *metrics != "" {
-		reg.SetCounter("cycles", res.Cycles)
-		reg.SetCounter("serialize_stall_total", res.SerializeStall)
-		reg.SetCounter("serializes", res.Serializes)
-		reg.SetCounter("prefetches", res.Prefetches)
-		data, err := reg.JSON()
-		fatalIf(err)
-		fatalIf(os.WriteFile(*metrics, data, 0o644))
-		fmt.Printf("metrics registry written to %s\n", *metrics)
 	}
 	if *folded != "" {
 		stall, _ := core0.PCProfile(0)
@@ -148,12 +134,12 @@ func main() {
 		}
 		return
 	}
-	if *chrome != "" || *metrics != "" || *folded != "" {
+	if *chrome != "" || *folded != "" {
 		return // export modes skip the ASCII timeline
 	}
 
 	fmt.Printf("pipeline timeline of %s/%s (sampled every %d cycles; %d samples)\n",
-		inst.Name, *variant, *every, len(samples))
+		inst.Name, *variant, *window, len(samples))
 	fmt.Println("         cycle  ROB main (#) / ghost (+)                       MSHR  ser")
 	step := len(samples) / *rows
 	if step < 1 {
@@ -176,8 +162,8 @@ func main() {
 	}
 }
 
-// writeChrome exports the recorded events (plus windowed-telemetry
-// counter tracks when -window is on) and self-checks the result: schema
+// writeChrome exports the recorded events plus the windowed-telemetry
+// counter tracks and self-checks the result: schema
 // validation plus the span-sum invariant (serialize-throttle span
 // durations sum to the SerializeStall counter when nothing was dropped).
 func writeChrome(path string, rec *obs.Recorder, windows []obs.WindowSample, core0 *cpu.Core, workload, variant string) {

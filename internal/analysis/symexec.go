@@ -50,15 +50,15 @@ const (
 
 // SymAtom is one atomic term.
 type SymAtom struct {
-	Kind SymAtomKind
-	Reg  isa.Reg     // AtomParam
-	Loop string      // AtomIter / AtomRecDef: canonical loop label
-	Op   isa.Op      // AtomOp
-	Imm  int64       // AtomOp immediate operand
-	Args []*SymExpr  // AtomOp / AtomSel args; AtomRecDef: [init, body]
-	Addr *SymExpr    // AtomLoad address
+	Kind  SymAtomKind
+	Reg   isa.Reg    // AtomParam
+	Loop  string     // AtomIter / AtomRecDef: canonical loop label
+	Op    isa.Op     // AtomOp
+	Imm   int64      // AtomOp immediate operand
+	Args  []*SymExpr // AtomOp / AtomSel args; AtomRecDef: [init, body]
+	Addr  *SymExpr   // AtomLoad address
 	Depth int        // AtomRec binder depth
-	PC   int         // provenance: defining pc (-1 when synthetic)
+	PC    int        // provenance: defining pc (-1 when synthetic)
 
 	key string
 }
@@ -325,10 +325,10 @@ func exprAddConst(a *SymExpr, c int64) *SymExpr {
 
 // SymEval evaluates SSA values of one program into canonical expressions.
 type SymEval struct {
-	Prog   *isa.Program
-	G      *CFG
-	S      *SSA
-	F      *LoopForest
+	Prog *isa.Program
+	G    *CFG
+	S    *SSA
+	F    *LoopForest
 
 	// labels maps natural-loop indices to canonical labels shared with
 	// the program being compared against (transval assigns matched loops

@@ -87,12 +87,12 @@ type SpecPoint struct {
 
 // TargetVerdict is the proof result for one prefetch target.
 type TargetVerdict struct {
-	TargetPC  int           `json:"target_pc"`
-	GhostPC   int           `json:"ghost_pc"` // matched prefetch, -1 when unproved
-	Status    VerdictStatus `json:"status"`
-	Lead      int64         `json:"lead,omitempty"` // constant address lead of the match
-	SkipPCs   []int         `json:"skip_pcs,omitempty"`
-	Spec      []SpecPoint   `json:"speculation,omitempty"`
+	TargetPC int           `json:"target_pc"`
+	GhostPC  int           `json:"ghost_pc"` // matched prefetch, -1 when unproved
+	Status   VerdictStatus `json:"status"`
+	Lead     int64         `json:"lead,omitempty"` // constant address lead of the match
+	SkipPCs  []int         `json:"skip_pcs,omitempty"`
+	Spec     []SpecPoint   `json:"speculation,omitempty"`
 	// Implicit marks an obligation synthesized from an unannotated region
 	// memory access (regions with no FlagTargetLoad loads).
 	Implicit bool `json:"implicit,omitempty"`

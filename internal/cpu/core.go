@@ -208,10 +208,9 @@ type Core struct {
 
 	// Observability (nil = off; see internal/obs). Emission sites guard
 	// with a nil check so the disabled hot path costs one branch, and
-	// neither tracing nor metrics ever feeds back into timing or
+	// neither tracing nor telemetry ever feeds back into timing or
 	// statistics — a traced run is bit-identical to an untraced one.
 	trace      *obs.Recorder
-	met        *obs.CoreMetrics
 	wrec       *obs.WindowRecorder // windowed telemetry accumulator
 	wrecAddr   int64               // ghost counter word for the lead tap
 	id         uint8               // core id stamped into trace events
@@ -700,9 +699,6 @@ func (c *Core) deactivateHelper() bool {
 		// throttled cycle.
 		dur := c.now - h.serStart
 		h.serializeStall += dur
-		if c.met != nil && c.met.SerializeStall != nil {
-			c.met.SerializeStall.Observe(dur)
-		}
 		if c.trace != nil && dur > 0 {
 			c.trace.Emit(obs.Event{Cycle: h.serStart, Dur: dur, Arg: int64(h.serPC),
 				Kind: obs.KindSerialize, Core: c.id, Ctx: 1})
@@ -753,9 +749,6 @@ func (c *Core) commit(t *thread) {
 			t.serializes++
 			dur := c.now - t.serStart
 			t.serializeStall += dur
-			if c.met != nil && c.met.SerializeStall != nil {
-				c.met.SerializeStall.Observe(dur)
-			}
 			if c.trace != nil && dur > 0 {
 				c.trace.Emit(obs.Event{Cycle: t.serStart, Dur: dur, Arg: int64(pc),
 					Kind: obs.KindSerialize, Core: c.id, Ctx: uint8(t.id)})
@@ -828,14 +821,8 @@ func (t *thread) readyFloor(d *dInstr) int64 {
 // MSHR-occupancy observation and, when tracing, a fill span on the mem
 // track covering the in-flight window.
 func (c *Core) observeFill(t *thread, addr, at int64, res cache.AccessResult) {
-	if c.met != nil || c.wrec != nil {
-		busy := c.mshrBusy(at)
-		if c.met != nil && c.met.MSHROccupancy != nil {
-			c.met.MSHROccupancy.Observe(int64(busy))
-		}
-		if c.wrec != nil {
-			c.wrec.ObserveMSHR(busy)
-		}
+	if c.wrec != nil {
+		c.wrec.ObserveMSHR(c.mshrBusy(at))
 	}
 	if c.trace != nil {
 		if dur := res.CompleteAt - at; dur > 0 {
@@ -1193,18 +1180,14 @@ func (c *Core) dispatchOne(t *thread) bool {
 			t.inSkip = false
 		}
 	}
-	if (c.wrec != nil || (c.met != nil && c.met.GhostLead != nil)) &&
+	if c.wrec != nil && c.wrecAddr != 0 &&
 		t.id == 1 && in.Op == isa.OpLoad &&
 		in.Flags&(isa.FlagSync|isa.FlagSyncSkip|isa.FlagGovParam) == isa.FlagSync {
 		// A sync check: the ghost just read the main thread's published
 		// counter. Its own count is the published ghost counter word
-		// (requires core.SyncParams.Trace).
-		if c.met != nil && c.met.GhostLead != nil {
-			c.met.GhostLead.Observe(c.mem.LoadWord(c.met.GhostCounterAddr) - t.regs[in.Dst])
-		}
-		if c.wrec != nil {
-			c.wrec.ObserveLead(c.mem.LoadWord(c.wrecAddr) - t.regs[in.Dst])
-		}
+		// (requires core.SyncParams.Trace); with no counter address there
+		// is nothing to compare against, so the lead series stays empty.
+		c.wrec.ObserveLead(c.mem.LoadWord(c.wrecAddr) - t.regs[in.Dst])
 	}
 
 	// Claim the destination register for timing purposes.
@@ -1304,15 +1287,12 @@ func (c *Core) SetTrace(r *obs.Recorder, coreID int) {
 // Trace returns the attached recorder, or nil.
 func (c *Core) Trace() *obs.Recorder { return c.trace }
 
-// SetMetrics attaches (or with nil detaches) histogram hooks.
-func (c *Core) SetMetrics(m *obs.CoreMetrics) { c.met = m }
-
 // SetWindowRecorder attaches (or with nil detaches) the windowed
 // telemetry accumulator. ghostAddr is the memory word holding the
 // ghost's published iteration count (core.Counters.GhostAddr; the
 // ghost-lead tap needs core.SyncParams.Trace so the ghost publishes
-// there). The recorder is drained by sim.System at window-boundary
-// flushes.
+// there; 0 disables the tap). The recorder is drained by sim.System at
+// window-boundary flushes.
 func (c *Core) SetWindowRecorder(w *obs.WindowRecorder, ghostAddr int64) {
 	c.wrec = w
 	c.wrecAddr = ghostAddr

@@ -232,11 +232,11 @@ func TestSkipEquivalenceGhostHelper(t *testing.T) {
 		b.MustBuild(), []*isa.Program{hb.MustBuild()}, 10_000_000)
 }
 
-// TestTraceDifferentialCore: attaching a recorder and metrics hooks to a
-// core must leave every statistic bit-identical — the cpu-level version
-// of the sim-package tracing differential, on the spawn/join/serialize
-// rig that exercises the most emission sites (including the partial
-// serialize span at a join kill).
+// TestTraceDifferentialCore: attaching a recorder to a core must leave
+// every statistic bit-identical — the cpu-level version of the
+// sim-package tracing differential, on the spawn/join/serialize rig that
+// exercises the most emission sites (including the partial serialize
+// span at a join kill).
 func TestTraceDifferentialCore(t *testing.T) {
 	base := int64(1 << 13)
 	build := func() (*isa.Program, []*isa.Program) {
@@ -276,7 +276,6 @@ func TestTraceDifferentialCore(t *testing.T) {
 		if traced {
 			rec = obs.NewRecorder(1 << 16)
 			c.SetTrace(rec, 0)
-			c.SetMetrics(obs.DefaultCoreMetrics(obs.NewRegistry(), DefaultConfig().MSHRs, 0))
 		}
 		if _, err := c.Run(10_000_000); err != nil {
 			t.Fatal(err)

@@ -32,15 +32,14 @@ func cacheDir(t *testing.T) string {
 func testKey(workload string) profKey {
 	cfg := sim.DefaultConfig()
 	return profKey{
-		workload:    workload,
-		cores:       cfg.Cores,
-		cpu:         cfg.CPU,
-		hier:        cfg.Hier,
-		llc:         cfg.LLC,
-		memCtl:      cfg.MemCtl,
-		maxCycles:   cfg.MaxCycles,
-		sampleEvery: cfg.SampleEvery,
-		cycleStep:   cfg.CycleStep,
+		workload:  workload,
+		cores:     cfg.Cores,
+		cpu:       cfg.CPU,
+		hier:      cfg.Hier,
+		llc:       cfg.LLC,
+		memCtl:    cfg.MemCtl,
+		maxCycles: cfg.MaxCycles,
+		cycleStep: cfg.CycleStep,
 	}
 }
 

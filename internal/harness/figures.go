@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ghostthread/internal/obs"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/workloads"
 )
@@ -85,9 +86,9 @@ type DistanceSample struct {
 
 // Figure10 samples the distance between the ghost thread and the main
 // thread on cc.urand's Afforest link loop (the paper's §6.5 case study),
-// with and without the synchronization mechanism. sampleEvery is in
-// cycles; maxSamples bounds the trace length.
-func Figure10(withSync bool, sampleEvery int64, maxSamples int) ([]DistanceSample, error) {
+// with and without the synchronization mechanism. period is the
+// sampling period in cycles; maxSamples bounds the trace length.
+func Figure10(withSync bool, period int64, maxSamples int) ([]DistanceSample, error) {
 	opts := workloads.DefaultOptions()
 	opts.Sync.Trace = true
 	if !withSync {
@@ -100,16 +101,18 @@ func Figure10(withSync bool, sampleEvery int64, maxSamples int) ([]DistanceSampl
 	inst := workloads.NewCC("urand", opts)
 	v := inst.Ghost
 
+	// The counter words are read at every full window's boundary cycle;
+	// the partial tail window at end of run is not a sample.
 	var samples []DistanceSample
 	cfg := sim.DefaultConfig()
-	cfg.SampleEvery = sampleEvery
-	cfg.Sampler = func(now int64) {
-		if len(samples) >= maxSamples {
+	cfg.Telemetry.WindowCycles = period
+	cfg.Telemetry.Sink = func(ws obs.WindowSample) {
+		if len(samples) >= maxSamples || ws.End%period != 0 {
 			return
 		}
 		m := inst.Mem.LoadWord(inst.Counters.MainAddr)
 		g := inst.Mem.LoadWord(inst.Counters.GhostAddr)
-		samples = append(samples, DistanceSample{Cycle: now, Main: m, Ghost: g, Distance: g - m})
+		samples = append(samples, DistanceSample{Cycle: ws.End, Main: m, Ghost: g, Distance: g - m})
 	}
 	if _, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers); err != nil {
 		return nil, fmt.Errorf("harness: fig10: %w", err)

@@ -53,8 +53,8 @@ func GovernedConfig(cfg sim.Config, window int64, counters core.Counters) sim.Co
 	return cfg
 }
 
-// BuildCompilerGhost profiles workload under cfg (memoized; telemetry,
-// governor and sampler are stripped first so profiling runs clean),
+// BuildCompilerGhost profiles workload under cfg (memoized; telemetry
+// and governor are stripped first so profiling runs clean),
 // selects targets with the default heuristic, builds a fresh instance
 // with opts, and extracts the compiler p-slice from its annotated
 // baseline. The error reports "no targets" when the heuristic selects
@@ -65,7 +65,6 @@ func BuildCompilerGhost(workload string, cfg sim.Config, opts workloads.Options)
 		return nil, nil, err
 	}
 	pcfg := cfg
-	pcfg.Sampler = nil
 	pcfg.Telemetry = sim.TelemetryConfig{}
 	pcfg.Governor = gov.Config{}
 	rep, err := profileWorkload(workload, build, pcfg)
@@ -170,9 +169,7 @@ func governedCompiler(name string, cfg sim.Config, window int64) (GovRow, bool) 
 		row.Err = err.Error()
 		return row, true
 	}
-	pcfg := cfg
-	pcfg.Sampler = nil
-	rep, err := profileWorkload(name, build, pcfg)
+	rep, err := profileWorkload(name, build, cfg)
 	if err != nil {
 		row.Err = err.Error()
 		return row, true

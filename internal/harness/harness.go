@@ -68,27 +68,26 @@ type Row struct {
 
 // profKey identifies one memoizable profiling run: the workload name plus
 // every field of the machine configuration that can influence the
-// profile. sim.Config itself is not comparable (Sampler is a func), so
-// the comparable fields are copied out; configs with a Sampler bypass the
-// cache entirely.
+// profile. sim.Config itself is not comparable (Telemetry.Sink is a
+// func), so the comparable fields are copied out; configs with telemetry
+// on bypass the cache entirely.
 // Every comparable sim.Config field must appear here — a missing field
 // silently poisons the memo with stale hits across configs that differ
 // only in that field. TestProfKeyCoversSimConfig enforces this by
 // reflection: it fails the moment sim.Config grows a comparable field
 // with no counterpart below.
 type profKey struct {
-	workload    string
-	cores       int
-	cpu         cpu.Config
-	hier        cache.HierarchyConfig
-	llc         cache.Config
-	memCtl      mem.ControllerConfig
-	maxCycles   int64
-	sampleEvery int64
-	cycleStep   bool
-	fault       fault.Config
-	shadow      sim.ShadowConfig
-	governor    gov.Config
+	workload  string
+	cores     int
+	cpu       cpu.Config
+	hier      cache.HierarchyConfig
+	llc       cache.Config
+	memCtl    mem.ControllerConfig
+	maxCycles int64
+	cycleStep bool
+	fault     fault.Config
+	shadow    sim.ShadowConfig
+	governor  gov.Config
 }
 
 type profEntry struct {
@@ -114,25 +113,24 @@ var (
 // bit-identical to a fresh one. Reports are treated as immutable by all
 // consumers. sync.Once gives concurrent workers single-flight semantics.
 func profileWorkload(workload string, build workloads.Builder, cfg sim.Config) (*profile.Report, error) {
-	if cfg.Sampler != nil || cfg.Telemetry.Enabled() {
-		// Callback-carrying configs bypass the memo: a cache hit would
-		// silently drop the sampler/sink calls the caller is counting on
+	if cfg.Telemetry.Enabled() {
+		// Telemetry configs bypass the memo: a cache hit would silently
+		// drop the windows (and Sink calls) the caller is counting on
 		// (and funcs are unhashable as keys anyway).
 		return runProfile(workload, build, cfg)
 	}
 	key := profKey{
-		workload:    workload,
-		cores:       cfg.Cores,
-		cpu:         cfg.CPU,
-		hier:        cfg.Hier,
-		llc:         cfg.LLC,
-		memCtl:      cfg.MemCtl,
-		maxCycles:   cfg.MaxCycles,
-		sampleEvery: cfg.SampleEvery,
-		cycleStep:   cfg.CycleStep,
-		fault:       cfg.Fault,
-		shadow:      cfg.Shadow,
-		governor:    cfg.Governor,
+		workload:  workload,
+		cores:     cfg.Cores,
+		cpu:       cfg.CPU,
+		hier:      cfg.Hier,
+		llc:       cfg.LLC,
+		memCtl:    cfg.MemCtl,
+		maxCycles: cfg.MaxCycles,
+		cycleStep: cfg.CycleStep,
+		fault:     cfg.Fault,
+		shadow:    cfg.Shadow,
+		governor:  cfg.Governor,
 	}
 	profMu.Lock()
 	e := profCache[key]

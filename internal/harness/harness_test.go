@@ -126,6 +126,14 @@ func TestFigure10SyncBoundsDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One sample per full window boundary, from the first window on.
+	for _, trace := range [][]DistanceSample{with, without} {
+		for i, s := range trace {
+			if want := int64(i+1) * 50_000; s.Cycle != want {
+				t.Fatalf("sample %d at cycle %d, want %d", i, s.Cycle, want)
+			}
+		}
+	}
 	_, _, meanWith := Fig10Summary(with)
 	_, _, meanWithout := Fig10Summary(without)
 	// Without synchronization the distance runs away (paper fig 10a);

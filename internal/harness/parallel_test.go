@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ghostthread/internal/core"
+	"ghostthread/internal/obs"
 	"ghostthread/internal/sim"
 )
 
@@ -65,12 +66,13 @@ func TestProfileMemoization(t *testing.T) {
 	}
 }
 
-// TestProfileMemoizationBypassedWithSampler: a Sampler makes profiling
-// runs observable side-effect machines, so they must never be cached.
-func TestProfileMemoizationBypassedWithSampler(t *testing.T) {
+// TestProfileMemoizationBypassedWithTelemetry: a telemetry Sink makes
+// profiling runs observable side-effect machines, so they must never be
+// cached.
+func TestProfileMemoizationBypassedWithTelemetry(t *testing.T) {
 	cfg := sim.DefaultConfig()
-	cfg.SampleEvery = 1 << 20
-	cfg.Sampler = func(now int64) {}
+	cfg.Telemetry.WindowCycles = 1 << 20
+	cfg.Telemetry.Sink = func(obs.WindowSample) {}
 
 	before := profileRuns.Load()
 	for i := 0; i < 2; i++ {
@@ -79,7 +81,7 @@ func TestProfileMemoizationBypassedWithSampler(t *testing.T) {
 		}
 	}
 	if got := profileRuns.Load() - before; got != 2 {
-		t.Errorf("sampler runs profiled %d times, want 2 (no caching)", got)
+		t.Errorf("telemetry runs profiled %d times, want 2 (no caching)", got)
 	}
 }
 

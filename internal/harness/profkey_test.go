@@ -13,17 +13,16 @@ import (
 // hence profKey) does not cover — the failure a stale memo would
 // otherwise hide.
 var profKeyField = map[string]string{
-	"Cores":       "cores",
-	"CPU":         "cpu",
-	"Hier":        "hier",
-	"LLC":         "llc",
-	"MemCtl":      "memCtl",
-	"MaxCycles":   "maxCycles",
-	"SampleEvery": "sampleEvery",
-	"CycleStep":   "cycleStep",
-	"Fault":       "fault",
-	"Shadow":      "shadow",
-	"Governor":    "governor",
+	"Cores":     "cores",
+	"CPU":       "cpu",
+	"Hier":      "hier",
+	"LLC":       "llc",
+	"MemCtl":    "memCtl",
+	"MaxCycles": "maxCycles",
+	"CycleStep": "cycleStep",
+	"Fault":     "fault",
+	"Shadow":    "shadow",
+	"Governor":  "governor",
 }
 
 func TestProfKeyCoversSimConfig(t *testing.T) {
@@ -34,8 +33,9 @@ func TestProfKeyCoversSimConfig(t *testing.T) {
 	for i := 0; i < cfgT.NumField(); i++ {
 		f := cfgT.Field(i)
 		if !f.Type.Comparable() {
-			// Funcs (Sampler) cannot be memo keys; configs carrying one
-			// bypass the cache entirely (see profileWorkload).
+			// Telemetry carries a func (Sink) and cannot be a memo key;
+			// configs with telemetry on bypass the cache entirely (see
+			// profileWorkload).
 			continue
 		}
 		keyName, ok := profKeyField[f.Name]

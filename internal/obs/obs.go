@@ -1,8 +1,9 @@
 // Package obs is the simulator's observability layer: a preallocated
 // ring-buffer event recorder the core emits typed trace events into, an
 // exporter to Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing), and a metrics registry of counters and fixed-bucket
-// histograms with a folded-stacks renderer for flamegraph tools.
+// chrome://tracing), the windowed telemetry stream (WindowRecorder and
+// WindowSample, summarised with mergeable Sketches), and a folded-stacks
+// renderer for flamegraph tools.
 //
 // Tracing is strictly opt-in: a core holds a *Recorder that is nil by
 // default, and every emission site is guarded by a nil check, so the

@@ -55,162 +55,6 @@ func TestRecorderDefaultCapacity(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram("x", []int64{10, 20})
-	for _, v := range []int64{-3, 5, 10, 11, 20, 21, 1000} {
-		h.Observe(v)
-	}
-	b := h.Buckets()
-	if len(b) != 3 {
-		t.Fatalf("bucket count = %d, want 3 (2 bounds + overflow)", len(b))
-	}
-	// Bounds are inclusive upper bounds: -3,5,10 <= 10; 11,20 <= 20; rest overflow.
-	if b[0].Count != 3 || b[1].Count != 2 || b[2].Count != 2 {
-		t.Fatalf("bucket counts = %d/%d/%d, want 3/2/2", b[0].Count, b[1].Count, b[2].Count)
-	}
-	if b[0].Le != 10 || b[1].Le != 20 || b[2].Le != 1<<63-1 {
-		t.Fatalf("bucket bounds = %d/%d/%d", b[0].Le, b[1].Le, b[2].Le)
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
-	}
-	if h.min != -3 || h.max != 1000 {
-		t.Fatalf("min/max = %d/%d, want -3/1000", h.min, h.max)
-	}
-	if want := int64(-3 + 5 + 10 + 11 + 20 + 21 + 1000); h.Sum() != want {
-		t.Fatalf("sum = %d, want %d", h.Sum(), want)
-	}
-	if h.Mean() != float64(h.Sum())/7 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramEmptyMean(t *testing.T) {
-	h := NewHistogram("x", []int64{1})
-	if h.Mean() != 0 {
-		t.Fatalf("empty mean = %v, want 0", h.Mean())
-	}
-}
-
-func TestHistogramOverflowOnly(t *testing.T) {
-	// Every observation above the last bound: only the overflow bucket
-	// fills, and the aggregates still track the real values.
-	h := NewHistogram("x", []int64{10, 20})
-	for _, v := range []int64{21, 100, 1 << 40} {
-		h.Observe(v)
-	}
-	b := h.Buckets()
-	if b[0].Count != 0 || b[1].Count != 0 || b[2].Count != 3 {
-		t.Fatalf("bucket counts = %d/%d/%d, want 0/0/3", b[0].Count, b[1].Count, b[2].Count)
-	}
-	if h.min != 21 || h.max != 1<<40 {
-		t.Fatalf("min/max = %d/%d, want 21/%d", h.min, h.max, int64(1)<<40)
-	}
-}
-
-func TestHistogramFirstObservationNegative(t *testing.T) {
-	// Regression guard for the classic zero-initialised min/max bug: a
-	// first (and only) negative observation must set BOTH min and max to
-	// it, not leave max at 0.
-	h := NewHistogram("x", []int64{10})
-	h.Observe(-7)
-	if h.min != -7 || h.max != -7 {
-		t.Fatalf("min/max after first negative observation = %d/%d, want -7/-7", h.min, h.max)
-	}
-	if b := h.Buckets(); b[0].Count != 1 {
-		t.Fatalf("-7 not counted in the <=10 bucket: %+v", b)
-	}
-	h.Observe(-20)
-	if h.min != -20 || h.max != -7 {
-		t.Fatalf("min/max = %d/%d, want -20/-7", h.min, h.max)
-	}
-}
-
-func TestRegistryJSONEmptyHistogramMinMax(t *testing.T) {
-	// An empty histogram must serialize min/max as 0, not as stale field
-	// state.
-	r := NewRegistry()
-	r.Histogram("empty", []int64{1})
-	js, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Histograms []struct {
-			Name string `json:"name"`
-			Min  int64  `json:"min"`
-			Max  int64  `json:"max"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(js, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Histograms) != 1 || out.Histograms[0].Min != 0 || out.Histograms[0].Max != 0 {
-		t.Fatalf("empty histogram serialized as %+v, want min=0 max=0", out.Histograms)
-	}
-}
-
-func TestHistogramRejectsUnsortedBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram accepted non-ascending bounds")
-		}
-	}()
-	NewHistogram("bad", []int64{10, 10})
-}
-
-func TestRegistryJSON(t *testing.T) {
-	r := NewRegistry()
-	r.SetCounter("cycles", 123)
-	r.AddCounter("spawns", 2)
-	r.AddCounter("spawns", 3)
-	h := r.Histogram("lead", []int64{0, 16})
-	h.Observe(-1)
-	h.Observe(5)
-	h.Observe(99)
-	if r.Histogram("lead", nil) != h {
-		t.Fatal("Histogram did not return the existing registration")
-	}
-
-	data, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Counters   map[string]int64 `json:"counters"`
-		Histograms []struct {
-			Name    string   `json:"name"`
-			Buckets []Bucket `json:"buckets"`
-			Count   int64    `json:"count"`
-			Sum     int64    `json:"sum"`
-			Min     int64    `json:"min"`
-			Max     int64    `json:"max"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("registry JSON does not parse: %v", err)
-	}
-	if doc.Counters["cycles"] != 123 || doc.Counters["spawns"] != 5 {
-		t.Fatalf("counters = %v", doc.Counters)
-	}
-	if len(doc.Histograms) != 1 || doc.Histograms[0].Name != "lead" {
-		t.Fatalf("histograms = %+v", doc.Histograms)
-	}
-	hs := doc.Histograms[0]
-	if hs.Count != 3 || hs.Min != -1 || hs.Max != 99 || hs.Sum != 103 {
-		t.Fatalf("histogram summary = %+v", hs)
-	}
-
-	// Deterministic output: a second render is byte-identical.
-	again, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(data) {
-		t.Fatal("registry JSON is not deterministic")
-	}
-}
-
 func TestChromeTraceRoundTrip(t *testing.T) {
 	events := []Event{
 		{Cycle: 10, Kind: KindGhostSpawn, Arg: 1},

@@ -120,30 +120,3 @@ func TestSketchReset(t *testing.T) {
 		t.Fatalf("post-reset quantile = %d, want 7", got)
 	}
 }
-
-// TestHistogramQuantiles: the histogram's embedded sketch surfaces
-// quantiles without keeping raw observations (p50/p95/p99), matching a
-// bare sketch fed the same stream.
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram("lat", []int64{10, 100, 1000})
-	var all []int64
-	var sum int64
-	for i := int64(1); i <= 200; i++ {
-		v := i * 3 % 47
-		all = append(all, v)
-		sum += v
-		h.Observe(v)
-	}
-	if h.Count() != int64(len(all)) {
-		t.Fatalf("count %d, want %d", h.Count(), len(all))
-	}
-	ref := sketchFrom(all)
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got, want := h.Quantile(q), ref.Quantile(q); got != want {
-			t.Errorf("q=%v: histogram %d != sketch %d", q, got, want)
-		}
-	}
-	if h.Sum() != sum {
-		t.Errorf("sum %d, want %d", h.Sum(), sum)
-	}
-}

@@ -26,8 +26,9 @@ type WindowSample struct {
 	Committed int64   `json:"committed"`
 	IPC       float64 `json:"ipc"`
 
-	// SerializeStall is the main context's serialize-throttle stall cycles
-	// accrued this window; the fraction normalises by window length.
+	// SerializeStall is the serialize-throttle stall cycles both contexts
+	// accrued this window; the fraction normalises by the two contexts'
+	// combined cycle budget (2×window length).
 	SerializeStall     int64   `json:"serialize_stall"`
 	SerializeStallFrac float64 `json:"serialize_stall_frac"`
 

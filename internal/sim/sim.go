@@ -29,11 +29,6 @@ type Config struct {
 	// MaxCycles aborts runaway simulations.
 	MaxCycles int64
 
-	// SampleEvery invokes Sampler every so many cycles when > 0 (the
-	// figure-10 distance traces use it).
-	SampleEvery int64
-	Sampler     func(now int64)
-
 	// CycleStep forces the per-cycle reference loop, disabling the
 	// event-skip fast-forward. Results are bit-identical either way (the
 	// equivalence tests prove it); this exists so they can keep proving
@@ -53,8 +48,10 @@ type Config struct {
 	Shadow ShadowConfig
 
 	// Telemetry enables streaming windowed telemetry (see obs.WindowSample
-	// and DESIGN.md §14). Observation only: a windowed run's Result is
-	// bit-identical minus Result.Windows, in both stepping modes.
+	// and DESIGN.md §14), the simulator's one time-series channel; the
+	// event recorder (System.SetTrace) is the other observer. Observation
+	// only: a windowed run's Result is bit-identical minus Result.Windows,
+	// in both stepping modes.
 	Telemetry TelemetryConfig
 
 	// Governor enables the online adaptive ghost governor (internal/gov,
@@ -87,7 +84,12 @@ type TelemetryConfig struct {
 
 	// Sink, when non-nil, receives every sample as it is flushed (live
 	// streaming: NDJSON writers, gtmon feeds), in (window, core) order.
-	// Samples also accumulate into Result.Windows regardless.
+	// Samples also accumulate into Result.Windows regardless. A full
+	// window's sample arrives at its boundary cycle (ws.End), so the sink
+	// may also read machine state there — memory words, cpu.Core.Sample —
+	// on the same schedule in both stepping modes; the figure-10 distance
+	// traces and gttrace's timeline do. The end-of-run tail window is
+	// partial (ws.End is not a multiple of WindowCycles).
 	Sink func(obs.WindowSample)
 }
 
@@ -252,9 +254,6 @@ func (s *System) Load(i int, main *isa.Program, helpers []*isa.Program) {
 // index order within each cycle.
 func (s *System) SetTrace(i int, r *obs.Recorder) { s.cores[i].SetTrace(r, i) }
 
-// SetMetrics attaches histogram hooks to core i (nil detaches).
-func (s *System) SetMetrics(i int, m *obs.CoreMetrics) { s.cores[i].SetMetrics(m) }
-
 // Result summarises a run.
 type Result struct {
 	Cycles     int64   // cycles until the last core finished
@@ -346,7 +345,6 @@ func (e *BudgetError) Error() string {
 // set, it fast-forwards over spans in which no core can change state
 // (see skipAhead); the Result is bit-identical either way.
 func (s *System) Run() (Result, error) {
-	sampleAt := s.cfg.SampleEvery
 	windowAt := s.cfg.Telemetry.WindowCycles
 	for {
 		allDone := true
@@ -361,9 +359,6 @@ func (s *System) Run() (Result, error) {
 			c.Step()
 		}
 		s.now++
-		if s.cfg.Sampler != nil && sampleAt > 0 && s.now%sampleAt == 0 {
-			s.cfg.Sampler(s.now)
-		}
 		if windowAt > 0 && s.now%windowAt == 0 {
 			s.flushWindows()
 		}
@@ -374,7 +369,7 @@ func (s *System) Run() (Result, error) {
 			return Result{}, &BudgetError{Limit: s.cfg.MaxCycles}
 		}
 		if !s.cfg.CycleStep {
-			s.skipAhead(sampleAt)
+			s.skipAhead()
 		}
 	}
 	return s.collect()
@@ -571,7 +566,7 @@ func (s *System) collect() (Result, error) {
 // quiescent over the span, no shared-LLC or memory-controller interaction
 // can occur either, so skipping is safe machine-wide; each core accrues
 // the skipped cycles' stall statistics via SkipTo. The target is capped
-// below the next SampleEvery boundary (so the sampler fires on exactly
+// below the next telemetry window boundary (so windows flush on exactly
 // the per-cycle schedule) and below MaxCycles (so the runaway guard trips
 // at the same cycle as the reference loop).
 //
@@ -580,7 +575,7 @@ func (s *System) collect() (Result, error) {
 // a pure function of the slot index (see mem.Controller.pressureBusy), so
 // skipping over a span changes nothing about which slots the background
 // traffic occupies.
-func (s *System) skipAhead(sampleAt int64) {
+func (s *System) skipAhead() {
 	next := int64(math.MaxInt64)
 	for _, c := range s.cores {
 		if c.Done() {
@@ -594,13 +589,9 @@ func (s *System) skipAhead(sampleAt int64) {
 		return
 	}
 	target := next - 1
-	if s.cfg.Sampler != nil && sampleAt > 0 {
-		boundary := s.now - s.now%sampleAt + sampleAt
-		target = min(target, boundary-1)
-	}
 	if w := s.cfg.Telemetry.WindowCycles; w > 0 {
 		// Step onto every window boundary so flushes happen at exactly
-		// the per-cycle schedule (same trick as the sampler cap).
+		// the per-cycle schedule.
 		boundary := s.now - s.now%w + w
 		target = min(target, boundary-1)
 	}

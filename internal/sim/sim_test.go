@@ -139,19 +139,6 @@ func TestBusyConfigSlowsMemoryBoundWork(t *testing.T) {
 	}
 }
 
-func TestSamplerFires(t *testing.T) {
-	cfg := DefaultConfig()
-	var fired int
-	cfg.SampleEvery = 100
-	cfg.Sampler = func(now int64) { fired++ }
-	if _, err := RunProgram(cfg, mem.New(1024), alu(5000), nil); err != nil {
-		t.Fatal(err)
-	}
-	if fired == 0 {
-		t.Error("sampler never fired")
-	}
-}
-
 func TestMaxCyclesGuard(t *testing.T) {
 	b := isa.NewBuilder("spin")
 	i := b.Imm(0)

@@ -81,40 +81,6 @@ func TestSkipEquivalenceBusyServer(t *testing.T) {
 	}
 }
 
-// TestSkipEquivalenceSampler checks the sampler fires at exactly the
-// per-cycle schedule: skip targets must stop short of every SampleEvery
-// boundary.
-func TestSkipEquivalenceSampler(t *testing.T) {
-	build, err := workloads.Lookup("camel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runOne := func(cycleStep bool) ([]int64, sim.Result) {
-		inst := build(workloads.ProfileOptions())
-		v := inst.VariantByName("ghost")
-		cfg := sim.DefaultConfig()
-		cfg.CycleStep = cycleStep
-		cfg.SampleEvery = 500
-		var fired []int64
-		cfg.Sampler = func(now int64) { fired = append(fired, now) }
-		res, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fired, res
-	}
-	refFired, refRes := runOne(true)
-	optFired, optRes := runOne(false)
-	if !reflect.DeepEqual(refFired, optFired) {
-		t.Errorf("sampler schedule diverged: ref fired %d times, skip %d times\n ref: %v\nskip: %v",
-			len(refFired), len(optFired), refFired, optFired)
-	}
-	assertEqualResults(t, "camel(sampled)", "ghost", refRes, optRes)
-	if len(refFired) == 0 {
-		t.Error("sampler never fired; test proves nothing")
-	}
-}
-
 // chase builds a pointer-chase program over a cyclic permutation written
 // at base, long enough to keep a core DRAM-bound.
 func buildChase(name string, base int64, hops int64) *isa.Program {

@@ -107,6 +107,33 @@ func TestWindowsIdenticalAcrossStepModes(t *testing.T) {
 	}
 }
 
+// TestGhostLeadEmptyWithoutCounterAddr: with no GhostCounterAddr there is
+// no ghost count to compare the main counter against, so the lead series
+// must stay empty even though the ghost runs sync checks every window.
+func TestGhostLeadEmptyWithoutCounterAddr(t *testing.T) {
+	build, err := workloads.Lookup("camel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := build(workloads.ProfileOptions())
+	v := inst.VariantByName("ghost")
+	cfg := sim.DefaultConfig()
+	cfg.Telemetry.WindowCycles = 20_000
+	res, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Windows) == 0 {
+		t.Fatal("no window samples; test proves nothing")
+	}
+	for _, ws := range res.Windows {
+		if ws.GhostLeadCount != 0 {
+			t.Fatalf("window %d: %d ghost-lead observations (min %d) with no counter address",
+				ws.Window, ws.GhostLeadCount, ws.GhostLeadMin)
+		}
+	}
+}
+
 // TestWindowSinkStreamsSamples: the Sink callback receives every sample
 // as it is flushed, in the same order Result.Windows records them.
 func TestWindowSinkStreamsSamples(t *testing.T) {
@@ -134,7 +161,7 @@ func TestWindowSinkStreamsSamples(t *testing.T) {
 
 // multiObserved runs the 4-core MultiGhost PageRank, optionally with the
 // full observation stack attached: one event recorder shared by every
-// core, per-core metrics hooks, and windowed telemetry. It returns the
+// core, and windowed telemetry. It returns the
 // Result, the final memory image, and the recorded events.
 func multiObserved(t *testing.T, observed bool) (sim.Result, []int64, []obs.Event) {
 	t.Helper()
@@ -156,7 +183,6 @@ func multiObserved(t *testing.T, observed bool) (sim.Result, []int64, []obs.Even
 		rec = obs.NewRecorder(obs.DefaultCapacity)
 		for i := 0; i < inst.Cores; i++ {
 			s.SetTrace(i, rec)
-			s.SetMetrics(i, obs.DefaultCoreMetrics(obs.NewRegistry(), cfg.CPU.MSHRs, 0))
 		}
 	}
 	res, err := s.Run()
@@ -174,7 +200,7 @@ func multiObserved(t *testing.T, observed bool) (sim.Result, []int64, []obs.Even
 }
 
 // TestMultiCoreObservationPurity: a fully observed multi-core run (shared
-// trace recorder, per-core metrics, windowed telemetry) must leave Result
+// trace recorder, windowed telemetry) must leave Result
 // (minus Windows) and the final memory image bit-identical to the
 // unobserved run, while actually observing something.
 func TestMultiCoreObservationPurity(t *testing.T) {
