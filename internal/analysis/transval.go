@@ -538,6 +538,7 @@ type rewriter struct {
 	regionSt   []int                     // main-region store/atomic PCs
 	specStores map[int][]int             // ghost load pc -> aliasing main-region store PCs
 	specs      []SpecPoint               // accumulator for the current rewrite
+	memo       map[*SymExpr]*SymExpr     // ghost node -> rewritten node, for the current rewrite
 }
 
 // publishedWord is one published live-in: the stored value expression
@@ -611,20 +612,32 @@ func (rw *rewriter) buildPublished() {
 
 // rewrite maps a ghost expression into main space, returning the
 // rewritten expression plus the speculation points it relies on.
+//
+// The ghost expression is a hash-consed DAG that can unroll to
+// exponential size as a tree (hj8's hash rounds), so each node is
+// rewritten once per call and shared afterwards. Shared output nodes
+// also let unfoldRecs' pointer memo hit. The memo lives for one call
+// because speculation points are collected per call: a hit skips only a
+// revisit whose points the first visit already recorded.
 func (rw *rewriter) rewrite(e *SymExpr) (*SymExpr, []SpecPoint) {
 	rw.specs = nil
+	rw.memo = map[*SymExpr]*SymExpr{}
 	out := rw.expr(e)
 	specs := rw.specs
-	rw.specs = nil
+	rw.specs, rw.memo = nil, nil
 	return out, specs
 }
 
 func (rw *rewriter) expr(e *SymExpr) *SymExpr {
+	if r, ok := rw.memo[e]; ok {
+		return r
+	}
 	out := exprConst(e.Const)
 	for _, t := range e.Terms {
 		out = exprAdd(out, exprScale(rw.atom(t.Atom), t.Coeff))
 	}
 	out.Skips = mergeInts(out.Skips, e.Skips)
+	rw.memo[e] = out
 	return out
 }
 

@@ -126,17 +126,19 @@ func governedManual(name string, cfg sim.Config, window int64) (GovRow, bool) {
 		row.Err = err.Error()
 		return row, true
 	}
-	if inst := build(workloads.DefaultOptions()); inst.Ghost == nil {
-		return row, false
-	}
 
 	// The governed run needs sync tracing (the ghost publishes its
 	// iteration counter for the lead series), which changes the ghost
 	// program — so ALL three runs use the traced build, keeping the
-	// static-versus-governed comparison apples-to-apples.
+	// static-versus-governed comparison apples-to-apples. Tracing never
+	// adds or removes the manual ghost, so the traced build answers
+	// whether there is one.
 	opts := workloads.DefaultOptions()
 	opts.Sync.Trace = true
 	inst := build(opts)
+	if inst.Ghost == nil {
+		return row, false
+	}
 	snap := inst.Mem.Snapshot()
 
 	base, err := runChecked(inst, snap, cfg, inst.Baseline.Main, inst.Baseline.Helpers, inst.CheckFor("baseline"))

@@ -207,3 +207,17 @@ func findGovRow(t *testing.T, rows []GovRow, workload, kind string) GovRow {
 	t.Fatalf("no %s/%s row in %+v", workload, kind, rows)
 	return GovRow{}
 }
+
+// TestSyncTraceKeepsGhostPresence backs governedManual's single build:
+// sync tracing changes the manual ghost's code but never whether a
+// workload has one, so the traced build alone decides the manual row.
+func TestSyncTraceKeepsGhostPresence(t *testing.T) {
+	for _, e := range workloads.Entries() {
+		opts := workloads.ProfileOptions()
+		plain := e.Build(opts).Ghost != nil
+		opts.Sync.Trace = true
+		if traced := e.Build(opts).Ghost != nil; traced != plain {
+			t.Errorf("%s: manual ghost present %v untraced, %v traced", e.Name, plain, traced)
+		}
+	}
+}

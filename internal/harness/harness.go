@@ -58,11 +58,13 @@ type Row struct {
 	// techniques whose run executed software prefetches.
 	Prefetch map[string]PrefetchReport
 
-	// SimCycles is the total simulated cycles this row represents
-	// (profiling run + every successful variant run), the numerator of
-	// the harness's simulated-cycles-per-second throughput metric. It is
-	// computed identically whether the profile came from the cache or a
-	// fresh run, so rows stay bit-identical across worker counts.
+	// SimCycles is the total simulated cycles this row represents: the
+	// profiling run plus every distinct successful simulation, each
+	// counted once (the OpenMP fallback columns reuse the SMT column's
+	// run). It is the numerator of the harness's simulated-cycles-per-
+	// second throughput metric, and is computed identically whether the
+	// profile came from the cache or a fresh run, so rows stay
+	// bit-identical across worker counts.
 	SimCycles int64
 }
 
@@ -283,12 +285,16 @@ func Eval(workload string, cfg sim.Config, hp core.HeuristicParams) (*Row, error
 	res, err := runVariant("swpf")
 	record(TechSWPF, res, err)
 
-	// SMT OpenMP (x when parallelization needs rewriting).
+	// SMT OpenMP (x when parallelization needs rewriting). The run is
+	// deterministic, so the OpenMP fallbacks below reuse its outcome
+	// instead of simulating it again.
+	var smtRes sim.Result
+	var smtErr error
 	if inst.Parallel == nil {
 		row.Unavailable[TechSMT] = "requires code rewriting"
 	} else {
-		res, err = runVariant("smt-openmp")
-		record(TechSMT, res, err)
+		smtRes, smtErr = runVariant("smt-openmp")
+		record(TechSMT, smtRes, smtErr)
 	}
 
 	// Ghost Threading: the heuristic's choice. Manual ghosts pass the
@@ -304,7 +310,7 @@ func Eval(workload string, cfg sim.Config, hp core.HeuristicParams) (*Row, error
 			res, err = runVariant("ghost")
 		}
 	case core.UseParallel:
-		res, err = runVariant("smt-openmp")
+		res, err = smtRes, smtErr
 	default:
 		res, err = base, nil
 	}
@@ -320,8 +326,7 @@ func Eval(workload string, cfg sim.Config, hp core.HeuristicParams) (*Row, error
 		}
 		record(TechCompiler, res, err)
 	case inst.Parallel != nil:
-		res, err = runVariant("smt-openmp")
-		record(TechCompiler, res, err)
+		record(TechCompiler, smtRes, smtErr)
 	default:
 		record(TechCompiler, base, nil)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"ghostthread/internal/core"
 	"ghostthread/internal/sim"
+	"ghostthread/internal/workloads"
 )
 
 func TestGeomean(t *testing.T) {
@@ -193,5 +194,55 @@ func TestEvalBusyServerSelectsAtLeastAsMany(t *testing.T) {
 	}
 	if busy.Targets < idle.Targets {
 		t.Errorf("busy server selected fewer targets (%d) than idle (%d)", busy.Targets, idle.Targets)
+	}
+}
+
+// TestEvalOpenMPFallbackSimulatesOnce checks the OpenMP-fallback row
+// shape on tc.road (no targets, a parallel version): the ghost and
+// compiler columns mirror the SMT column exactly, and the row's
+// simulated cycles count each distinct simulation once — profile,
+// baseline, swpf and smt-openmp.
+func TestEvalOpenMPFallbackSimulatesOnce(t *testing.T) {
+	const name = "tc.road"
+	cfg := sim.DefaultConfig()
+	row, err := Eval(name, cfg, core.DefaultHeuristicParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Decision != core.UseParallel || row.Targets != 0 {
+		t.Fatalf("%s: decision %s with %d targets, want %s with none",
+			name, row.Decision, row.Targets, core.UseParallel)
+	}
+	for _, tech := range []string{TechGhost, TechCompiler} {
+		if row.Speedup[tech] != row.Speedup[TechSMT] || row.EnergySaving[tech] != row.EnergySaving[TechSMT] {
+			t.Errorf("%s column (speedup %v, saving %v) != %s column (speedup %v, saving %v)",
+				tech, row.Speedup[tech], row.EnergySaving[tech],
+				TechSMT, row.Speedup[TechSMT], row.EnergySaving[TechSMT])
+		}
+	}
+
+	build, err := workloads.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := profileWorkload(name, build, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rep.TotalCycles
+	inst := build(workloads.DefaultOptions())
+	snap := inst.Mem.Snapshot()
+	for _, vname := range []string{"baseline", "swpf", "smt-openmp"} {
+		v := inst.VariantByName(vname)
+		inst.Mem.Restore(snap)
+		res, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers)
+		if err != nil {
+			t.Fatalf("%s: %v", vname, err)
+		}
+		want += res.Cycles
+	}
+	if row.SimCycles != want {
+		t.Errorf("SimCycles = %d, want %d (profile + baseline + swpf + smt-openmp, each once)",
+			row.SimCycles, want)
 	}
 }
