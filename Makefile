@@ -1,7 +1,7 @@
 GO ?= go
 TRACE_OUT ?= TRACE_camel_ghost.json
 
-.PHONY: build vet test race lint detlint advise-smoke verify-smoke advise-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig10-smoke fig10-golden ci
+.PHONY: build vet test race lint detlint advise-smoke verify-smoke advise-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
 
 build:
 	$(GO) build ./...
@@ -162,4 +162,30 @@ fig10-golden:
 	$(GO) run ./cmd/ghostbench -experiment fig10a -csv > testdata/fig10_golden.txt
 	$(GO) run ./cmd/ghostbench -experiment fig10b -csv >> testdata/fig10_golden.txt
 
-ci: vet build race lint detlint advise-smoke verify-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig10-smoke
+# CLI smoke: gtrun's -profile and -dump modes diffed against goldens
+# captured from the gtprof and gtasm commands they replaced (fix drift,
+# or review it and re-bless with `make cli-golden`), the -dump output
+# must assemble and run under -asm -interp, and a bad flag value must
+# exit 2 with the tool's usage message (a Go panic also exits 2, so the
+# message is checked too). The binaries are built rather than run with
+# `go run`, which maps every non-zero exit to 1.
+CLI_BIN ?= .cli_bin
+cli-smoke:
+	$(GO) build -o $(CLI_BIN)/ ./cmd/gtrun ./cmd/gttrace
+	$(CLI_BIN)/gtrun -workload bfs.kron -scale profile -profile | diff -u testdata/gtrun_profile_golden.txt -
+	$(CLI_BIN)/gtrun -workload camel -variant ghost -scale profile -dump | diff -u testdata/gtrun_dump_golden.txt -
+	$(CLI_BIN)/gtrun -workload camel -variant ghost -scale profile -dump | $(CLI_BIN)/gtrun -asm /dev/stdin -interp
+	@for cmd in "gtrun -scale bogus" "gttrace -rows 0"; do \
+		tool=$${cmd%% *}; out=$$($(CLI_BIN)/$$cmd 2>&1); code=$$?; \
+		case "$$code:$$out" in "2:$$tool: "*) ;; *) \
+			echo "cli-smoke: $$cmd exited $$code, want 2 with a '$$tool:' usage message:" >&2; \
+			echo "$$out" >&2; exit 1;; esac; \
+	done
+
+# Re-bless the CLI goldens after a reviewed change to the profile report
+# or the assembly format. Inspect the diff before committing.
+cli-golden:
+	$(GO) run ./cmd/gtrun -workload bfs.kron -scale profile -profile > testdata/gtrun_profile_golden.txt
+	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -dump > testdata/gtrun_dump_golden.txt
+
+ci: vet build race lint detlint advise-smoke verify-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig10-smoke cli-smoke

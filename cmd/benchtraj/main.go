@@ -15,6 +15,7 @@
 //
 //	0  ledger updated (and the gate passed)
 //	1  throughput regression beyond -max-drop, or an internal failure
+//	2  usage error (no -in, unknown flag)
 package main
 
 import (
@@ -24,8 +25,11 @@ import (
 	"os/exec"
 	"strings"
 
+	"ghostthread/internal/cli"
 	"ghostthread/internal/harness"
 )
+
+const tool = cli.Tool("benchtraj")
 
 func main() {
 	var (
@@ -35,20 +39,17 @@ func main() {
 		maxDrop = flag.Float64("max-drop", 0.30, "fail when sim_cycles_per_sec drops more than this fraction below the previous entry")
 		noCheck = flag.Bool("no-check", false, "append the entry without enforcing the regression gate")
 	)
-	flag.Parse()
+	tool.Parse()
 	if *in == "" {
-		flag.Usage()
-		os.Exit(1)
+		tool.Check(cli.Usagef("-in is required"))
 	}
 
 	fresh, err := os.ReadFile(*in)
-	if err != nil {
-		fatal(err)
-	}
+	tool.Check(err)
 	prev, err := os.ReadFile(*out)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			fatal(err)
+			tool.Check(err)
 		}
 		prev = nil
 	}
@@ -58,20 +59,14 @@ func main() {
 	}
 
 	merged, history, err := harness.AppendTrajectory(fresh, prev, id)
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, merged, 0o644); err != nil {
-		fatal(err)
-	}
+	tool.Check(err)
+	tool.Check(os.WriteFile(*out, merged, 0o644))
 	last := history[len(history)-1]
 	fmt.Printf("benchtraj: %s: entry %d: %.3gM sim-cycles/s (%.2fs wall)\n",
 		*out, len(history), last.SimCyclesPerSec/1e6, last.WallSeconds)
 
 	if !*noCheck {
-		if err := harness.CheckTrajectory(history, *maxDrop); err != nil {
-			fatal(err)
-		}
+		tool.Check(harness.CheckTrajectory(history, *maxDrop))
 	}
 }
 
@@ -83,9 +78,4 @@ func headSHA() string {
 		return "(unknown)"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchtraj:", err)
-	os.Exit(1)
 }

@@ -4,8 +4,8 @@
 //
 //	detlint [dir ...]
 //
-// Exit status: 0 when clean, 1 when findings were reported, 2 on a usage
-// or I/O error.
+// Exit status: 0 when clean, 1 when findings were reported or a
+// directory could not be read, 2 on a usage error.
 package main
 
 import (
@@ -13,8 +13,11 @@ import (
 	"fmt"
 	"os"
 
+	"ghostthread/internal/cli"
 	"ghostthread/internal/detlint"
 )
+
+const tool = cli.Tool("detlint")
 
 // defaultDirs are the packages whose behavior feeds simulated timing or
 // experiment output: any nondeterminism here breaks replayable
@@ -33,17 +36,14 @@ func main() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: detlint [dir ...]\n")
 		flag.PrintDefaults()
 	}
-	flag.Parse()
+	tool.Parse()
 
 	dirs := flag.Args()
 	if len(dirs) == 0 {
 		dirs = defaultDirs
 	}
 	findings, err := detlint.Dirs(dirs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "detlint:", err)
-		os.Exit(2)
-	}
+	tool.Check(err)
 	for _, f := range findings {
 		fmt.Println(f)
 	}

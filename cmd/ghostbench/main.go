@@ -8,13 +8,15 @@
 //	ghostbench -experiment fig9     # multi-core scaling (figure 9)
 //	ghostbench -experiment fig10a   # inter-thread distance, long trace
 //	ghostbench -experiment fig10b   # inter-thread distance, short window
+//	ghostbench -experiment sweep    # sync hyper-parameter tuning (§4.3.2)
 //	ghostbench -experiment resilience  # speedup vs fault intensity
 //	ghostbench -experiment advise   # static advice vs measured ghost speedup
 //	ghostbench -experiment governor # static vs adaptively-governed ghosts
 //
 // Use -csv or -json for machine-readable output, -workloads to restrict
-// the evaluation set, and -j N to evaluate N workloads in parallel
-// (default: one worker per CPU).
+// the evaluation set (sweep tunes camel unless -workloads names others),
+// and -j N to evaluate N workloads in parallel (default: one worker per
+// CPU).
 //
 // The resilience experiment sweeps each workload's ghost variant through
 // the deterministic fault ladder (internal/fault): ghost preemption,
@@ -26,84 +28,74 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
+	"ghostthread/internal/cli"
 	"ghostthread/internal/harness"
 	"ghostthread/internal/obs"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/workloads"
 )
 
+const tool = cli.Tool("ghostbench")
+
 func main() {
 	var (
 		experiment = flag.String("experiment", "fig6", "fig3 | table1 | fig6 | fig7 | fig8 | fig9 | fig10a | fig10b | sweep | resilience | advise | governor | report")
-		sweepWl    = flag.String("sweep-workload", "camel", "workload for -experiment sweep")
 		csv        = flag.Bool("csv", false, "emit CSV instead of a table")
 		jsonOut    = flag.Bool("json", false, "emit JSON (fig6/fig8; NDJSON rows for resilience)")
 		gnuplot    = flag.Bool("gnuplot", false, "emit a gnuplot script (fig6/fig8)")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		workSet    = flag.String("workloads", "", "comma-separated workload subset (default: the full 34)")
+		workSet    = flag.String("workloads", "", "comma-separated workload subset (default: the full 34; camel for sweep)")
 		jobs       = flag.Int("j", 0, "parallel workload evaluations (0 = GOMAXPROCS)")
-		cycleStep  = flag.Bool("cyclestep", false, "force per-cycle stepping (disable event skipping; for perf comparisons)")
-		scale      = flag.String("scale", "eval", "workload input scale for -experiment resilience: eval | profile")
+		scale      = cli.Scale(flag.CommandLine, workloads.ScaleEval, "workload input scale for -experiment resilience: eval | profile")
 		faultSeed  = flag.Uint64("fault-seed", 1, "master seed for the resilience fault schedules")
 		budget     = flag.Int64("budget", 0, "per-run cycle-budget watchdog for resilience (0 = machine default)")
 		panicAt    = flag.String("panic-at", "", "resilience: panic inside this workload's worker (tests panic recovery)")
-		window     = flag.Int64("window", 0, "resilience: emit a windowed-telemetry sample every N cycles (0 = off; enables sync tracing)")
+		window     = cli.Int(flag.CommandLine, "window", 0, 0, "resilience: emit a windowed-telemetry sample every N cycles (0 = off; enables sync tracing)")
 		windowOut  = flag.String("window-out", "", "resilience: write telemetry NDJSON here (tail with gtmon -in FILE; empty = discard)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile (after the experiment) to this file")
 		profDir    = flag.String("profile-cache", "", "directory for the on-disk profiling-report cache (empty = in-process memo only)")
 	)
-	flag.Parse()
-
-	// Flag validation before any work: a typo'd -scale must not silently
-	// sweep at the wrong scale. Usage errors exit 2, like flag parsing.
-	if *scale != "eval" && *scale != "profile" {
-		fmt.Fprintf(os.Stderr, "ghostbench: unknown -scale %q (want eval | profile)\n", *scale)
-		os.Exit(2)
-	}
-	if *window < 0 {
-		fmt.Fprintf(os.Stderr, "ghostbench: -window must be non-negative, got %d\n", *window)
-		os.Exit(2)
+	tool.Parse()
+	subset, err := cli.Names(*workSet)
+	tool.Check(err)
+	// names returns the -workloads subset, or def when none was given.
+	names := func(def []string) []string {
+		if subset == nil {
+			return def
+		}
+		return subset
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
-		check(err)
-		check(pprof.StartCPUProfile(f))
+		tool.Check(err)
+		tool.Check(pprof.StartCPUProfile(f))
 		defer func() {
 			pprof.StopCPUProfile()
-			check(f.Close())
+			tool.Check(f.Close())
 		}()
 	}
 	if *memProf != "" {
 		defer func() {
 			f, err := os.Create(*memProf)
-			check(err)
+			tool.Check(err)
 			runtime.GC()
-			check(pprof.WriteHeapProfile(f))
-			check(f.Close())
+			tool.Check(pprof.WriteHeapProfile(f))
+			tool.Check(f.Close())
 		}()
 	}
 	if *profDir != "" {
-		check(harness.SetProfileCacheDir(*profDir))
+		tool.Check(harness.SetProfileCacheDir(*profDir))
 	}
 
 	idleCfg, busyCfg := sim.DefaultConfig(), sim.BusyConfig()
-	idleCfg.CycleStep = *cycleStep
-	busyCfg.CycleStep = *cycleStep
-
-	names := workloads.AllWorkloadNames()
-	if *workSet != "" {
-		names = strings.Split(*workSet, ",")
-	}
 	progress := func(w string) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "running %s...\n", w)
@@ -113,7 +105,7 @@ func main() {
 	switch *experiment {
 	case "fig3":
 		data, err := harness.Figure3(idleCfg)
-		check(err)
+		tool.Check(err)
 		fmt.Println("Figure 3: speedup over baseline for the three Camel forms")
 		fmt.Print(harness.RenderFigure3(data))
 
@@ -122,13 +114,13 @@ func main() {
 		fmt.Print(harness.Table1())
 
 	case "fig6", "fig7":
-		m, err := harness.RunMatrixWorkers(names, "idle", idleCfg, *jobs, progress)
-		check(err)
+		m, err := harness.RunMatrixWorkers(names(workloads.AllWorkloadNames()), "idle", idleCfg, *jobs, progress)
+		tool.Check(err)
 		if *experiment == "fig6" {
 			switch {
 			case *jsonOut:
 				out, err := m.JSON()
-				check(err)
+				tool.Check(err)
 				fmt.Print(out)
 			case *gnuplot:
 				fmt.Print(m.GnuplotScript("fig6", "Figure 6: idle-server speedups"))
@@ -145,12 +137,12 @@ func main() {
 		}
 
 	case "fig8":
-		m, err := harness.RunMatrixWorkers(names, "busy", busyCfg, *jobs, progress)
-		check(err)
+		m, err := harness.RunMatrixWorkers(names(workloads.AllWorkloadNames()), "busy", busyCfg, *jobs, progress)
+		tool.Check(err)
 		switch {
 		case *jsonOut:
 			out, err := m.JSON()
-			check(err)
+			tool.Check(err)
 			fmt.Print(out)
 		case *gnuplot:
 			fmt.Print(m.GnuplotScript("fig8", "Figure 8: busy-server speedups"))
@@ -164,16 +156,16 @@ func main() {
 
 	case "fig9":
 		res, err := harness.Figure9(progress)
-		check(err)
+		tool.Check(err)
 		fmt.Println("Figure 9: multi-core scaling (geomean speedup over the parallel baseline)")
 		fmt.Print(harness.RenderFigure9(res))
 
 	case "fig10a":
 		fmt.Println("Figure 10(a): inter-thread distance on cc.urand, with vs without synchronization")
 		with, err := harness.Figure10(true, 20_000, 400)
-		check(err)
+		tool.Check(err)
 		without, err := harness.Figure10(false, 20_000, 400)
-		check(err)
+		tool.Check(err)
 		mi, ma, mean := harness.Fig10Summary(with)
 		fmt.Printf("with sync:    min=%d max=%d mean=%.0f over %d samples\n", mi, ma, mean, len(with))
 		mi, ma, mean = harness.Fig10Summary(without)
@@ -191,7 +183,7 @@ func main() {
 	case "fig10b":
 		fmt.Println("Figure 10(b): inter-thread distance with synchronization, fine-grained window")
 		with, err := harness.Figure10(true, 2_000, 500)
-		check(err)
+		tool.Check(err)
 		mi, ma, mean := harness.Fig10Summary(with)
 		fmt.Printf("with sync: min=%d max=%d mean=%.0f over %d samples\n", mi, ma, mean, len(with))
 		if *csv {
@@ -201,59 +193,48 @@ func main() {
 		}
 
 	case "sweep":
-		pts, err := harness.SweepSync(*sweepWl, sim.DefaultConfig())
-		check(err)
-		fmt.Print(harness.RenderSweep(*sweepWl, pts))
+		for _, w := range names([]string{"camel"}) {
+			pts, err := harness.SweepSync(w, idleCfg)
+			tool.Check(err)
+			fmt.Print(harness.RenderSweep(w, pts))
+		}
 
 	case "resilience":
-		rnames := names
-		if *workSet == "" {
-			// A representative ghost subset, not the full 34: the sweep
-			// runs every workload once per ladder level.
-			rnames = []string{"camel", "kangaroo", "hj2", "bfs.kron", "cc.urand"}
-		}
+		// A representative ghost subset by default, not the full 34: the
+		// sweep runs every workload once per ladder level.
+		rnames := names([]string{"camel", "kangaroo", "hj2", "bfs.kron", "cc.urand"})
 		opts := harness.ResilienceOptions{
 			Levels:      harness.ResilienceLevels(*faultSeed),
 			Workers:     *jobs,
 			CycleBudget: *budget,
 			InjectPanic: *panicAt,
 		}
-		if *scale == "profile" {
-			opts.BuildOpts = workloads.ProfileOptions()
-		}
+		opts.BuildOpts = workloads.DefaultOptions()
+		opts.BuildOpts.Scale = *scale
 		if *window > 0 {
 			opts.Window = *window
 			// The lead series needs the ghost's published counter, so turn
 			// on sync tracing — symmetric across every level and variant,
 			// so speedup ratios still compare like with like.
-			if opts.BuildOpts == (workloads.Options{}) {
-				opts.BuildOpts = workloads.DefaultOptions()
-			}
 			opts.BuildOpts.Sync.Trace = true
 			if *windowOut != "" {
-				f, err := os.Create(*windowOut)
-				check(err)
-				defer f.Close()
-				// Unbuffered line-at-a-time writes: each flushed window
-				// lands on disk immediately, so gtmon can tail the file
-				// live and a killed sweep keeps its samples.
-				wenc := json.NewEncoder(f)
-				opts.WindowSink = func(r obs.MonitorRow) { check(wenc.Encode(r)) }
+				emit, done := tool.NDJSON(*windowOut)
+				defer done()
+				opts.WindowSink = func(r obs.MonitorRow) { emit(r) }
 			}
 		}
 		var sink func(harness.ResilienceRow)
 		if *jsonOut {
-			// NDJSON, one row per line, flushed as each cell completes:
-			// a killed sweep keeps every finished row.
-			enc := json.NewEncoder(os.Stdout)
-			sink = func(r harness.ResilienceRow) { check(enc.Encode(r)) }
+			// A killed sweep keeps every finished row.
+			emit, _ := tool.NDJSON("-")
+			sink = func(r harness.ResilienceRow) { emit(r) }
 		} else if !*quiet {
 			sink = func(r harness.ResilienceRow) {
 				fmt.Fprintf(os.Stderr, "done %s/%s\n", r.Workload, r.Level)
 			}
 		}
 		rows, err := harness.Resilience(rnames, idleCfg, opts, sink)
-		check(err)
+		tool.Check(err)
 		if !*jsonOut {
 			fmt.Println("Resilience: ghost-variant speedup vs deterministic fault intensity")
 			fmt.Print(harness.RenderResilience(rows))
@@ -263,10 +244,7 @@ func main() {
 		// Static advice joined against measured ghost speedups, over the
 		// whole registry (the advice layer also covers workloads outside
 		// the 34-workload evaluation set, such as camel-ghost).
-		anames := names
-		if *workSet == "" {
-			anames = workloads.Names()
-		}
+		anames := names(workloads.Names())
 		var sink func(harness.AdviseRow)
 		if !*quiet && !*jsonOut {
 			sink = func(r harness.AdviseRow) {
@@ -274,11 +252,9 @@ func main() {
 			}
 		}
 		sum, err := harness.Advise(anames, idleCfg, *jobs, sink)
-		check(err)
+		tool.Check(err)
 		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			check(enc.Encode(sum))
+			tool.Check(cli.JSON(sum))
 		} else {
 			fmt.Println("Advise: static ghost-benefit prediction vs measured ghost speedup")
 			fmt.Print(harness.RenderAdvise(sum))
@@ -290,19 +266,16 @@ func main() {
 		// compiler slice (bfs.kron) recovered to ≥ 1.0×, and healthy
 		// ghosts left alone. A missing row means the workload has no
 		// ghost of that kind.
-		gnames := names
-		if *workSet == "" {
-			gnames = []string{"camel", "hj8", "kangaroo", "bfs.kron", "cc.urand"}
-		}
+		gnames := names([]string{"camel", "hj8", "kangaroo", "bfs.kron", "cc.urand"})
 		gw := *window
-		if gw <= 0 {
+		if gw == 0 {
 			gw = 20000
 		}
 		rows := harness.GovernorExperiment(gnames, idleCfg, gw)
 		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
+			emit, _ := tool.NDJSON("-")
 			for _, r := range rows {
-				check(enc.Encode(r))
+				emit(r)
 			}
 		} else {
 			fmt.Println("Governor: static ghosts vs the adaptive governor (speedup over no-helper baseline)")
@@ -317,17 +290,10 @@ func main() {
 				fmt.Fprintln(os.Stderr, s)
 			}
 		})
-		check(err)
+		tool.Check(err)
 		fmt.Print(doc)
 
 	default:
-		check(fmt.Errorf("unknown experiment %q", *experiment))
-	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ghostbench:", err)
-		os.Exit(1)
+		tool.Check(cli.Usagef("unknown -experiment %q", *experiment))
 	}
 }

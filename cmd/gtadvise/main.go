@@ -13,69 +13,46 @@
 // Exit codes:
 //
 //	0  advice produced
-//	1  internal failure (unknown workload, analysis error)
-//	2  usage error (no mode selected, unknown flag)
+//	1  internal failure (analysis error)
+//	2  usage error (no workload selected, unknown workload or flag)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"strings"
 
 	"ghostthread/internal/analysis"
-	"ghostthread/internal/harness"
+	"ghostthread/internal/cli"
 	"ghostthread/internal/lint"
 	"ghostthread/internal/workloads"
 )
+
+const tool = cli.Tool("gtadvise")
 
 func main() {
 	var (
 		all      = flag.Bool("all", false, "advise every registered workload")
 		workload = flag.String("workload", "", "advise a comma-separated list of workloads")
-		eval     = flag.Bool("eval-scale", false, "analyze evaluation-scale instances instead of profile-scale")
+		scale    = cli.Scale(flag.CommandLine, workloads.ScaleProfile, "workload input scale: eval | profile")
 		asJSON   = flag.Bool("json", false, "emit a JSON advice array on stdout instead of the table")
-		profDir  = flag.String("profile-cache", "", "on-disk profiling-report cache directory, shared with ghostbench (the advice passes themselves are static and never profile, so today this only primes the harness cache configuration)")
 	)
-	flag.Parse()
-	if err := harness.SetProfileCacheDir(*profDir); err != nil {
-		fatal(err)
-	}
+	tool.Parse()
+	names, err := cli.Workloads(*all, *workload)
+	tool.Check(err)
 
-	var opts lint.Options
-	if *eval {
-		opts.Scale = workloads.ScaleEval
-	}
+	opts := lint.Options{Scale: *scale}
 	cp := analysis.DefaultCostParams()
-
 	var advice []*lint.WorkloadAdvice
-	switch {
-	case *all:
-		var err error
-		advice, err = lint.AdviseAll(opts, cp)
+	for _, name := range names {
+		adv, err := lint.Advise(name, opts, cp)
 		if err != nil {
-			fatal(err)
+			tool.Check(fmt.Errorf("advise: %s: %w", name, err))
 		}
-	case *workload != "":
-		for _, name := range strings.Split(*workload, ",") {
-			adv, err := lint.Advise(strings.TrimSpace(name), opts, cp)
-			if err != nil {
-				fatal(err)
-			}
-			advice = append(advice, adv)
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
+		advice = append(advice, adv)
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(advice); err != nil {
-			fatal(err)
-		}
+		tool.Check(cli.JSON(advice))
 		return
 	}
 
@@ -99,9 +76,4 @@ func main() {
 				name, t.PC, t.Loop, t.Class, t.BodyLen, t.SliceLen, t.Lead, t.Benefit, rec)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gtadvise:", err)
-	os.Exit(1)
 }

@@ -4,7 +4,7 @@
 // an end-to-end compiler extraction with an optional minimality report.
 //
 //	gtlint -all              lint every registered workload
-//	gtlint -workload camel   lint one workload
+//	gtlint -workload camel   lint one workload (or a comma-separated list)
 //	gtlint -all -v           include info findings (slice minimality)
 //	gtlint -all -json        machine-readable output (one report)
 //
@@ -12,18 +12,16 @@
 //
 //	0  clean — no error-severity findings
 //	1  at least one error-severity finding (or an internal failure)
-//	2  usage error (no mode selected, unknown flag, unknown workload
-//	   names are reported as errors with exit 1)
+//	2  usage error (no workload selected, unknown workload or flag)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"ghostthread/internal/analysis"
+	"ghostthread/internal/cli"
 	"ghostthread/internal/lint"
 	"ghostthread/internal/workloads"
 )
@@ -38,49 +36,28 @@ type jsonReport struct {
 	Infos     int                `json:"infos"`
 }
 
+const tool = cli.Tool("gtlint")
+
 func main() {
 	var (
 		all      = flag.Bool("all", false, "lint every registered workload")
-		workload = flag.String("workload", "", "lint a single workload (see gtrun -list)")
+		workload = flag.String("workload", "", "lint a comma-separated list of workloads (see gtrun -list)")
 		verbose  = flag.Bool("v", false, "also print info-severity findings (minimality report)")
-		eval     = flag.Bool("eval-scale", false, "lint evaluation-scale instances instead of profile-scale")
+		scale    = cli.Scale(flag.CommandLine, workloads.ScaleProfile, "workload input scale: eval | profile")
 		asJSON   = flag.Bool("json", false, "emit one JSON report on stdout instead of text")
 	)
-	flag.Parse()
+	tool.Parse()
+	names, err := cli.Workloads(*all, *workload)
+	tool.Check(err)
 
-	opts := lint.Options{Minimality: *verbose}
-	if *eval {
-		opts.Scale = workloads.ScaleEval
-	}
-
-	reports := map[string]*analysis.Report{}
-	switch {
-	case *all:
-		var err error
-		reports, err = lint.All(opts)
-		if err != nil {
-			fatal(err)
-		}
-	case *workload != "":
-		rep, err := lint.Workload(*workload, opts)
-		if err != nil {
-			fatal(err)
-		}
-		reports[*workload] = rep
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	names := make([]string, 0, len(reports))
-	for n := range reports {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
+	opts := lint.Options{Minimality: *verbose, Scale: *scale}
 	merged := &analysis.Report{}
-	for _, n := range names {
-		merged.Add(reports[n].Findings...)
+	for _, name := range names {
+		rep, err := lint.Workload(name, opts)
+		if err != nil {
+			tool.Check(fmt.Errorf("lint: %s: %w", name, err))
+		}
+		merged.Add(rep.Findings...)
 	}
 	merged.Dedupe()
 
@@ -101,11 +78,7 @@ func main() {
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fatal(err)
-		}
+		tool.Check(cli.JSON(doc))
 	} else {
 		for _, f := range doc.Findings {
 			fmt.Println(f)
@@ -115,9 +88,4 @@ func main() {
 	if doc.Errors > 0 {
 		os.Exit(1)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gtlint:", err)
-	os.Exit(1)
 }

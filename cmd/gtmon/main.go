@@ -25,8 +25,11 @@ import (
 	"os"
 	"time"
 
+	"ghostthread/internal/cli"
 	"ghostthread/internal/obs"
 )
+
+const tool = cli.Tool("gtmon")
 
 func main() {
 	var (
@@ -35,18 +38,16 @@ func main() {
 		once = flag.Bool("once", false, "ingest the file once, print /metrics text to stdout, exit")
 		poll = flag.Duration("poll", 200*time.Millisecond, "tail poll interval")
 	)
-	flag.Parse()
+	tool.Parse()
 	if *in == "" {
-		fatal(fmt.Errorf("-in is required"))
+		tool.Check(cli.Usagef("-in is required"))
 	}
 
 	mon := obs.NewMonitor()
 
 	if *once {
 		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
+		tool.Check(err)
 		defer f.Close()
 		sc := bufio.NewScanner(f)
 		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -55,18 +56,12 @@ func main() {
 			// stream may legitimately end mid-line.
 			_ = mon.Ingest(sc.Bytes())
 		}
-		if err := sc.Err(); err != nil {
-			fatal(err)
-		}
+		tool.Check(sc.Err())
 		fmt.Print(mon.PrometheusText())
 		return
 	}
 
-	go func() {
-		if err := http.ListenAndServe(*addr, mon.Handler()); err != nil {
-			fatal(err)
-		}
-	}()
+	go func() { tool.Check(http.ListenAndServe(*addr, mon.Handler())) }()
 	fmt.Fprintf(os.Stderr, "gtmon: serving /metrics /phases on %s, tailing %s\n", *addr, *in)
 	tail(mon, *in, *poll)
 }
@@ -97,12 +92,7 @@ func tail(mon *obs.Monitor, path string, poll time.Duration) {
 		case io.EOF:
 			time.Sleep(poll)
 		default:
-			fatal(err)
+			tool.Check(err)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gtmon:", err)
-	os.Exit(1)
 }

@@ -8,6 +8,21 @@
 //	gtrun -workload camel -variant ghost -fault seed=7,preempt=20000,plen=4000
 //	gtrun -workload camel -variant ghost -govern -window 20000
 //
+// Four mode flags replace the run, and at most one may be given:
+//
+//	gtrun -list                                      # workload names
+//	gtrun -workload bfs.kron -scale profile -profile # profile + heuristic decision
+//	gtrun -workload camel -variant ghost -dump       # main + helpers as assembly
+//	gtrun -asm prog.s [-interp] [-mem N]             # assemble and run a file
+//
+// -profile is the reproduction's OptiWISE stand-in: it profiles the
+// workload's baseline and prints per-instruction CPI, loop metrics, the
+// target loads the Ghost Threading heuristic selects (paper §4.1) and
+// its ghost / smt-openmp / none decision. -dump prints programs in the
+// textual assembly format (isa.Dump), which round-trips through -asm:
+// the first program is the main, the rest are helpers, and -interp runs
+// them on the functional interpreter instead of the simulated machine.
+//
 // -govern runs the variant under the adaptive governor (internal/gov):
 // windowed telemetry feeds the per-core controller, which may kill a
 // ghost that stops earning its keep and respawn it at phase boundaries.
@@ -23,62 +38,75 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
+	"ghostthread/internal/cli"
+	"ghostthread/internal/core"
 	"ghostthread/internal/fault"
 	"ghostthread/internal/gov"
+	"ghostthread/internal/isa"
+	"ghostthread/internal/mem"
 	"ghostthread/internal/obs"
+	"ghostthread/internal/profile"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/workloads"
 )
+
+const tool = cli.Tool("gtrun")
 
 func main() {
 	var (
 		workload  = flag.String("workload", "camel", "workload name (see -list)")
 		variant   = flag.String("variant", "baseline", "baseline | swpf | smt-openmp | ghost")
-		scale     = flag.String("scale", "eval", "eval | profile")
+		scale     = cli.Scale(flag.CommandLine, workloads.ScaleEval, "workload input scale: eval | profile")
 		busy      = flag.Bool("busy", false, "add busy-server memory bandwidth pressure")
 		faultArg  = flag.String("fault", "", "fault-injection spec, e.g. seed=1,preempt=20000,plen=4000 ('off' or empty = none)")
-		window    = flag.Int64("window", 0, "emit a windowed-telemetry sample every N cycles (0 = off; enables sync tracing)")
+		window    = cli.Int(flag.CommandLine, "window", 0, 0, "emit a windowed-telemetry sample every N cycles (0 = off; enables sync tracing)")
 		windowOut = flag.String("window-out", "-", "write telemetry NDJSON here ('-' = stdout)")
 		govern    = flag.Bool("govern", false, "run under the adaptive governor (implies -window 20000 when -window is unset)")
-		list      = flag.Bool("list", false, "list available workloads and exit")
+		list      = flag.Bool("list", false, "mode: list available workloads")
+		prof      = flag.Bool("profile", false, "mode: profile the baseline and print the heuristic's target selection and decision")
+		dump      = flag.Bool("dump", false, "mode: print the variant's main and helper programs as assembly")
+		asmFile   = flag.String("asm", "", "mode: assemble this file (main program first, then helpers) and run it")
+		interp    = flag.Bool("interp", false, "with -asm: run on the functional interpreter instead of the simulated machine")
+		memWords  = cli.Int(flag.CommandLine, "mem", 1<<20, 1, "with -asm: memory size in words")
 	)
-	flag.Parse()
+	tool.Parse()
+	mode, err := cli.OneMode(map[string]bool{"list": *list, "profile": *prof, "dump": *dump, "asm": *asmFile != ""})
+	tool.Check(err)
+	if mode != "" && (*window > 0 || *govern) {
+		tool.Check(cli.Usagef("-window and -govern apply to a simulation run, not to -%s", mode))
+	}
+	if *interp && mode != "asm" {
+		tool.Check(cli.Usagef("-interp needs -asm"))
+	}
+	cfg := sim.DefaultConfig()
+	if *busy {
+		cfg = sim.BusyConfig()
+	}
+	if cfg.Fault, err = fault.ParseSpec(*faultArg); err != nil {
+		tool.Check(cli.Usagef("-fault: %v", err))
+	}
 
-	// Flag validation happens before any workload is built: a typo'd
-	// -scale must not silently run at eval scale, and like flag-parse
-	// errors it exits 2 (distinct from a failed run's 1).
-	switch *scale {
-	case "eval", "profile":
-	default:
-		usage(fmt.Errorf("unknown -scale %q (want eval or profile)", *scale))
-	}
-	if *window < 0 {
-		usage(fmt.Errorf("-window must be non-negative, got %d", *window))
-	}
-	if *govern && *window == 0 {
-		*window = 20000
-	}
-
-	if *list {
+	switch mode {
+	case "list":
 		fmt.Println(strings.Join(workloads.Names(), "\n"))
+		return
+	case "asm":
+		tool.Check(runAsm(cfg, *asmFile, *memWords, *interp))
 		return
 	}
 
-	build, err := workloads.Lookup(*workload)
-	if err != nil {
-		fatal(err)
+	build, err := cli.Lookup(*workload, *variant)
+	tool.Check(err)
+	if *govern && *window == 0 {
+		*window = 20000
 	}
 	opts := workloads.DefaultOptions()
-	if *scale == "profile" {
-		opts = workloads.ProfileOptions()
-	}
+	opts.Scale = *scale
 	if *window > 0 {
 		// The ghost publishes its iteration counter only under sync
 		// tracing; the lead series needs it. (This changes the ghost
@@ -86,52 +114,35 @@ func main() {
 		opts.Sync.Trace = true
 	}
 	inst := build(opts)
-	v := inst.VariantByName(*variant)
-	if v == nil {
-		fatal(fmt.Errorf("workload %s has no %q variant", inst.Name, *variant))
+	if mode == "profile" {
+		tool.Check(profileBaseline(cfg, inst))
+		return
+	}
+	v, err := cli.Variant(inst, *variant)
+	tool.Check(err)
+	if mode == "dump" {
+		fmt.Print(isa.Dump(v.Main))
+		for _, h := range v.Helpers {
+			fmt.Println()
+			fmt.Print(isa.Dump(h))
+		}
+		return
 	}
 
-	cfg := sim.DefaultConfig()
-	if *busy {
-		cfg = sim.BusyConfig()
-	}
-	fc, err := fault.ParseSpec(*faultArg)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Fault = fc
 	if *window > 0 {
-		var w io.Writer = os.Stdout
-		if *windowOut != "-" {
-			f, err := os.Create(*windowOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		// Unbuffered line-at-a-time writes: every flushed window is on
-		// disk before the next one runs, so a crash loses at most the
-		// in-progress window (resilience-ledger style).
-		enc := json.NewEncoder(w)
+		emit, done := tool.NDJSON(*windowOut)
+		defer done()
 		cfg.Telemetry.WindowCycles = *window
 		cfg.Telemetry.GhostCounterAddr = inst.Counters.GhostAddr
-		cfg.Telemetry.Sink = func(ws obs.WindowSample) {
-			if err := enc.Encode(ws); err != nil {
-				fatal(err)
-			}
-		}
+		cfg.Telemetry.Sink = func(ws obs.WindowSample) { emit(ws) }
 	}
 	if *govern {
 		g := gov.Default()
 		g.MainCounterAddr = inst.Counters.MainAddr
-		cfg.Telemetry.GhostCounterAddr = inst.Counters.GhostAddr
 		cfg.Governor = g
 	}
 	res, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers)
-	if err != nil {
-		fatal(err)
-	}
+	tool.Check(err)
 	status := "ok"
 	if err := inst.Check(inst.Mem); err != nil {
 		status = "FAILED: " + err.Error()
@@ -183,15 +194,53 @@ func main() {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gtrun:", err)
-	os.Exit(1)
+// profileBaseline profiles inst's baseline and prints the report, the
+// heuristic's target selection and the ghost / smt-openmp / none
+// decision.
+func profileBaseline(cfg sim.Config, inst *workloads.Instance) error {
+	rep, err := profile.Run(cfg, inst.Mem, inst.Baseline.Main, nil)
+	if err != nil {
+		return err
+	}
+	if err := inst.Check(inst.Mem); err != nil {
+		return fmt.Errorf("profiling run corrupted results: %w", err)
+	}
+	fmt.Print(rep.String())
+	targets := core.SelectTargets(rep, core.DefaultHeuristicParams())
+	fmt.Println("heuristic selection:")
+	fmt.Print(core.DescribeTargets(rep, targets))
+	fmt.Printf("decision: %s\n", core.Decide(targets, inst.Ghost != nil, inst.Parallel != nil))
+	return nil
 }
 
-// usage reports a flag-validation error with the flag package's own
-// exit code (2), keeping "you typed the wrong thing" distinct from "the
-// run failed" (1).
-func usage(err error) {
-	fmt.Fprintln(os.Stderr, "gtrun:", err)
-	os.Exit(2)
+// runAsm assembles path and runs it on memWords words of zeroed memory,
+// on the simulated machine or, with interp, the functional interpreter.
+func runAsm(cfg sim.Config, path string, memWords int64, interp bool) error {
+	text, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	progs, err := isa.ParseAll(string(text))
+	if err != nil {
+		return err
+	}
+	m := mem.New(memWords)
+	main, helpers := progs[0], progs[1:]
+	if interp {
+		res, err := isa.Interp(main, m, helpers, 1<<40)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("steps=%d serializes=%d prefetches=%d halted=%v\n",
+			res.Steps, res.Serializes, res.Prefetches, res.Halted)
+		return nil
+	}
+	res, err := sim.RunProgram(cfg, m, main, helpers)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("cycles=%d committed=%d ipc=%.2f serializes=%d prefetches=%d\n",
+		res.Cycles, res.Committed, float64(res.Committed)/float64(res.Cycles),
+		res.Serializes, res.Prefetches)
+	return nil
 }

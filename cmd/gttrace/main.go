@@ -20,69 +20,51 @@ import (
 	"os"
 	"strings"
 
+	"ghostthread/internal/cli"
 	"ghostthread/internal/cpu"
 	"ghostthread/internal/obs"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/workloads"
 )
 
+const tool = cli.Tool("gttrace")
+
 func main() {
 	var (
 		workload = flag.String("workload", "camel", "workload name")
 		variant  = flag.String("variant", "ghost", "variant to trace (baseline | swpf | smt-openmp | ghost)")
-		scale    = flag.String("scale", "profile", "input scale: eval | profile")
-		rows     = flag.Int("rows", 60, "timeline rows to print")
+		scale    = cli.Scale(flag.CommandLine, workloads.ScaleProfile, "workload input scale: eval | profile")
+		rows     = cli.Int(flag.CommandLine, "rows", 60, 1, "timeline rows to print")
 		csv      = flag.Bool("csv", false, "emit sample CSV instead of the timeline")
 		chrome   = flag.String("chrome", "", "write Chrome trace-event JSON to this file")
 		folded   = flag.String("folded", "", "write folded stacks (main-thread stall cycles per pc) to this file")
-		bufSize  = flag.Int("buf", obs.DefaultCapacity, "trace ring-buffer capacity in events")
-		window   = flag.Int64("window", 5000, "telemetry window in cycles: the timeline's sampling period and, with -chrome, the counter-track period (must be > 0)")
+		bufSize  = cli.Int(flag.CommandLine, "buf", obs.DefaultCapacity, 1, "trace ring-buffer capacity in events")
+		window   = cli.Int(flag.CommandLine, "window", 5000, 1, "telemetry window in cycles: the timeline's sampling period and, with -chrome, the counter-track period")
 		validate = flag.String("validate", "", "validate an existing Chrome trace JSON file and exit")
 	)
-	flag.Parse()
+	tool.Parse()
 
 	// Standalone validation mode: no workload is built or run.
 	if *validate != "" {
 		data, err := os.ReadFile(*validate)
-		fatalIf(err)
-		fatalIf(obs.ValidateChrome(data))
+		tool.Check(err)
+		tool.Check(obs.ValidateChrome(data))
 		fmt.Printf("%s: valid Chrome trace JSON\n", *validate)
 		return
 	}
 
-	// Flag validation up front, before any workload construction: bad
-	// values exit with a usage message rather than a panic (division by a
-	// zero period) or a silently empty timeline.
-	if *window <= 0 {
-		usageError(fmt.Sprintf("-window must be positive, got %d", *window))
-	}
-	if !knownVariant(*variant) {
-		usageError(fmt.Sprintf("unknown -variant %q (want one of %s)",
-			*variant, strings.Join(workloads.VariantNames, " | ")))
-	}
-	if *scale != "eval" && *scale != "profile" {
-		usageError(fmt.Sprintf("unknown -scale %q (want eval | profile)", *scale))
-	}
-	if *bufSize <= 0 {
-		usageError(fmt.Sprintf("-buf must be positive, got %d", *bufSize))
-	}
-
-	build, err := workloads.Lookup(*workload)
-	fatalIf(err)
-	opts := workloads.ProfileOptions()
-	if *scale == "eval" {
-		opts = workloads.DefaultOptions()
-	}
+	build, err := cli.Lookup(*workload, *variant)
+	tool.Check(err)
+	opts := workloads.DefaultOptions()
+	opts.Scale = *scale
 	if *chrome != "" {
 		// The counter tracks' ghost lead needs the ghost's published
 		// counter word.
 		opts.Sync.Trace = true
 	}
 	inst := build(opts)
-	v := inst.VariantByName(*variant)
-	if v == nil {
-		fatalIf(fmt.Errorf("workload %s has no %q variant", *workload, *variant))
-	}
+	v, err := cli.Variant(inst, *variant)
+	tool.Check(err)
 
 	// Drive the run through sim.Run so tracing rides the same event-skip
 	// fast path every other tool uses; windows flush on the exact
@@ -106,13 +88,13 @@ func main() {
 
 	var rec *obs.Recorder
 	if *chrome != "" {
-		rec = obs.NewRecorder(*bufSize)
+		rec = obs.NewRecorder(int(*bufSize))
 		s.SetTrace(0, rec)
 	}
 	res, err := s.Run()
-	fatalIf(err)
+	tool.Check(err)
 	if err := inst.CheckFor(*variant)(inst.Mem); err != nil {
-		fatalIf(fmt.Errorf("result check: %w", err))
+		tool.Check(fmt.Errorf("result check: %w", err))
 	}
 
 	if *chrome != "" {
@@ -121,7 +103,7 @@ func main() {
 	if *folded != "" {
 		stall, _ := core0.PCProfile(0)
 		out := obs.FoldedStacks(v.Main, stall)
-		fatalIf(os.WriteFile(*folded, []byte(out), 0o644))
+		tool.Check(os.WriteFile(*folded, []byte(out), 0o644))
 		fmt.Printf("folded stacks (main-thread stall cycles) written to %s\n", *folded)
 	}
 
@@ -141,7 +123,7 @@ func main() {
 	fmt.Printf("pipeline timeline of %s/%s (sampled every %d cycles; %d samples)\n",
 		inst.Name, *variant, *window, len(samples))
 	fmt.Println("         cycle  ROB main (#) / ghost (+)                       MSHR  ser")
-	step := len(samples) / *rows
+	step := len(samples) / int(*rows)
 	if step < 1 {
 		step = 1
 	}
@@ -169,9 +151,9 @@ func main() {
 func writeChrome(path string, rec *obs.Recorder, windows []obs.WindowSample, core0 *cpu.Core, workload, variant string) {
 	events := rec.Events()
 	data, err := obs.ChromeTraceWindows(events, windows, workload+"/"+variant)
-	fatalIf(err)
-	fatalIf(obs.ValidateChrome(data))
-	fatalIf(os.WriteFile(path, data, 0o644))
+	tool.Check(err)
+	tool.Check(obs.ValidateChrome(data))
+	tool.Check(os.WriteFile(path, data, 0o644))
 
 	var spanSum int64
 	for _, e := range events {
@@ -187,29 +169,6 @@ func writeChrome(path string, rec *obs.Recorder, windows []obs.WindowSample, cor
 	fmt.Printf(")\nserialize-throttle spans sum to %d cycles (SerializeStall counter: %d)\n",
 		spanSum, stall)
 	if rec.Dropped() == 0 && spanSum != stall {
-		fatalIf(fmt.Errorf("span sum %d != SerializeStall %d", spanSum, stall))
-	}
-}
-
-func knownVariant(name string) bool {
-	for _, v := range workloads.VariantNames {
-		if v == name {
-			return true
-		}
-	}
-	return false
-}
-
-func usageError(msg string) {
-	fmt.Fprintln(os.Stderr, "gttrace:", msg)
-	fmt.Fprintln(os.Stderr, "usage:")
-	flag.PrintDefaults()
-	os.Exit(2)
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gttrace:", err)
-		os.Exit(1)
+		tool.Check(fmt.Errorf("span sum %d != SerializeStall %d", spanSum, stall))
 	}
 }

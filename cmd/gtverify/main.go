@@ -19,61 +19,43 @@
 //	   zero divergent prefetches)
 //	1  at least one UNPROVED verdict or shadow divergence, or an
 //	   internal failure
-//	2  usage error (no mode selected, unknown flag)
+//	2  usage error (no workload selected, unknown workload or flag)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"ghostthread/internal/analysis"
-	"ghostthread/internal/harness"
+	"ghostthread/internal/cli"
 	"ghostthread/internal/lint"
 	"ghostthread/internal/workloads"
 )
+
+const tool = cli.Tool("gtverify")
 
 func main() {
 	var (
 		all      = flag.Bool("all", false, "verify every registered workload")
 		workload = flag.String("workload", "", "verify a comma-separated list of workloads")
-		eval     = flag.Bool("eval-scale", false, "verify evaluation-scale instances instead of profile-scale")
+		scale    = cli.Scale(flag.CommandLine, workloads.ScaleProfile, "workload input scale: eval | profile")
 		asJSON   = flag.Bool("json", false, "emit a JSON verdict array on stdout instead of the table")
 		shadow   = flag.Bool("shadow", false, "also run each ghost under the dynamic shadow oracle (both stepping modes)")
-		buffer   = flag.Int("shadow-buffer", 0, "shadow oracle pending-prefetch buffer (0 = default)")
-		profDir  = flag.String("profile-cache", "", "on-disk profiling-report cache directory, shared with ghostbench (verification is static — and -shadow runs full simulations, not profiles — so today this only primes the harness cache configuration)")
 	)
-	flag.Parse()
-	if err := harness.SetProfileCacheDir(*profDir); err != nil {
-		fatal(err)
-	}
+	tool.Parse()
+	names, err := cli.Workloads(*all, *workload)
+	tool.Check(err)
 
-	opts := lint.VerifyOptions{Shadow: *shadow, ShadowBuffer: *buffer}
-	if *eval {
-		opts.Scale = workloads.ScaleEval
-	}
-
+	opts := lint.VerifyOptions{Scale: *scale, Shadow: *shadow}
 	var verdicts []*lint.WorkloadVerdict
-	switch {
-	case *all:
-		var err error
-		verdicts, err = lint.VerifyAll(opts)
+	for _, name := range names {
+		wv, err := lint.Verify(name, opts)
 		if err != nil {
-			fatal(err)
+			tool.Check(fmt.Errorf("verify: %s: %w", name, err))
 		}
-	case *workload != "":
-		for _, name := range strings.Split(*workload, ",") {
-			wv, err := lint.Verify(strings.TrimSpace(name), opts)
-			if err != nil {
-				fatal(err)
-			}
-			verdicts = append(verdicts, wv)
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
+		verdicts = append(verdicts, wv)
 	}
 
 	bad := false
@@ -87,11 +69,7 @@ func main() {
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(verdicts); err != nil {
-			fatal(err)
-		}
+		tool.Check(cli.JSON(verdicts))
 	} else {
 		printTable(verdicts, *shadow)
 	}
@@ -183,9 +161,4 @@ func contains(ss []string, s string) bool {
 		}
 	}
 	return false
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gtverify:", err)
-	os.Exit(1)
 }

@@ -24,16 +24,10 @@ type HeuristicParams struct {
 // simulator and IR. The paper's numbers (CPI > 21, size > 10) were tuned
 // on an i7-12700 running x86-64; our IR is denser than x86 (no iterator
 // or addressing redundancy) and the simulated DRAM latency is lower, so
-// the equivalent cutoffs sit proportionally lower. PaperHeuristicParams
-// preserves the original values.
+// the equivalent cutoffs sit proportionally lower. The coverage cutoffs
+// are the paper's own.
 func DefaultHeuristicParams() HeuristicParams {
 	return HeuristicParams{MinCPI: 7, MinLoopSize: 7.5, MinTaskCoverage: 0.15, MinFuncCoverage: 0.80}
-}
-
-// PaperHeuristicParams returns the paper's original thresholds (§4.1),
-// for reference and for sensitivity studies.
-func PaperHeuristicParams() HeuristicParams {
-	return HeuristicParams{MinCPI: 21, MinLoopSize: 10, MinTaskCoverage: 0.15, MinFuncCoverage: 0.80}
 }
 
 // Target is a load selected for Ghost Threading prefetching.
@@ -140,7 +134,7 @@ func Decide(targets []Target, hasGhost, hasParallel bool) Decision {
 	return UseBaseline
 }
 
-// DescribeTargets renders the selection for logs and the gtprof tool.
+// DescribeTargets renders the selection for logs and gtrun -profile.
 func DescribeTargets(r *profile.Report, ts []Target) string {
 	if len(ts) == 0 {
 		return "no target loads selected"

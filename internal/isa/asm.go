@@ -94,8 +94,8 @@ var opByName = func() map[string]Op {
 }()
 
 // ParseAll reads a text containing several concatenated Dump outputs and
-// returns the programs in order (the gtasm file format: main first, then
-// helpers).
+// returns the programs in order (the gtrun -asm file format: main first,
+// then helpers).
 func ParseAll(text string) ([]*Program, error) {
 	var progs []*Program
 	for _, chunk := range strings.Split(text, ".program ") {

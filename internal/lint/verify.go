@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"sort"
 
 	"ghostthread/internal/analysis"
 	"ghostthread/internal/cpu"
@@ -52,9 +51,6 @@ type VerifyOptions struct {
 	// oracle enabled, in both stepping modes, and reports the
 	// confirmed/divergent/orphaned prefetch counts.
 	Shadow bool
-	// ShadowBuffer overrides the shadow oracle's pending-prefetch buffer
-	// (0 = cpu.DefaultShadowBuffer).
-	ShadowBuffer int
 }
 
 // Verify runs translation validation over every ghost helper of one
@@ -86,7 +82,7 @@ func Verify(name string, opts VerifyOptions) (*WorkloadVerdict, error) {
 		wv.Helpers = append(wv.Helpers, hv)
 	}
 	if opts.Shadow {
-		sh, err := shadowRun(build, wopts, opts.ShadowBuffer)
+		sh, err := shadowRun(build, wopts)
 		if err != nil {
 			return nil, fmt.Errorf("shadow run: %w", err)
 		}
@@ -97,13 +93,13 @@ func Verify(name string, opts VerifyOptions) (*WorkloadVerdict, error) {
 
 // shadowRun executes the ghost variant with the shadow oracle enabled in
 // both stepping modes and summarises the prefetch cross-check.
-func shadowRun(build workloads.Builder, wopts workloads.Options, buffer int) (*ShadowSummary, error) {
+func shadowRun(build workloads.Builder, wopts workloads.Options) (*ShadowSummary, error) {
 	run := func(cycleStep bool) (sim.Result, error) {
 		inst := build(wopts)
 		v := inst.Ghost
 		cfg := sim.DefaultConfig()
 		cfg.CycleStep = cycleStep
-		cfg.Shadow = sim.ShadowConfig{Enabled: true, Buffer: buffer}
+		cfg.Shadow = sim.ShadowConfig{Enabled: true}
 		res, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers)
 		if err != nil {
 			return res, err
@@ -128,18 +124,4 @@ func shadowRun(build workloads.Builder, wopts workloads.Options, buffer int) (*S
 		Opt:   opt.Shadow,
 		Agree: ref.Shadow.Divergent == 0 && opt.Shadow.Divergent == 0,
 	}, nil
-}
-
-// VerifyAll verifies every registered workload, in name order.
-func VerifyAll(opts VerifyOptions) ([]*WorkloadVerdict, error) {
-	var out []*WorkloadVerdict
-	for _, e := range workloads.Entries() {
-		wv, err := Verify(e.Name, opts)
-		if err != nil {
-			return nil, fmt.Errorf("verify: %s: %w", e.Name, err)
-		}
-		out = append(out, wv)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Workload < out[j].Workload })
-	return out, nil
 }

@@ -145,7 +145,7 @@ func (r *Report) CoverageFunc(pc int) float64 {
 }
 
 // HotLoads returns instruction PCs of loads sorted by stall cycles,
-// hottest first (the gtprof tool's headline list).
+// hottest first (the headline list of gtrun -profile).
 func (r *Report) HotLoads() []int {
 	var pcs []int
 	for pc := range r.Instrs {
@@ -159,7 +159,7 @@ func (r *Report) HotLoads() []int {
 	return pcs
 }
 
-// String renders a human-readable profile (the gtprof output).
+// String renders a human-readable profile (the gtrun -profile output).
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "profile of %s: %d cycles, %d attributed stall cycles\n",

@@ -26,6 +26,17 @@ func (s Scale) String() string {
 	return "profile"
 }
 
+// ParseScale is the inverse of String.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "profile":
+		return ScaleProfile, nil
+	case "eval":
+		return ScaleEval, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want eval | profile)", s)
+}
+
 // Options configures workload construction.
 type Options struct {
 	Scale Scale
