@@ -66,6 +66,7 @@ type ResilienceRow struct {
 	Faults         fault.Stats `json:"faults"`
 	CheckOK        bool        `json:"check_ok"`
 	TimedOut       bool        `json:"timed_out,omitempty"`
+	BadConfig      bool        `json:"bad_config,omitempty"`
 	Err            string      `json:"error,omitempty"`
 }
 
@@ -244,8 +245,7 @@ func resilienceTask(name string, cfg sim.Config, levels []ResilienceLevel, build
 
 		base, err := runOne("baseline")
 		if err != nil {
-			row.Err = "baseline: " + err.Error()
-			row.TimedOut = isBudget(err)
+			row.fail("baseline: ", err)
 			rows = append(rows, row)
 			emit(row)
 			continue
@@ -255,8 +255,7 @@ func resilienceTask(name string, cfg sim.Config, levels []ResilienceLevel, build
 		res, err := runOne("ghost")
 		switch {
 		case err != nil:
-			row.Err = err.Error()
-			row.TimedOut = isBudget(err)
+			row.fail("", err)
 		default:
 			row.GhostCycles = res.Cycles
 			row.Speedup = float64(base.Cycles) / float64(res.Cycles)
@@ -269,11 +268,14 @@ func resilienceTask(name string, cfg sim.Config, levels []ResilienceLevel, build
 	return rows
 }
 
-// isBudget reports whether err is (or wraps) the typed cycle-budget
-// timeout.
-func isBudget(err error) bool {
+// fail records a failed run on the row, typed when err is (or wraps) a
+// cycle-budget timeout or an invalid machine configuration.
+func (r *ResilienceRow) fail(prefix string, err error) {
+	r.Err = prefix + err.Error()
 	var be *sim.BudgetError
-	return errors.As(err, &be)
+	r.TimedOut = errors.As(err, &be)
+	var ce *sim.ConfigError
+	r.BadConfig = errors.As(err, &ce)
 }
 
 // RenderResilience renders the sweep as a table, one row per
@@ -288,6 +290,8 @@ func RenderResilience(rows []ResilienceRow) string {
 		switch {
 		case r.TimedOut:
 			status = "TIMEOUT"
+		case r.BadConfig:
+			status = "BAD CONFIG: " + firstLine(r.Err)
 		case r.Err != "":
 			// Keep the table single-line; the full error (stack included
 			// for panics) is in the JSON output.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ghostthread/internal/fault"
+	"ghostthread/internal/gov"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/workloads"
 )
@@ -138,6 +139,35 @@ func TestResilienceCycleBudget(t *testing.T) {
 	}
 	if r.CheckOK {
 		t.Error("timed-out row claims CheckOK")
+	}
+}
+
+// TestResilienceBadConfig: a machine config the simulator rejects (here
+// a governor without the telemetry it reads) lands as a typed error row,
+// not a panic, and renders as such.
+func TestResilienceBadConfig(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Governor = gov.Default()
+	rows, err := Resilience([]string{"camel"}, cfg, ResilienceOptions{
+		Levels:    shortLadder()[:1],
+		Workers:   1,
+		BuildOpts: workloads.ProfileOptions(),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows, want 1", len(rows))
+	}
+	r := rows[0]
+	if !r.BadConfig || r.TimedOut || r.CheckOK {
+		t.Errorf("bad-config row = %+v, want BadConfig only", r)
+	}
+	if !strings.Contains(r.Err, "requires telemetry") {
+		t.Errorf("bad-config row error = %q, want the ConfigError text", r.Err)
+	}
+	if out := RenderResilience(rows); !strings.Contains(out, "BAD CONFIG") {
+		t.Errorf("table does not flag the bad config:\n%s", out)
 	}
 }
 

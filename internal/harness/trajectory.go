@@ -6,9 +6,10 @@ package harness
 // carries forward the accumulated `trajectory` array from the previous
 // file and appends one entry per run: the git SHA it measured plus the
 // run's simulated-cycles-per-second. CI greps the ledger and fails when
-// throughput drops more than a threshold below the previous entry, so a
-// simulator-speed regression is caught in tier-1, at the commit that
-// introduced it.
+// throughput drops more than a threshold below the latest earlier entry
+// from the same host, so a simulator-speed regression is caught in
+// tier-1, at the commit that introduced it, and a move to a slower
+// machine is not.
 
 import (
 	"encoding/json"
@@ -17,8 +18,9 @@ import (
 
 // TrajEntry is one point of the perf history: which commit was measured,
 // what end-to-end throughput it delivered on the bench-smoke slice, and
-// the host it was measured on (a 2× "regression" that is really a move
-// from a fast machine to a slow one should be readable as such).
+// the host it was measured on: toolchain, scheduler width, harness
+// worker count and CPU model. Only entries that agree on all four are
+// compared (see sameHost).
 type TrajEntry struct {
 	GitSHA          string  `json:"git_sha"`
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
@@ -26,7 +28,16 @@ type TrajEntry struct {
 	SimulatedCycles int64   `json:"simulated_cycles,omitempty"`
 	GoVersion       string  `json:"go_version,omitempty"`
 	GoMaxProcs      int     `json:"gomaxprocs,omitempty"`
+	Workers         int     `json:"workers,omitempty"`
 	CPUModel        string  `json:"cpu_model,omitempty"`
+}
+
+// sameHost reports whether e and o were measured on the same host
+// (same Go version, GOMAXPROCS, worker count and CPU model), which is
+// what makes their throughputs comparable.
+func (e TrajEntry) sameHost(o TrajEntry) bool {
+	return e.GoVersion == o.GoVersion && e.GoMaxProcs == o.GoMaxProcs &&
+		e.Workers == o.Workers && e.CPUModel == o.CPUModel
 }
 
 // matrixSummary is the slice of the matrix JSON the trajectory needs.
@@ -34,6 +45,7 @@ type matrixSummary struct {
 	WallSeconds     float64 `json:"wall_seconds"`
 	SimulatedCycles int64   `json:"simulated_cycles"`
 	CyclesPerSec    float64 `json:"sim_cycles_per_sec"`
+	Workers         int     `json:"workers"`
 }
 
 // AppendTrajectory merges a freshly generated matrix JSON (fresh) with
@@ -80,6 +92,7 @@ func AppendTrajectory(fresh, prev []byte, sha string) ([]byte, []TrajEntry, erro
 		SimCyclesPerSec: sum.CyclesPerSec,
 		WallSeconds:     sum.WallSeconds,
 		SimulatedCycles: sum.SimulatedCycles,
+		Workers:         sum.Workers,
 	}
 	entry.GoVersion, entry.GoMaxProcs, entry.CPUModel = hostMeta()
 	history = append(history, entry)
@@ -101,14 +114,28 @@ func AppendTrajectory(fresh, prev []byte, sha string) ([]byte, []TrajEntry, erro
 	return append(out, '\n'), history, nil
 }
 
+// TrajectoryBaseline returns the entry the newest one is judged
+// against: the latest earlier entry from the same host. ok is false when
+// the history has no such entry.
+func TrajectoryBaseline(history []TrajEntry) (base TrajEntry, ok bool) {
+	for i := len(history) - 2; i >= 0; i-- {
+		if history[i].sameHost(history[len(history)-1]) {
+			return history[i], true
+		}
+	}
+	return TrajEntry{}, false
+}
+
 // CheckTrajectory enforces the regression gate: the newest entry must
-// not fall more than maxDrop (a fraction, e.g. 0.30) below the entry
-// before it. Single-entry histories pass vacuously.
+// not fall more than maxDrop (a fraction, e.g. 0.30) below its
+// TrajectoryBaseline. Histories with no same-host baseline pass
+// vacuously.
 func CheckTrajectory(history []TrajEntry, maxDrop float64) error {
-	if len(history) < 2 {
+	prevE, ok := TrajectoryBaseline(history)
+	if !ok {
 		return nil
 	}
-	last, prevE := history[len(history)-1], history[len(history)-2]
+	last := history[len(history)-1]
 	floor := prevE.SimCyclesPerSec * (1 - maxDrop)
 	if last.SimCyclesPerSec < floor {
 		return fmt.Errorf("harness: trajectory: throughput regression: %s delivers %.3gM sim-cycles/s, more than %.0f%% below %s's %.3gM (floor %.3gM)",

@@ -101,6 +101,66 @@ func TestTrajectoryCheck(t *testing.T) {
 	}
 }
 
+// TestTrajectoryCheckMixedHosts: the gate compares the newest entry with
+// the latest earlier entry from the same host, skipping entries measured
+// elsewhere, even when they are newer.
+func TestTrajectoryCheckMixedHosts(t *testing.T) {
+	here := TrajEntry{GoVersion: "go1.24.0", GoMaxProcs: 2, Workers: 1, CPUModel: "Xeon"}
+	at := func(sha string, cps float64, host TrajEntry) TrajEntry {
+		host.GitSHA, host.SimCyclesPerSec = sha, cps
+		return host
+	}
+	fast := here
+	fast.CPUModel = "EPYC"
+	wide := here
+	wide.Workers = 4
+	hist := []TrajEntry{
+		at("a", 10e6, here),
+		at("b", 30e6, fast),
+		at("c", 25e6, wide),
+		at("d", 9e6, here),
+	}
+	if base, ok := TrajectoryBaseline(hist); !ok || base.GitSHA != "a" {
+		t.Fatalf("baseline = %+v (ok=%v), want entry a", base, ok)
+	}
+	if err := CheckTrajectory(hist, 0.30); err != nil {
+		t.Errorf("10%% drop on the same host must pass despite faster foreign entries: %v", err)
+	}
+	hist[len(hist)-1].SimCyclesPerSec = 6e6
+	if err := CheckTrajectory(hist, 0.30); err == nil {
+		t.Error("40% drop against the same-host entry must fail")
+	}
+}
+
+// TestTrajectoryCheckNoSameHost: with no earlier entry from the newest
+// entry's host there is nothing comparable, so the gate passes.
+func TestTrajectoryCheckNoSameHost(t *testing.T) {
+	hist := []TrajEntry{
+		{GitSHA: "(pre-ledger baseline)", SimCyclesPerSec: 40e6},
+		{GitSHA: "a", SimCyclesPerSec: 30e6, GoVersion: "go1.22", GoMaxProcs: 8, Workers: 8, CPUModel: "EPYC"},
+		{GitSHA: "b", SimCyclesPerSec: 5e6, GoVersion: "go1.24.0", GoMaxProcs: 2, Workers: 1, CPUModel: "Xeon"},
+	}
+	if base, ok := TrajectoryBaseline(hist); ok {
+		t.Fatalf("found baseline %+v on a foreign host", base)
+	}
+	if err := CheckTrajectory(hist, 0.30); err != nil {
+		t.Errorf("no same-host entry must pass: %v", err)
+	}
+}
+
+// TestTrajectoryRecordsWorkers: the fresh entry carries the matrix's
+// worker count, part of the host identity.
+func TestTrajectoryRecordsWorkers(t *testing.T) {
+	fresh, _ := json.Marshal(map[string]any{"sim_cycles_per_sec": 5e6, "workers": 3})
+	_, hist, err := AppendTrajectory(fresh, nil, "w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hist[0].Workers != 3 {
+		t.Errorf("entry workers = %d, want 3", hist[0].Workers)
+	}
+}
+
 func TestTrajectoryRejectsBadInput(t *testing.T) {
 	if _, _, err := AppendTrajectory([]byte("{"), nil, "x"); err == nil {
 		t.Error("malformed fresh JSON accepted")

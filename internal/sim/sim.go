@@ -6,8 +6,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ghostthread/internal/cache"
 	"ghostthread/internal/cpu"
@@ -142,6 +144,16 @@ type System struct {
 	finishAt []int64
 	now      int64
 
+	// next[i] is core i's cached NextEvent, taken right after its last
+	// Step (0 = step it on the next machine cycle). A core whose next[i]
+	// lies beyond the next machine cycle is lagging: its clock stays
+	// behind s.now until it is caught up (see Run).
+	next []int64
+
+	// err is a configuration problem New found; Run returns it before
+	// stepping anything.
+	err error
+
 	tele   *telemetry
 	gov    *gov.Governor
 	govLog []gov.Decision
@@ -163,7 +175,8 @@ type telemetry struct {
 	windowIdx int64
 }
 
-// New builds the machine over m.
+// New builds the machine over m. An invalid configuration does not
+// panic: New records a *ConfigError, which Run returns before stepping.
 func New(cfg Config, m *mem.Memory) *System {
 	if cfg.Cores < 1 {
 		cfg.Cores = 1
@@ -175,6 +188,7 @@ func New(cfg Config, m *mem.Memory) *System {
 		llc:      cache.New("LLC", cfg.LLC),
 		cores:    make([]*cpu.Core, cfg.Cores),
 		finishAt: make([]int64, cfg.Cores),
+		next:     make([]int64, cfg.Cores),
 	}
 	for i := range s.cores {
 		h := cache.NewHierarchy(cfg.Hier, s.llc, s.mc)
@@ -211,10 +225,12 @@ func New(cfg Config, m *mem.Memory) *System {
 	}
 	if cfg.Governor.Enabled {
 		if err := cfg.Governor.Validate(); err != nil {
-			panic(err)
+			s.err = &ConfigError{Err: err}
+			return s
 		}
 		if !cfg.Telemetry.Enabled() {
-			panic("sim: Governor requires Telemetry (the window stream is its input)")
+			s.err = &ConfigError{Err: errors.New("governor requires telemetry (the window stream is its input)")}
+			return s
 		}
 		s.gov = gov.New(cfg.Governor, cfg.Cores)
 		if cfg.Governor.MainCounterAddr > 0 {
@@ -247,6 +263,7 @@ func (s *System) Mem() *mem.Memory { return s.mem }
 func (s *System) Load(i int, main *isa.Program, helpers []*isa.Program) {
 	s.cores[i].Load(main, helpers)
 	s.finishAt[i] = -1
+	s.next[i] = 0
 }
 
 // SetTrace attaches an event recorder to core i (nil detaches). Cores
@@ -338,13 +355,34 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("sim: exceeded cycle budget of %d cycles", e.Limit)
 }
 
+// ConfigError reports an invalid machine configuration: a governor whose
+// own config fails validation, or a governor without the telemetry
+// stream it reads. New records it and Run returns it before stepping, so
+// a bad sweep cell becomes an error row instead of a panic.
+type ConfigError struct {
+	Err error
+}
+
+func (e *ConfigError) Error() string { return "sim: invalid config: " + e.Err.Error() }
+
+func (e *ConfigError) Unwrap() error { return e.Err }
+
 // Run simulates until every core is done, returning aggregate statistics.
-// Each stepped cycle steps the unfinished cores in index order, so the
-// shared LLC, memory controller and memory image see all of core 0's
-// accesses, then all of core 1's, and so on. Unless cfg.CycleStep is
-// set, it fast-forwards over spans in which no core can change state
-// (see skipAhead); the Result is bit-identical either way.
+// Each stepped machine cycle steps the unfinished cores that have work
+// in index order, so the shared LLC, memory controller and memory image
+// see all of core 0's accesses, then all of core 1's, and so on.
+//
+// Unless cfg.CycleStep is set, a core is stepped only once its cached
+// next event (next[i]) is due; in between it lags behind the machine
+// clock, which is safe because a core inside its NextEvent span
+// dispatches nothing and so touches no shared state. A lagging core is
+// caught up (SkipTo) just before its next Step and before every window
+// flush, and skipAhead jumps the machine clock over spans in which no
+// core has work. The Result is bit-identical either way.
 func (s *System) Run() (Result, error) {
+	if s.err != nil {
+		return Result{}, s.err
+	}
 	windowAt := s.cfg.Telemetry.WindowCycles
 	for {
 		allDone := true
@@ -356,16 +394,31 @@ func (s *System) Run() (Result, error) {
 				continue
 			}
 			allDone = false
+			if s.next[i] > s.now+1 {
+				continue
+			}
+			c.SkipTo(s.now)
 			c.Step()
+			if !s.cfg.CycleStep {
+				s.next[i] = c.NextEvent()
+			}
 		}
 		s.now++
 		if windowAt > 0 && s.now%windowAt == 0 {
+			s.catchUp()
 			s.flushWindows()
+			if !s.cfg.CycleStep {
+				// Governor decisions push wheel events at now+1.
+				for i, c := range s.cores {
+					s.next[i] = c.NextEvent()
+				}
+			}
 		}
 		if allDone {
 			break
 		}
 		if s.now >= s.cfg.MaxCycles {
+			s.catchUp()
 			return Result{}, &BudgetError{Limit: s.cfg.MaxCycles}
 		}
 		if !s.cfg.CycleStep {
@@ -375,14 +428,26 @@ func (s *System) Run() (Result, error) {
 	return s.collect()
 }
 
+// catchUp brings every lagging core's clock up to the machine clock, so
+// that core state read between stepped cycles (Stats, PCProfile, Sample,
+// a sink's reads) and events stamped at Now()+1 match the per-cycle loop.
+func (s *System) catchUp() {
+	for _, c := range s.cores {
+		if !c.Done() {
+			c.SkipTo(s.now)
+		}
+	}
+}
+
 // flushWindows closes the telemetry window ending at the current cycle:
 // for each core, in index order, it diffs the core's counters against
 // the previous flush's snapshot, drains the core's WindowRecorder, runs
 // the phase detector over the window's stall-attribution delta, and
 // emits one WindowSample. It runs only at window boundaries, which the
-// skipper is capped below, so the sample stream is bit-identical across
-// stepping modes and observation never perturbs the simulation (reads
-// only; the cores never see the aggregation state).
+// skipper is capped below, and only once every unfinished core has been
+// caught up to the boundary (catchUp), so the sample stream is
+// bit-identical across stepping modes and observation never perturbs the
+// simulation (reads only; the cores never see the aggregation state).
 //
 // When the governor is attached, the window's samples are staged, judged
 // (gov.Governor.Step annotates them with the decisions taken), and the
@@ -561,14 +626,13 @@ func (s *System) collect() (Result, error) {
 	return res, nil
 }
 
-// skipAhead advances the whole machine to just before the earliest cycle
-// at which any unfinished core can change state. Because every core is
-// quiescent over the span, no shared-LLC or memory-controller interaction
-// can occur either, so skipping is safe machine-wide; each core accrues
-// the skipped cycles' stall statistics via SkipTo. The target is capped
-// below the next telemetry window boundary (so windows flush on exactly
-// the per-cycle schedule) and below MaxCycles (so the runaway guard trips
-// at the same cycle as the reference loop).
+// skipAhead advances the machine clock to just before the earliest
+// cached next event across cores, min(next)-1. It moves no core: each
+// lagging core accrues its skipped cycles' stall statistics through
+// SkipTo when it is caught up. The target is capped below the next
+// telemetry window boundary (so windows flush on exactly the per-cycle
+// schedule) and below MaxCycles (so the runaway guard trips at the same
+// cycle as the reference loop).
 //
 // The memory controller needs no entry in the next-event computation: it
 // only acts when a core sends it an access, and its pressure schedule is
@@ -576,17 +640,9 @@ func (s *System) collect() (Result, error) {
 // skipping over a span changes nothing about which slots the background
 // traffic occupies.
 func (s *System) skipAhead() {
-	next := int64(math.MaxInt64)
-	for _, c := range s.cores {
-		if c.Done() {
-			continue
-		}
-		if ne := c.NextEvent(); ne < next {
-			next = ne
-		}
-	}
+	next := slices.Min(s.next)
 	if next == math.MaxInt64 {
-		return
+		return // every core is done
 	}
 	target := next - 1
 	if w := s.cfg.Telemetry.WindowCycles; w > 0 {
@@ -596,15 +652,9 @@ func (s *System) skipAhead() {
 		target = min(target, boundary-1)
 	}
 	target = min(target, s.cfg.MaxCycles-1)
-	if target <= s.now {
-		return
+	if target > s.now {
+		s.now = target
 	}
-	for _, c := range s.cores {
-		if !c.Done() {
-			c.SkipTo(target)
-		}
-	}
-	s.now = target
 }
 
 // RunProgram is the single-core convenience path: build a machine with

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"ghostthread/internal/gov"
 	"ghostthread/internal/isa"
 	"ghostthread/internal/mem"
 )
@@ -203,5 +206,39 @@ func TestBusyConfigRaisesLatency(t *testing.T) {
 	}
 	if busy.MemCtl.PressureLinesPerKCycle == 0 {
 		t.Error("busy server has no bandwidth pressure")
+	}
+}
+
+// TestBadConfigIsAnError: an invalid governor config and a governor
+// without telemetry must not panic in New; Run returns a *ConfigError
+// before stepping a single cycle.
+func TestBadConfigIsAnError(t *testing.T) {
+	badGov := DefaultConfig()
+	badGov.Telemetry.WindowCycles = 1000
+	badGov.Governor = gov.Default()
+	badGov.Governor.Retune = true // without its sync-word addresses
+	noTele := DefaultConfig()
+	noTele.Governor = gov.Default()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"invalid governor", badGov, "Retune requires"},
+		{"governor without telemetry", noTele, "requires telemetry"},
+	} {
+		s := New(tc.cfg, mem.New(1024))
+		s.Load(0, alu(10), nil)
+		_, err := s.Run()
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: Run returned %v, want a *ConfigError", tc.name, err)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		if now := s.Core(0).Now(); now != 0 {
+			t.Errorf("%s: core stepped to cycle %d before the config error", tc.name, now)
+		}
 	}
 }

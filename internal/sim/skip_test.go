@@ -104,33 +104,63 @@ func initChase(m *mem.Memory, base, ptrs int64) {
 	}
 }
 
-// TestSkipEquivalenceMultiCore runs two cores with very different finish
-// times over a shared LLC and memory controller: the skip target must be
-// the minimum across cores, and per-core finish cycles must match.
+// buildCompute builds a dependent ALU loop that never leaves the core:
+// beside a pointer chase it keeps the machine stepping every cycle while
+// the chasing core waits on DRAM.
+func buildCompute(name string, out int64, iters int64) *isa.Program {
+	b := isa.NewBuilder(name)
+	d := b.Imm(0)
+	zero := b.Imm(0)
+	n := b.Imm(iters)
+	b.CountedLoop("alu", zero, n, func(i isa.Reg) {
+		b.AddI(d, d, 3)
+		b.AddI(d, d, -1)
+	})
+	o := b.Imm(out)
+	b.Store(o, 0, d)
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestSkipEquivalenceMultiCore runs two cores over a shared LLC and
+// memory controller and requires the per-cycle and per-core-skipping
+// Results to match, per-core finish cycles included. In the first pair
+// both cores chase pointers but finish far apart; in the second a
+// compute-bound core steps nearly every cycle while the chasing core
+// lags the machine clock for most of the run.
 func TestSkipEquivalenceMultiCore(t *testing.T) {
-	run := func(cycleStep bool) (sim.Result, error) {
-		cfg := sim.DefaultConfig()
-		cfg.Cores = 2
-		cfg.CycleStep = cycleStep
-		m := mem.New(1 << 17)
-		initChase(m, 1<<14, 1<<10)
-		initChase(m, 1<<16, 1<<10)
-		s := sim.New(cfg, m)
-		s.Load(0, buildChase("long", 1<<14, 1200), nil)
-		s.Load(1, buildChase("short", 1<<16, 150), nil)
-		return s.Run()
-	}
-	ref, err := run(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := run(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualResults(t, "multicore", "chase", ref, opt)
-	if len(ref.CoreCycles) != 2 || ref.CoreCycles[0] == ref.CoreCycles[1] {
-		t.Errorf("expected distinct per-core finish cycles, got %v", ref.CoreCycles)
+	for _, tc := range []struct {
+		name string
+		core [2]*isa.Program
+	}{
+		{"chase", [2]*isa.Program{buildChase("long", 1<<14, 1200), buildChase("short", 1<<16, 150)}},
+		{"compute+chase", [2]*isa.Program{buildCompute("alu", 1<<15, 20_000), buildChase("chase", 1<<16, 600)}},
+	} {
+		run := func(cycleStep bool) (sim.Result, []int64) {
+			cfg := sim.DefaultConfig()
+			cfg.Cores = 2
+			cfg.CycleStep = cycleStep
+			m := mem.New(1 << 17)
+			initChase(m, 1<<14, 1<<10)
+			initChase(m, 1<<16, 1<<10)
+			s := sim.New(cfg, m)
+			s.Load(0, tc.core[0], nil)
+			s.Load(1, tc.core[1], nil)
+			res, err := s.Run()
+			if err != nil {
+				t.Fatalf("%s (cycleStep=%v): %v", tc.name, cycleStep, err)
+			}
+			return res, snapshot(m)
+		}
+		ref, refMem := run(true)
+		opt, optMem := run(false)
+		assertEqualResults(t, "multicore", tc.name, ref, opt)
+		if !reflect.DeepEqual(refMem, optMem) {
+			t.Errorf("multicore/%s: final memory image diverged", tc.name)
+		}
+		if len(ref.CoreCycles) != 2 || ref.CoreCycles[0] == ref.CoreCycles[1] {
+			t.Errorf("%s: expected distinct per-core finish cycles, got %v", tc.name, ref.CoreCycles)
+		}
 	}
 }
 

@@ -159,22 +159,37 @@ func TestWindowSinkStreamsSamples(t *testing.T) {
 	}
 }
 
-// multiObserved runs the 4-core MultiGhost PageRank, optionally with the
-// full observation stack attached: one event recorder shared by every
-// core, and windowed telemetry. It returns the
-// Result, the final memory image, and the recorded events.
-func multiObserved(t *testing.T, observed bool) (sim.Result, []int64, []obs.Event) {
+// multiObserved runs the 4-core MultiGhost PageRank with the given
+// stepping mode, optionally (window > 0) with the full observation stack
+// attached: one event recorder shared by every core, and windowed
+// telemetry every window cycles. Its sink checks that every unfinished
+// core has been brought to the boundary cycle before the flush. It
+// returns the Result, the final memory image, and the recorded events.
+func multiObserved(t *testing.T, window int64, cycleStep bool) (sim.Result, []int64, []obs.Event) {
 	t.Helper()
 	inst, err := workloads.NewMulti("pr", "kron", 4, workloads.MultiGhost, workloads.ProfileOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	observed := window > 0
 	cfg := sim.DefaultConfig()
 	cfg.Cores = inst.Cores
+	cfg.CycleStep = cycleStep
+	var s *sim.System
 	if observed {
-		cfg.Telemetry.WindowCycles = 50_000
+		cfg.Telemetry.WindowCycles = window
+		lagged := 0
+		cfg.Telemetry.Sink = func(ws obs.WindowSample) {
+			for i := 0; i < s.Cores(); i++ {
+				if c := s.Core(i); !c.Done() && c.Now() != ws.End && lagged < 5 {
+					lagged++
+					t.Errorf("window %d (cycleStep=%v): unfinished core %d at cycle %d at flush, want %d",
+						ws.Window, cycleStep, i, c.Now(), ws.End)
+				}
+			}
+		}
 	}
-	s := sim.New(cfg, inst.Mem)
+	s = sim.New(cfg, inst.Mem)
 	for c := range inst.Per {
 		s.Load(c, inst.Per[c].Main, inst.Per[c].Helpers)
 	}
@@ -187,10 +202,10 @@ func multiObserved(t *testing.T, observed bool) (sim.Result, []int64, []obs.Even
 	}
 	res, err := s.Run()
 	if err != nil {
-		t.Fatalf("pr.kron multighost (observed=%v): %v", observed, err)
+		t.Fatalf("pr.kron multighost (window=%d cycleStep=%v): %v", window, cycleStep, err)
 	}
 	if err := inst.Check(inst.Mem); err != nil {
-		t.Fatalf("pr.kron multighost (observed=%v): check: %v", observed, err)
+		t.Fatalf("pr.kron multighost (window=%d cycleStep=%v): check: %v", window, cycleStep, err)
 	}
 	var events []obs.Event
 	if observed {
@@ -204,8 +219,8 @@ func multiObserved(t *testing.T, observed bool) (sim.Result, []int64, []obs.Even
 // (minus Windows) and the final memory image bit-identical to the
 // unobserved run, while actually observing something.
 func TestMultiCoreObservationPurity(t *testing.T) {
-	refRes, refMem, _ := multiObserved(t, false)
-	obsRes, obsMem, events := multiObserved(t, true)
+	refRes, refMem, _ := multiObserved(t, 0, false)
+	obsRes, obsMem, events := multiObserved(t, 50_000, false)
 	if !reflect.DeepEqual(refRes, stripWindows(obsRes)) {
 		t.Errorf("observed Result diverged from unobserved\n ref: %+v\n got: %+v",
 			refRes, stripWindows(obsRes))
@@ -222,5 +237,29 @@ func TestMultiCoreObservationPurity(t *testing.T) {
 	}
 	if len(cores) != len(refRes.CoreCycles) {
 		t.Errorf("shared recorder saw events from %d of %d cores", len(cores), len(refRes.CoreCycles))
+	}
+}
+
+// TestMultiCoreObservationAcrossStepModes: a fully observed 4-core run
+// with a short window must produce the same Result (windows included),
+// memory image and shared-recorder event stream whether every core is
+// stepped every cycle or each core only when it has work. The short,
+// odd window puts many flushes where some cores lag the machine clock,
+// and multiObserved's sink checks they were caught up first.
+func TestMultiCoreObservationAcrossStepModes(t *testing.T) {
+	const window = 997
+	refRes, refMem, refEvents := multiObserved(t, window, true)
+	res, img, events := multiObserved(t, window, false)
+	if len(refRes.Windows) == 0 || len(refEvents) == 0 {
+		t.Fatal("reference run observed nothing; test proves nothing")
+	}
+	if !reflect.DeepEqual(refRes, res) {
+		t.Errorf("per-core skipping changed the observed Result\n ref: %+v\n got: %+v", refRes, res)
+	}
+	if !reflect.DeepEqual(refMem, img) {
+		t.Error("per-core skipping changed the final memory image")
+	}
+	if !reflect.DeepEqual(refEvents, events) {
+		t.Errorf("per-core skipping changed the shared event stream (%d vs %d events)", len(refEvents), len(events))
 	}
 }
