@@ -1,7 +1,7 @@
 GO ?= go
 TRACE_OUT ?= TRACE_camel_ghost.json
 
-.PHONY: build vet test race lint detlint advise-smoke verify-smoke advise-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
+.PHONY: build vet test race lint detlint verify-smoke verify-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
 
 build:
 	$(GO) build ./...
@@ -34,31 +34,20 @@ lint:
 detlint:
 	$(GO) run ./cmd/detlint
 
-# Advice smoke: the static advisor's full-registry JSON (stride classes,
-# cost-model scores, recommendations) diffed against the checked-in
-# golden. Drift means the taxonomy or cost model changed behavior — fix
-# it, or review the new output and re-bless it with
-#   go run ./cmd/gtadvise -all -json > testdata/advise_golden.json
-advise-smoke:
-	$(GO) run ./cmd/gtadvise -all -json > ADVISE_all.json
-	diff -u testdata/advise_golden.json ADVISE_all.json
-
 # Verification smoke: translation validation over every registered
 # workload's manual ghost. gtverify itself exits 1 on any UNPROVED
 # verdict; the diff catches silent drift in verdict details (lead
 # distances, skip PCs, unfold labels) and the grep is a belt-and-braces
 # re-check of the zero-UNPROVED invariant. Re-bless after a reviewed
-# change with `make advise-golden`.
+# change with `make verify-golden`.
 verify-smoke:
 	$(GO) run ./cmd/gtverify -all -json > VERIFY_all.json
 	diff -u testdata/verify_golden.json VERIFY_all.json
 	@! grep -q '"UNPROVED"' VERIFY_all.json
 
-# Golden regeneration: re-bless the static-analysis goldens (advisor
-# output and translation-validation verdicts) after a reviewed behavior
+# Re-bless the translation-validation golden after a reviewed behavior
 # change. Inspect the diff before committing.
-advise-golden:
-	$(GO) run ./cmd/gtadvise -all -json > testdata/advise_golden.json
+verify-golden:
 	$(GO) run ./cmd/gtverify -all -json > testdata/verify_golden.json
 
 # Perf smoke: figure 3 plus a 4-workload figure-6 slice with throughput
@@ -123,16 +112,19 @@ metrics-golden:
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile \
 		-window 20000 -window-out testdata/metrics_golden.ndjson > /dev/null
 
-# Governor smoke: the governed bfs.kron compiler ghost must emit a
+# Governor smoke: the governor experiment's rows on its 5 default
+# workloads (cycles, speedups and every decision) are diffed against a
+# checked-in golden, and the governed bfs.kron compiler ghost must emit a
 # mid-run kill decision (the stale-slice regression EXPERIMENTS.md
-# dissects), camel's healthy manual ghost must draw zero decisions, and
-# the governed camel window stream is diffed against a checked-in
-# golden — a silent governor is a pure observer, so any drift means the
-# governor (or window accounting under it) changed behavior. Review the
-# diff, then re-bless with `make governor-golden`.
+# dissects). camel's healthy manual ghost must draw zero decisions, and
+# the governed camel window stream is diffed against a second golden — a
+# silent governor is a pure observer, so any drift means the governor
+# (or window accounting under it) changed behavior. Review the diff,
+# then re-bless both goldens with `make governor-golden`.
 governor-smoke:
-	$(GO) run ./cmd/ghostbench -experiment governor -workloads bfs.kron -json -quiet > GOV_bfskron.ndjson
-	@grep -q '"action":"kill"' GOV_bfskron.ndjson || \
+	$(GO) run ./cmd/ghostbench -experiment governor -json -quiet > GOV_all.ndjson
+	diff -u testdata/governor_golden.ndjson GOV_all.ndjson
+	@grep '"workload":"bfs.kron","kind":"compiler"' GOV_all.ndjson | grep -q '"action":"kill"' || \
 		{ echo "governor-smoke: no kill decision on the governed bfs.kron compiler ghost" >&2; exit 1; }
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -govern \
 		-window-out GOVWIN_camel.ndjson > GOVRUN_camel.txt
@@ -140,9 +132,10 @@ governor-smoke:
 		{ echo "governor-smoke: governor decided on camel's healthy ghost:" >&2; cat GOVRUN_camel.txt >&2; exit 1; }
 	diff -u testdata/governed_windows_golden.ndjson GOVWIN_camel.ndjson
 
-# Re-bless the governed-window golden after a reviewed change. Inspect
-# the diff before committing.
+# Re-bless the governor goldens after a reviewed change. Inspect the
+# diff before committing.
 governor-golden:
+	$(GO) run ./cmd/ghostbench -experiment governor -json -quiet > testdata/governor_golden.ndjson
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -govern \
 		-window-out testdata/governed_windows_golden.ndjson > /dev/null
 
@@ -188,4 +181,4 @@ cli-golden:
 	$(GO) run ./cmd/gtrun -workload bfs.kron -scale profile -profile > testdata/gtrun_profile_golden.txt
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -dump > testdata/gtrun_dump_golden.txt
 
-ci: vet build race lint detlint advise-smoke verify-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig10-smoke cli-smoke
+ci: vet build race lint detlint verify-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig10-smoke cli-smoke

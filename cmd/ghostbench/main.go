@@ -10,7 +10,6 @@
 //	ghostbench -experiment fig10b   # inter-thread distance, short window
 //	ghostbench -experiment sweep    # sync hyper-parameter tuning (§4.3.2)
 //	ghostbench -experiment resilience  # speedup vs fault intensity
-//	ghostbench -experiment advise   # static advice vs measured ghost speedup
 //	ghostbench -experiment governor # static vs adaptively-governed ghosts
 //
 // Use -csv or -json for machine-readable output, -workloads to restrict
@@ -45,9 +44,9 @@ const tool = cli.Tool("ghostbench")
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "fig6", "fig3 | table1 | fig6 | fig7 | fig8 | fig9 | fig10a | fig10b | sweep | resilience | advise | governor | report")
+		experiment = flag.String("experiment", "fig6", "fig3 | table1 | fig6 | fig7 | fig8 | fig9 | fig10a | fig10b | sweep | resilience | governor | report")
 		csv        = flag.Bool("csv", false, "emit CSV instead of a table")
-		jsonOut    = flag.Bool("json", false, "emit JSON (fig6/fig8; NDJSON rows for resilience)")
+		jsonOut    = flag.Bool("json", false, "emit JSON (fig6/fig8; NDJSON rows for resilience and governor)")
 		gnuplot    = flag.Bool("gnuplot", false, "emit a gnuplot script (fig6/fig8)")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		workSet    = flag.String("workloads", "", "comma-separated workload subset (default: the full 34; camel for sweep)")
@@ -56,7 +55,7 @@ func main() {
 		faultSeed  = flag.Uint64("fault-seed", 1, "master seed for the resilience fault schedules")
 		budget     = flag.Int64("budget", 0, "per-run cycle-budget watchdog for resilience (0 = machine default)")
 		panicAt    = flag.String("panic-at", "", "resilience: panic inside this workload's worker (tests panic recovery)")
-		window     = cli.Int(flag.CommandLine, "window", 0, 0, "resilience: emit a windowed-telemetry sample every N cycles (0 = off; enables sync tracing)")
+		window     = cli.Int(flag.CommandLine, "window", 0, 0, "telemetry window in cycles; resilience: emit a sample every N cycles (0 = off; enables sync tracing); governor: the governor's judging window (0 = 20000)")
 		windowOut  = flag.String("window-out", "", "resilience: write telemetry NDJSON here (tail with gtmon -in FILE; empty = discard)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile (after the experiment) to this file")
@@ -238,26 +237,6 @@ func main() {
 		if !*jsonOut {
 			fmt.Println("Resilience: ghost-variant speedup vs deterministic fault intensity")
 			fmt.Print(harness.RenderResilience(rows))
-		}
-
-	case "advise":
-		// Static advice joined against measured ghost speedups, over the
-		// whole registry (the advice layer also covers workloads outside
-		// the 34-workload evaluation set, such as camel-ghost).
-		anames := names(workloads.Names())
-		var sink func(harness.AdviseRow)
-		if !*quiet && !*jsonOut {
-			sink = func(r harness.AdviseRow) {
-				fmt.Fprintf(os.Stderr, "done %s\n", r.Workload)
-			}
-		}
-		sum, err := harness.Advise(anames, idleCfg, *jobs, sink)
-		tool.Check(err)
-		if *jsonOut {
-			tool.Check(cli.JSON(sum))
-		} else {
-			fmt.Println("Advise: static ghost-benefit prediction vs measured ghost speedup")
-			fmt.Print(harness.RenderAdvise(sum))
 		}
 
 	case "governor":

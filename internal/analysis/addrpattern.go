@@ -74,19 +74,9 @@ type AddrPattern struct {
 	// 1, B[A[C[i]]] is 2); zero for non-indirect classes.
 	IndirectDepth int `json:"indirect_depth,omitempty"`
 
-	// ChainLen counts address-generation instructions inside the
-	// innermost loop (the per-iteration cost of recomputing the address);
-	// ChainDepth is the dependence-chain depth of the address value.
-	ChainLen   int `json:"chain_len"`
-	ChainDepth int `json:"chain_depth"`
-
 	// Loop is the innermost natural-loop index containing the access, or
 	// -1 when the access sits outside every loop (always ClassInvariant).
 	Loop int `json:"loop"`
-
-	// Footprint is the abstract address interval of the operand from the
-	// interval analysis (Top when unbounded).
-	Footprint Interval `json:"-"`
 }
 
 // ivInfo records that a register behaves as an induction variable of one
@@ -109,8 +99,6 @@ type symExpr struct {
 	loadDepth int               // max nesting of loads on the chain
 	carried   map[int]bool      // def PCs of loop-carried non-IV recurrences on the chain
 	ivs       map[isa.Reg]bool  // every IV feeding the value, incl. through non-affine ops
-	depth     int               // dependence-chain depth
-	pcs       map[int]bool      // chain member instructions
 	initPCs   map[isa.Reg][]int // per symbolic reg: its reaching out-of-loop def PCs (stability key)
 }
 
@@ -238,14 +226,14 @@ func newExpr() *symExpr {
 		affine: true,
 		coeffs: map[isa.Reg]int64{}, syms: map[isa.Reg]int64{},
 		carried: map[int]bool{}, ivs: map[isa.Reg]bool{},
-		pcs: map[int]bool{}, initPCs: map[isa.Reg][]int{},
+		initPCs: map[isa.Reg][]int{},
 	}
 }
 
 func (e *symExpr) clone() *symExpr {
 	n := newExpr()
 	n.c, n.affine = e.c, e.affine
-	n.loadDepth, n.depth = e.loadDepth, e.depth
+	n.loadDepth = e.loadDepth
 	for pc := range e.carried {
 		n.carried[pc] = true
 	}
@@ -257,9 +245,6 @@ func (e *symExpr) clone() *symExpr {
 	}
 	for r := range e.ivs {
 		n.ivs[r] = true
-	}
-	for pc := range e.pcs {
-		n.pcs[pc] = true
 	}
 	for r, ds := range e.initPCs {
 		n.initPCs[r] = append([]int(nil), ds...)
@@ -276,14 +261,8 @@ func (e *symExpr) mergeTaint(o *symExpr) {
 	for pc := range o.carried {
 		e.carried[pc] = true
 	}
-	if o.depth > e.depth {
-		e.depth = o.depth
-	}
 	for r := range o.ivs {
 		e.ivs[r] = true
-	}
-	for pc := range o.pcs {
-		e.pcs[pc] = true
 	}
 	for r, ds := range o.initPCs {
 		if _, ok := e.initPCs[r]; !ok {
@@ -476,8 +455,6 @@ func (pt *Patterns) evalDef(pc int) *symExpr {
 		}
 		e = nonAffineExpr(srcs...)
 	}
-	e.pcs[pc] = true
-	e.depth++
 	pt.memo[pc] = e
 	return e
 }
@@ -516,20 +493,7 @@ func (pt *Patterns) PatternAt(pc int) AddrPattern {
 	e := pt.exprAt(pc)
 	li := pt.F.InnermostLoop(pt.G.BlockOf[pc])
 
-	ap := AddrPattern{
-		PC:         pc,
-		Loop:       li,
-		ChainDepth: e.depth,
-		Footprint:  pt.Vals.MemAddr(pc),
-	}
-	if li >= 0 {
-		l := &pt.F.Loops[li]
-		for cpc := range e.pcs {
-			if l.Blocks[pt.G.BlockOf[cpc]] {
-				ap.ChainLen++
-			}
-		}
-	}
+	ap := AddrPattern{PC: pc, Loop: li}
 
 	// Stride: the per-iteration step contributed by basic IVs, taken
 	// for the innermost loop that owns one of the expression's IVs.

@@ -118,3 +118,57 @@ func TestRaceCheckerAliasUpgrade(t *testing.T) {
 		t.Errorf("alias-aware race check still reports %d findings on provably interleaved streams: %v", len(aliased), aliased)
 	}
 }
+
+// TestMinimalityAliasHoistable pins the alias-driven minimality upgrade:
+// a loop-invariant load in the ghost whose word no main-thread store may
+// alias is flagged hoistable; the same load aliased by a store is not.
+func TestMinimalityAliasHoistable(t *testing.T) {
+	buildPair := func(storeAddr int64) (*isa.Program, *isa.Program) {
+		gb := isa.NewBuilder("ghost")
+		cfg := gb.Imm(100)
+		base := gb.Imm(4096)
+		zero := gb.Imm(0)
+		limit := gb.Imm(256)
+		gb.CountedLoop("g", zero, limit, func(i isa.Reg) {
+			n := gb.Reg()
+			gb.Load(n, cfg, 0) // invariant address: hoistable unless stored to
+			a := gb.Reg()
+			gb.Add(a, base, i)
+			gb.Prefetch(a, 0)
+			_ = n
+		})
+		gb.Halt()
+
+		mb := isa.NewBuilder("main")
+		sa := mb.Imm(storeAddr)
+		v := mb.Imm(1)
+		mz := mb.Imm(0)
+		ml := mb.Imm(256)
+		mb.CountedLoop("m", mz, ml, func(_ isa.Reg) {
+			mb.Store(sa, 0, v)
+		})
+		mb.Halt()
+		return gb.MustBuild(), mb.MustBuild()
+	}
+
+	hasHoist := func(fs []analysis.Finding) bool {
+		for _, f := range fs {
+			if f.Checker == "minimality-alias" {
+				if f.Severity != analysis.SevInfo {
+					t.Errorf("minimality-alias finding with severity %v, want info", f.Severity)
+				}
+				return true
+			}
+		}
+		return false
+	}
+
+	ghost, mainFar := buildPair(900) // store elsewhere: load is hoistable
+	if !hasHoist(analysis.ReportMinimalityVs(ghost, mainFar)) {
+		t.Error("invariant load with no aliasing store not flagged hoistable")
+	}
+	ghost2, mainHit := buildPair(100) // store to the loaded word: must stay
+	if hasHoist(analysis.ReportMinimalityVs(ghost2, mainHit)) {
+		t.Error("invariant load the main thread stores to was flagged hoistable")
+	}
+}

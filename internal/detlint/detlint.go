@@ -1,6 +1,6 @@
 // Package detlint is a determinism lint for the simulator core. The
-// whole experiment pipeline — fault-injection replays, the golden advise
-// smoke diff, the resilience sweep — depends on the simulator being a
+// whole experiment pipeline — fault-injection replays, the golden smoke
+// diffs, the resilience sweep — depends on the simulator being a
 // pure function of its inputs, so the timing-critical packages
 // (internal/sim, internal/cpu, internal/cache, internal/fault) must not
 // read wall-clock time, draw from the process-global random source, or

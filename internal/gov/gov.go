@@ -43,15 +43,30 @@ import (
 	"ghostthread/internal/obs"
 )
 
-// Defaults for the zero fields of Config.
+// The controller's fixed thresholds. Every governed run in the repo
+// uses these values; none is a knob.
 const (
-	DefaultKillAfter      = 3
-	DefaultWarmup         = 2
-	DefaultMaxRespawns    = 32
-	DefaultMinPF          = 8
-	DefaultRetuneCooldown = 4
-	DefaultMaxTooFar      = 1024
-	DefaultMinTooFar      = 8
+	// KillAfter is how many consecutive negative-benefit windows (after
+	// warmup) retire the ghost.
+	KillAfter = 3
+	// Warmup is how many windows after a (re)spawn are exempt from
+	// benefit judgement: a freshly spawned ghost has not yet issued
+	// anything.
+	Warmup = 2
+	// MaxRespawns caps governor-initiated respawns per core, so a
+	// runaway phase detector cannot turn into a spawn storm. The
+	// core-side PC-synchronized trigger enforces the same bound on its
+	// autonomous re-seeds.
+	MaxRespawns = 32
+	// MinPF is the minimum prefetch sample (issued + redundant) in a
+	// window before its accuracy is trusted for a judgement.
+	MinPF = 8
+	// RetuneCooldown is the number of windows between retunes of one
+	// core, so a new throttle window takes effect before it is judged.
+	RetuneCooldown = 4
+	// MaxTooFar and MinTooFar clamp the retuned throttle window.
+	MaxTooFar = 1024
+	MinTooFar = 8
 )
 
 // Config selects and tunes the governor. The zero value disables it.
@@ -62,26 +77,6 @@ type Config struct {
 	// telemetry (sim.Config.Telemetry) — the sample stream IS the
 	// governor's input.
 	Enabled bool
-
-	// KillAfter is how many consecutive negative-benefit windows (after
-	// warmup) retire the ghost. 0 selects DefaultKillAfter.
-	KillAfter int
-
-	// Warmup is how many windows after a (re)spawn are exempt from
-	// benefit judgement — a freshly spawned ghost has not yet issued
-	// anything. 0 selects DefaultWarmup.
-	Warmup int
-
-	// RespawnOnPhase re-spawns the ghost (with the main context's current
-	// registers) at phase-detector boundaries: always when the ghost sits
-	// killed, and for a live ghost only when the closing window judged it
-	// negative — a healthy ghost is never churned.
-	RespawnOnPhase bool
-
-	// MaxRespawns caps governor-initiated respawns per core (a runaway
-	// phase detector must not turn into a spawn storm). 0 selects
-	// DefaultMaxRespawns.
-	MaxRespawns int
 
 	// RevivePeriod, when > 0, re-spawns a killed ghost after that many
 	// windows even without a phase boundary (a second chance for
@@ -115,43 +110,13 @@ type Config struct {
 	// ghost's local count re-aligns with the main thread's restart
 	// (mirroring the spawn prologue's own Store-0). 0 skips the reset.
 	MainCounterAddr int64
-
-	// MinPF is the minimum prefetch sample (issued + redundant) in a
-	// window before its accuracy is trusted for a judgement. 0 selects
-	// DefaultMinPF.
-	MinPF int64
-
-	// RetuneCooldown is the number of windows between retunes of one
-	// core (lets a new window take effect before re-judging). 0 selects
-	// DefaultRetuneCooldown.
-	RetuneCooldown int
-
-	// MaxTooFar/MinTooFar clamp the retuned throttle window. 0 selects
-	// DefaultMaxTooFar / DefaultMinTooFar.
-	MaxTooFar int64
-	MinTooFar int64
-
-	// MSHRBudget, when > 0 on a multi-core machine, is the shared
-	// per-window MSHR-peak budget: if the helper-active cores' summed
-	// MSHR peaks exceed it, the least accurate ghosts are killed until
-	// the rest fit — cross-core coordination at the window flush.
-	MSHRBudget int64
-}
-
-// RespawnCap is MaxRespawns with its default applied — the bound the
-// core-side PC-synchronized trigger enforces on autonomous re-seeds.
-func (c Config) RespawnCap() int64 {
-	if c.MaxRespawns == 0 {
-		return DefaultMaxRespawns
-	}
-	return int64(c.MaxRespawns)
 }
 
 // Default returns the standard governed configuration (kill + phase
 // respawn, no retune — retuning additionally needs the dynamic sync
 // words, see TooFarAddr).
 func Default() Config {
-	return Config{Enabled: true, RespawnOnPhase: true}
+	return Config{Enabled: true}
 }
 
 // Validate rejects inconsistent configurations.
@@ -165,36 +130,10 @@ func (c Config) Validate() error {
 	if c.Retune && (c.TooFarInit <= 0 || c.CloseInit <= 0) {
 		return fmt.Errorf("gov: Retune requires TooFarInit and CloseInit")
 	}
-	if c.KillAfter < 0 || c.Warmup < 0 || c.MaxRespawns < 0 || c.RevivePeriod < 0 {
-		return fmt.Errorf("gov: negative window counts")
+	if c.RevivePeriod < 0 {
+		return fmt.Errorf("gov: negative RevivePeriod")
 	}
 	return nil
-}
-
-// withDefaults fills the zero fields.
-func (c Config) withDefaults() Config {
-	if c.KillAfter == 0 {
-		c.KillAfter = DefaultKillAfter
-	}
-	if c.Warmup == 0 {
-		c.Warmup = DefaultWarmup
-	}
-	if c.MaxRespawns == 0 {
-		c.MaxRespawns = DefaultMaxRespawns
-	}
-	if c.MinPF == 0 {
-		c.MinPF = DefaultMinPF
-	}
-	if c.RetuneCooldown == 0 {
-		c.RetuneCooldown = DefaultRetuneCooldown
-	}
-	if c.MaxTooFar == 0 {
-		c.MaxTooFar = DefaultMaxTooFar
-	}
-	if c.MinTooFar == 0 {
-		c.MinTooFar = DefaultMinTooFar
-	}
-	return c
 }
 
 // Decision actions.
@@ -241,7 +180,6 @@ type Governor struct {
 // New builds a governor for a machine with the given core count. The
 // config must already satisfy Validate.
 func New(cfg Config, cores int) *Governor {
-	cfg = cfg.withDefaults()
 	g := &Governor{cfg: cfg, cores: make([]coreState, cores)}
 	for i := range g.cores {
 		g.cores[i].tooFar = cfg.TooFarInit
@@ -262,9 +200,6 @@ func New(cfg Config, cores int) *Governor {
 //     forever).
 //   - garbage: a meaningful prefetch sample whose accuracy is under 10%
 //     — the slice's address stream has diverged from the demand stream.
-//   - lost: the ghost is syncing but running BEHIND the main thread
-//     (median lead negative) with nothing useful landed — it can only
-//     re-fetch what main already touched.
 //   - wasted: most of the ghost's prefetches hit lines already cached or
 //     in flight (redundant > issued) AND essentially none land early
 //     enough to hide latency — the tail of bfs.kron's frontier, where a
@@ -276,13 +211,10 @@ func (g *Governor) negative(ws *obs.WindowSample) (bool, string) {
 	if ws.GhostLeadCount == 0 && ws.Prefetch.Issued == 0 {
 		return true, "silent"
 	}
-	if ws.Prefetch.Issued+ws.Prefetch.Redundant >= g.cfg.MinPF && ws.PFAccuracy < 0.10 {
+	if ws.Prefetch.Issued+ws.Prefetch.Redundant >= MinPF && ws.PFAccuracy < 0.10 {
 		return true, "garbage"
 	}
-	if ws.GhostLeadCount > 0 && ws.GhostLeadP50 < 0 && ws.Prefetch.Useful() == 0 {
-		return true, "lost"
-	}
-	if ws.Prefetch.Issued+ws.Prefetch.Redundant >= g.cfg.MinPF &&
+	if ws.Prefetch.Issued+ws.Prefetch.Redundant >= MinPF &&
 		ws.Prefetch.Redundant > ws.Prefetch.Issued && ws.PFTimeliness < 0.10 {
 		return true, "wasted"
 	}
@@ -339,8 +271,8 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 			// Nothing to judge. A governor-killed ghost may come back: at
 			// a phase boundary (fresh live-ins for the new phase), or
 			// after RevivePeriod windows of sitting out.
-			if cs.killed && cs.respawns < g.cfg.MaxRespawns {
-				revive := g.cfg.RespawnOnPhase && ws.PhaseBoundary
+			if cs.killed && cs.respawns < MaxRespawns {
+				revive := ws.PhaseBoundary
 				reason := "phase-boundary"
 				if !revive && g.cfg.RevivePeriod > 0 && window-cs.killedAt >= g.cfg.RevivePeriod {
 					revive, reason = true, "revive-period"
@@ -358,7 +290,7 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 
 		cs.windows++
 		neg, why := g.negative(ws)
-		warm := cs.windows > g.cfg.Warmup
+		warm := cs.windows > Warmup
 		if neg && warm {
 			cs.negStreak++
 		} else if !neg {
@@ -368,8 +300,7 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 		// A live but hurting ghost gets fresh live-ins at a phase
 		// boundary instead of a kill: the respawn path deactivates it
 		// first, so this is kill+respawn in one deterministic event.
-		if g.cfg.RespawnOnPhase && ws.PhaseBoundary && neg && warm &&
-			cs.respawns < g.cfg.MaxRespawns {
+		if ws.PhaseBoundary && neg && warm && cs.respawns < MaxRespawns {
 			cs.respawns++
 			cs.windows = 0
 			cs.negStreak = 0
@@ -377,7 +308,7 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 			continue
 		}
 
-		if cs.negStreak >= g.cfg.KillAfter {
+		if cs.negStreak >= KillAfter {
 			cs.killed = true
 			cs.killedAt = window
 			cs.negStreak = 0
@@ -391,12 +322,11 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 		}
 		if g.cfg.Retune && g.cfg.TooFarAddr > 0 {
 			if d, ok := g.retune(cs, ws); ok {
-				cs.cooldown = g.cfg.RetuneCooldown
+				cs.cooldown = RetuneCooldown
 				emit(ws, d)
 			}
 		}
 	}
-	g.budget(window, cycle, samples, &out)
 	return out
 }
 
@@ -407,7 +337,7 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 // (halve it). Close tracks TooFar/2, preserving the static segment's
 // hysteresis ratio.
 func (g *Governor) retune(cs *coreState, ws *obs.WindowSample) (Decision, bool) {
-	if ws.Prefetch.Issued+ws.Prefetch.Redundant < g.cfg.MinPF {
+	if ws.Prefetch.Issued+ws.Prefetch.Redundant < MinPF {
 		return Decision{}, false
 	}
 	next := cs.tooFar
@@ -420,11 +350,11 @@ func (g *Governor) retune(cs *coreState, ws *obs.WindowSample) (Decision, bool) 
 		ws.GhostLeadP50 > cs.tooFar/2:
 		next, reason = cs.tooFar/2, "inaccurate-far"
 	}
-	if next > g.cfg.MaxTooFar {
-		next = g.cfg.MaxTooFar
+	if next > MaxTooFar {
+		next = MaxTooFar
 	}
-	if next < g.cfg.MinTooFar {
-		next = g.cfg.MinTooFar
+	if next < MinTooFar {
+		next = MinTooFar
 	}
 	if next == cs.tooFar {
 		return Decision{}, false
@@ -432,49 +362,4 @@ func (g *Governor) retune(cs *coreState, ws *obs.WindowSample) (Decision, bool) 
 	cs.tooFar, cs.close = next, next/2
 	return Decision{Action: ActionRetune, Reason: reason,
 		TooFar: cs.tooFar, Close: cs.close}, true
-}
-
-// budget enforces the cross-core MSHR-peak budget: when the
-// helper-active cores' summed window peaks exceed it, the least
-// accurate ghosts are retired (ties: larger peak first, then lower core
-// index — a total, deterministic order) until the remainder fits.
-func (g *Governor) budget(window, cycle int64, samples []*obs.WindowSample, out *[]Decision) {
-	if g.cfg.MSHRBudget <= 0 || len(samples) < 2 {
-		return
-	}
-	var total int64
-	var live []*obs.WindowSample
-	for _, ws := range samples {
-		if ws.Core < len(g.cores) && ws.HelperActive && !g.cores[ws.Core].killed &&
-			ws.GovAction == "" {
-			total += ws.MSHRPeak
-			live = append(live, ws)
-		}
-	}
-	for total > g.cfg.MSHRBudget && len(live) > 0 {
-		worst := 0
-		for i := 1; i < len(live); i++ {
-			a, b := live[i], live[worst]
-			switch {
-			case a.PFAccuracy != b.PFAccuracy:
-				if a.PFAccuracy < b.PFAccuracy {
-					worst = i
-				}
-			case a.MSHRPeak != b.MSHRPeak:
-				if a.MSHRPeak > b.MSHRPeak {
-					worst = i
-				}
-			}
-		}
-		ws := live[worst]
-		cs := &g.cores[ws.Core]
-		cs.killed = true
-		cs.killedAt = window
-		cs.negStreak = 0
-		ws.GovAction = ActionKill
-		*out = append(*out, Decision{Window: window, Cycle: cycle, Core: ws.Core,
-			Action: ActionKill, Reason: "mshr-budget"})
-		total -= ws.MSHRPeak
-		live = append(live[:worst], live[worst+1:]...)
-	}
 }

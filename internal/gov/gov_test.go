@@ -27,7 +27,7 @@ func step(g *Governor, w int64, ws *obs.WindowSample) []Decision {
 }
 
 func TestNegativeRules(t *testing.T) {
-	g := New(Config{Enabled: true}.withDefaults(), 1)
+	g := New(Config{Enabled: true}, 1)
 	cases := []struct {
 		name string
 		ws   obs.WindowSample
@@ -37,9 +37,6 @@ func TestNegativeRules(t *testing.T) {
 		{"garbage", obs.WindowSample{HelperActive: true,
 			Prefetch:   cache.PrefetchQuality{Issued: 100, Redundant: 20},
 			PFAccuracy: 0.05, GhostLeadCount: 10, GhostLeadP50: 30}, "garbage"},
-		{"lost", obs.WindowSample{HelperActive: true,
-			GhostLeadCount: 50, GhostLeadP50: -5,
-			Prefetch: cache.PrefetchQuality{Issued: 4}, PFAccuracy: 0.5}, "lost"},
 		{"wasted", obs.WindowSample{HelperActive: true,
 			GhostLeadCount: 20, GhostLeadP50: 1,
 			Prefetch:     cache.PrefetchQuality{Issued: 100, Redundant: 250, Timely: 2},
@@ -65,27 +62,45 @@ func TestNegativeRules(t *testing.T) {
 	}
 }
 
+// silent is a window the negative-benefit rules condemn.
+func silent() *obs.WindowSample { return &obs.WindowSample{HelperActive: true} }
+
+// killAt feeds silent windows from w until the governor kills the ghost
+// and returns the kill's window; a fresh ghost dies at w+Warmup+KillAfter-1.
+func killAt(t *testing.T, g *Governor, w int64) int64 {
+	t.Helper()
+	for end := w + Warmup + KillAfter; w < end; w++ {
+		for _, d := range step(g, w, silent()) {
+			if d.Action == ActionKill {
+				return w
+			}
+		}
+	}
+	t.Fatalf("no kill by window %d", w)
+	return -1
+}
+
 // TestKillAfterConsecutiveNegatives: warmup windows are exempt, then
 // KillAfter consecutive negative windows emit exactly one kill.
 func TestKillAfterConsecutiveNegatives(t *testing.T) {
-	g := New(Config{Enabled: true, KillAfter: 3, Warmup: 2}, 1)
-	bad := func() *obs.WindowSample { return &obs.WindowSample{HelperActive: true} } // silent
+	g := New(Config{Enabled: true}, 1)
 	var kills []Decision
 	w := int64(0)
 	for ; w < 10 && len(kills) == 0; w++ {
-		for _, d := range step(g, w, bad()) {
+		for _, d := range step(g, w, silent()) {
 			if d.Action == ActionKill {
 				kills = append(kills, d)
 			}
 		}
 	}
-	// The first two windows are warmup (cs.windows must exceed 2), so the
-	// streak builds at windows 2,3,4 and the kill lands at window 4.
+	// The first Warmup windows are exempt (cs.windows must exceed
+	// Warmup), so the streak builds over the next KillAfter windows.
 	if len(kills) != 1 {
 		t.Fatalf("%d kills, want exactly 1 (got %+v)", len(kills), kills)
 	}
-	if kills[0].Window != 4 {
-		t.Errorf("kill at window %d, want 4 (2 warmup windows + streak of 3)", kills[0].Window)
+	if want := int64(Warmup + KillAfter - 1); kills[0].Window != want {
+		t.Errorf("kill at window %d, want %d (%d warmup windows + streak of %d)",
+			kills[0].Window, want, Warmup, KillAfter)
 	}
 	if kills[0].Reason != "silent" {
 		t.Errorf("kill reason %q, want silent", kills[0].Reason)
@@ -102,61 +117,58 @@ func TestKillAfterConsecutiveNegatives(t *testing.T) {
 // TestHealthyInterruptsStreak: one good window resets the negative
 // streak, so intermittent badness under KillAfter never kills.
 func TestHealthyInterruptsStreak(t *testing.T) {
-	g := New(Config{Enabled: true, KillAfter: 3, Warmup: 0}, 1)
+	g := New(Config{Enabled: true}, 1)
 	for w := int64(0); w < 20; w++ {
-		var ws *obs.WindowSample
-		if w%3 == 2 {
+		ws := silent()
+		if w%KillAfter == KillAfter-1 {
 			ws = healthy(0)
-		} else {
-			ws = &obs.WindowSample{HelperActive: true} // silent
 		}
 		for _, d := range step(g, w, ws) {
 			if d.Action == ActionKill {
-				t.Fatalf("kill at window %d despite streak never reaching 3", w)
+				t.Fatalf("kill at window %d despite streak never reaching %d", w, KillAfter)
 			}
 		}
 	}
 }
 
 // TestReviveAtPhaseBoundary: a killed ghost comes back at the next
-// phase boundary, and the respawn counter caps revivals.
+// phase boundary, and MaxRespawns caps revivals.
 func TestReviveAtPhaseBoundary(t *testing.T) {
-	g := New(Config{Enabled: true, KillAfter: 1, Warmup: 1, RespawnOnPhase: true, MaxRespawns: 1}, 1)
-	step(g, 0, &obs.WindowSample{HelperActive: true}) // warmup
-	ds := step(g, 1, &obs.WindowSample{HelperActive: true})
-	if len(ds) != 1 || ds[0].Action != ActionKill {
-		t.Fatalf("window 1 decisions %+v, want one kill", ds)
+	g := New(Config{Enabled: true}, 1)
+	w := int64(0)
+	for i := 0; i < MaxRespawns; i++ {
+		w = killAt(t, g, w) + 1
+		// Dead, no boundary: nothing.
+		if ds := step(g, w, &obs.WindowSample{}); len(ds) != 0 {
+			t.Fatalf("window %d decisions %+v, want none", w, ds)
+		}
+		w++
+		ds := step(g, w, &obs.WindowSample{PhaseBoundary: true})
+		if len(ds) != 1 || ds[0].Action != ActionRespawn || ds[0].Reason != "phase-boundary" {
+			t.Fatalf("window %d decisions %+v, want one phase-boundary respawn", w, ds)
+		}
+		w++
 	}
-	// Dead, no boundary: nothing.
-	if ds := step(g, 2, &obs.WindowSample{}); len(ds) != 0 {
-		t.Fatalf("window 2 decisions %+v, want none", ds)
-	}
-	ds = step(g, 3, &obs.WindowSample{PhaseBoundary: true})
-	if len(ds) != 1 || ds[0].Action != ActionRespawn || ds[0].Reason != "phase-boundary" {
-		t.Fatalf("window 3 decisions %+v, want one phase-boundary respawn", ds)
-	}
-	// Killed again, but MaxRespawns=1 is spent: no more revivals.
-	step(g, 4, &obs.WindowSample{HelperActive: true})
-	step(g, 5, &obs.WindowSample{HelperActive: true})
-	if ds := step(g, 6, &obs.WindowSample{PhaseBoundary: true}); len(ds) != 0 {
-		t.Fatalf("window 6 decisions %+v, want none (respawn cap spent)", ds)
+	// Killed again, but all MaxRespawns are spent: no more revivals.
+	w = killAt(t, g, w) + 1
+	if ds := step(g, w, &obs.WindowSample{PhaseBoundary: true}); len(ds) != 0 {
+		t.Fatalf("window %d decisions %+v, want none (respawn cap spent)", w, ds)
 	}
 }
 
 // TestRevivePeriod: with RevivePeriod set, a killed ghost comes back
 // after the period even without a phase boundary.
 func TestRevivePeriod(t *testing.T) {
-	g := New(Config{Enabled: true, KillAfter: 1, Warmup: 1, RevivePeriod: 3}, 1)
-	step(g, 0, &obs.WindowSample{HelperActive: true})
-	step(g, 1, &obs.WindowSample{HelperActive: true}) // kill at 1
-	for w := int64(2); w < 4; w++ {
+	g := New(Config{Enabled: true, RevivePeriod: 3}, 1)
+	killed := killAt(t, g, 0)
+	for w := killed + 1; w < killed+3; w++ {
 		if ds := step(g, w, &obs.WindowSample{}); len(ds) != 0 {
 			t.Fatalf("window %d decisions %+v, want none yet", w, ds)
 		}
 	}
-	ds := step(g, 4, &obs.WindowSample{})
+	ds := step(g, killed+3, &obs.WindowSample{})
 	if len(ds) != 1 || ds[0].Action != ActionRespawn || ds[0].Reason != "revive-period" {
-		t.Fatalf("window 4 decisions %+v, want one revive-period respawn", ds)
+		t.Fatalf("window %d decisions %+v, want one revive-period respawn", killed+3, ds)
 	}
 }
 
@@ -164,20 +176,28 @@ func TestRevivePeriod(t *testing.T) {
 // the warmup clock, so a fresh ghost is not judged on the old one's
 // streak.
 func TestGovRespawnedResetsWarmup(t *testing.T) {
-	g := New(Config{Enabled: true, KillAfter: 2, Warmup: 2}, 1)
-	// Two warmup + one negative window: streak = 1.
-	for w := int64(0); w < 3; w++ {
-		step(g, w, &obs.WindowSample{HelperActive: true})
+	g := New(Config{Enabled: true}, 1)
+	// Warmup windows, then negative windows up to one short of a kill.
+	w := int64(0)
+	for ; w < Warmup+KillAfter-1; w++ {
+		if ds := step(g, w, silent()); len(ds) != 0 {
+			t.Fatalf("window %d decisions %+v before the re-seed, want none", w, ds)
+		}
 	}
-	// Re-seed: the next negative windows are warmup again.
+	// Re-seed: this window and the next ones are warmup again, and the
+	// old streak is gone, so a kill needs a whole new streak.
 	ws := &obs.WindowSample{HelperActive: true, GovRespawned: true}
-	if ds := step(g, 3, ws); len(ds) != 0 {
+	if ds := step(g, w, ws); len(ds) != 0 {
 		t.Fatalf("decisions %+v right after re-seed, want none", ds)
 	}
-	for w := int64(4); w < 6; w++ {
-		if ds := step(g, w, &obs.WindowSample{HelperActive: true}); len(ds) != 0 {
+	seed := w
+	for w = seed + 1; w < seed+Warmup+KillAfter-1; w++ {
+		if ds := step(g, w, silent()); len(ds) != 0 {
 			t.Fatalf("window %d decisions %+v during renewed warmup, want none", w, ds)
 		}
+	}
+	if ds := step(g, w, silent()); len(ds) != 1 || ds[0].Action != ActionKill {
+		t.Fatalf("window %d decisions %+v, want the fresh ghost's kill", w, ds)
 	}
 }
 
@@ -185,7 +205,7 @@ func TestGovRespawnedResetsWarmup(t *testing.T) {
 // per-phase ghost that retired itself (inactive, but with evidence it
 // lived) is marked down like a kill so the revival rules re-arm it.
 func TestSelfRetireMarksKilledUnderResync(t *testing.T) {
-	g := New(Config{Enabled: true, ResyncPC: 19, RespawnOnPhase: true}, 1)
+	g := New(Config{Enabled: true, ResyncPC: 19}, 1)
 	// Ghost started and finished inside one window: inactive at the
 	// flush, but it prefetched — evidence of a completed phase.
 	ws := &obs.WindowSample{Prefetch: cache.PrefetchQuality{Issued: 40}}
@@ -196,7 +216,7 @@ func TestSelfRetireMarksKilledUnderResync(t *testing.T) {
 	}
 	// Without ResyncPC the same stream is just a dead helper: no respawn
 	// (it was never governor-killed).
-	g2 := New(Config{Enabled: true, RespawnOnPhase: true}, 1)
+	g2 := New(Config{Enabled: true}, 1)
 	step(g2, 0, ws)
 	if ds := step(g2, 1, &obs.WindowSample{PhaseBoundary: true}); len(ds) != 0 {
 		t.Fatalf("decisions %+v without ResyncPC, want none", ds)
@@ -207,54 +227,44 @@ func TestSelfRetireMarksKilledUnderResync(t *testing.T) {
 // inaccurate-and-far halves it, both respecting the clamps and the
 // cooldown.
 func TestRetuneDirectionsAndClamps(t *testing.T) {
-	cfg := Config{Enabled: true, Retune: true, TooFarAddr: 1, CloseAddr: 2,
-		TooFarInit: 96, CloseInit: 48, RetuneCooldown: 2, MaxTooFar: 256, MinTooFar: 8}
-	g := New(cfg, 1)
+	retune := func(tooFar int64) *Governor {
+		return New(Config{Enabled: true, Retune: true, TooFarAddr: 1, CloseAddr: 2,
+			TooFarInit: tooFar, CloseInit: tooFar / 2}, 1)
+	}
+	g := retune(MaxTooFar * 3 / 8)
 
 	late := healthy(0)
 	late.PFAccuracy, late.PFTimeliness = 0.8, 0.2
 	late.GhostLeadP95 = 50 // under TooFar: the throttle is the limiter
 	ds := step(g, 0, late)
-	if len(ds) != 1 || ds[0].Action != ActionRetune || ds[0].TooFar != 192 || ds[0].Close != 96 {
-		t.Fatalf("decisions %+v, want accurate-late retune to 192/96", ds)
+	if want := int64(MaxTooFar * 3 / 4); len(ds) != 1 || ds[0].Action != ActionRetune ||
+		ds[0].TooFar != want || ds[0].Close != want/2 {
+		t.Fatalf("decisions %+v, want accurate-late retune to %d/%d", ds, want, want/2)
 	}
 	// Cooldown: identical windows produce no decision.
-	for w := int64(1); w <= 2; w++ {
+	for w := int64(1); w <= RetuneCooldown; w++ {
 		if ds := step(g, w, late); len(ds) != 0 {
 			t.Fatalf("window %d decisions %+v during cooldown, want none", w, ds)
 		}
 	}
 	// Next accurate-late doubling clamps at MaxTooFar.
-	ds = step(g, 3, late)
-	if len(ds) != 1 || ds[0].TooFar != 256 {
-		t.Fatalf("decisions %+v, want clamp at 256", ds)
+	ds = step(g, RetuneCooldown+1, late)
+	if len(ds) != 1 || ds[0].TooFar != MaxTooFar {
+		t.Fatalf("decisions %+v, want clamp at %d", ds, MaxTooFar)
 	}
 
-	g2 := New(cfg, 1)
 	far := healthy(0)
 	far.PFAccuracy = 0.1
 	far.Prefetch = cache.PrefetchQuality{Issued: 200, Redundant: 20, Timely: 30}
 	far.GhostLeadP50 = 90 // way past TooFar/2: the lead is the problem
-	ds = step(g2, 0, far)
-	if len(ds) != 1 || ds[0].Action != ActionRetune || ds[0].TooFar != 48 {
+	ds = step(retune(96), 0, far)
+	if len(ds) != 1 || ds[0].Action != ActionRetune || ds[0].Reason != "inaccurate-far" || ds[0].TooFar != 48 {
 		t.Fatalf("decisions %+v, want inaccurate-far retune to 48", ds)
 	}
-}
-
-// TestMSHRBudgetKillsLeastAccurate: over budget, the least accurate
-// live ghost is retired first, deterministically.
-func TestMSHRBudgetKillsLeastAccurate(t *testing.T) {
-	g := New(Config{Enabled: true, MSHRBudget: 20}, 3)
-	a, b, c := healthy(0), healthy(1), healthy(2)
-	a.MSHRPeak, a.PFAccuracy = 10, 0.9
-	b.MSHRPeak, b.PFAccuracy = 10, 0.3
-	c.MSHRPeak, c.PFAccuracy = 10, 0.6
-	ds := g.Step(5, 100000, []*obs.WindowSample{a, b, c})
-	if len(ds) != 1 || ds[0].Action != ActionKill || ds[0].Reason != "mshr-budget" || ds[0].Core != 1 {
-		t.Fatalf("decisions %+v, want one mshr-budget kill of core 1", ds)
-	}
-	if b.GovAction != ActionKill {
-		t.Errorf("core 1 sample not annotated with the kill")
+	// Halving clamps at MinTooFar.
+	ds = step(retune(MinTooFar*3/2), 0, far)
+	if len(ds) != 1 || ds[0].TooFar != MinTooFar {
+		t.Fatalf("decisions %+v, want clamp at %d", ds, MinTooFar)
 	}
 }
 
@@ -265,8 +275,8 @@ func TestValidate(t *testing.T) {
 	if err := (Config{Enabled: true, Retune: true}).Validate(); err == nil {
 		t.Error("retune without addresses validated")
 	}
-	if err := (Config{Enabled: true, KillAfter: -1}).Validate(); err == nil {
-		t.Error("negative KillAfter validated")
+	if err := (Config{Enabled: true, RevivePeriod: -1}).Validate(); err == nil {
+		t.Error("negative RevivePeriod validated")
 	}
 	ok := Config{Enabled: true, Retune: true, TooFarAddr: 1, CloseAddr: 2,
 		TooFarInit: 96, CloseInit: 48}

@@ -23,11 +23,10 @@ const diskCacheVersion = 1
 var profCacheDir string
 
 // SetProfileCacheDir enables the on-disk profiling-report cache rooted at
-// dir (creating it if needed). Repeated ghostbench/gtadvise/gtverify
-// invocations then skip re-profiling: a profiling run is deterministic for
-// a given (workload, machine) pair, so a cached report is bit-identical to
-// a fresh one and rows computed from it are unchanged. Call before any
-// evaluation starts.
+// dir (creating it if needed). Repeated ghostbench invocations then skip
+// re-profiling: a profiling run is deterministic for a given (workload,
+// machine) pair, so a cached report is bit-identical to a fresh one and
+// rows computed from it are unchanged. Call before any evaluation starts.
 func SetProfileCacheDir(dir string) error {
 	if dir == "" {
 		profCacheDir = ""

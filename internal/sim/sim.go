@@ -232,6 +232,13 @@ func New(cfg Config, m *mem.Memory) *System {
 			s.err = &ConfigError{Err: errors.New("governor requires telemetry (the window stream is its input)")}
 			return s
 		}
+		if cfg.Governor.Retune && cfg.Cores > 1 {
+			// Each core's controller retunes its own throttle window, but
+			// there is one TooFarAddr/CloseAddr pair: the last core to
+			// store would win, matching no controller's state.
+			s.err = &ConfigError{Err: errors.New("governor Retune needs a single core (one TooFarAddr/CloseAddr pair)")}
+			return s
+		}
 		s.gov = gov.New(cfg.Governor, cfg.Cores)
 		if cfg.Governor.MainCounterAddr > 0 {
 			// Respawns re-zero core 0's main iteration counter so the
@@ -244,7 +251,7 @@ func New(cfg Config, m *mem.Memory) *System {
 			// PC-synchronized respawn: re-seeds wait for core 0's main
 			// thread to dispatch the region-loop header (see
 			// cpu.Core.SetGovResync).
-			s.cores[0].SetGovResync(cfg.Governor.ResyncPC, cfg.Governor.RespawnCap())
+			s.cores[0].SetGovResync(cfg.Governor.ResyncPC, gov.MaxRespawns)
 		}
 	}
 	return s
@@ -356,8 +363,8 @@ func (e *BudgetError) Error() string {
 }
 
 // ConfigError reports an invalid machine configuration: a governor whose
-// own config fails validation, or a governor without the telemetry
-// stream it reads. New records it and Run returns it before stepping, so
+// own config fails validation, a governor without the telemetry stream
+// it reads, or a retuning governor on a multi-core machine. New records it and Run returns it before stepping, so
 // a bad sweep cell becomes an error row instead of a panic.
 type ConfigError struct {
 	Err error

@@ -209,9 +209,9 @@ func TestBusyConfigRaisesLatency(t *testing.T) {
 	}
 }
 
-// TestBadConfigIsAnError: an invalid governor config and a governor
-// without telemetry must not panic in New; Run returns a *ConfigError
-// before stepping a single cycle.
+// TestBadConfigIsAnError: an invalid governor config, a governor
+// without telemetry and a retuning governor on two cores must not panic
+// in New; Run returns a *ConfigError before stepping a single cycle.
 func TestBadConfigIsAnError(t *testing.T) {
 	badGov := DefaultConfig()
 	badGov.Telemetry.WindowCycles = 1000
@@ -219,6 +219,13 @@ func TestBadConfigIsAnError(t *testing.T) {
 	badGov.Governor.Retune = true // without its sync-word addresses
 	noTele := DefaultConfig()
 	noTele.Governor = gov.Default()
+	multiRetune := DefaultConfig()
+	multiRetune.Cores = 2
+	multiRetune.Telemetry.WindowCycles = 1000
+	multiRetune.Governor = gov.Default()
+	multiRetune.Governor.Retune = true
+	multiRetune.Governor.TooFarAddr, multiRetune.Governor.CloseAddr = 8, 16
+	multiRetune.Governor.TooFarInit, multiRetune.Governor.CloseInit = 96, 48
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -226,6 +233,7 @@ func TestBadConfigIsAnError(t *testing.T) {
 	}{
 		{"invalid governor", badGov, "Retune requires"},
 		{"governor without telemetry", noTele, "requires telemetry"},
+		{"retune on two cores", multiRetune, "single core"},
 	} {
 		s := New(tc.cfg, mem.New(1024))
 		s.Load(0, alu(10), nil)

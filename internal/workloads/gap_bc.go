@@ -501,10 +501,9 @@ func NewBC(graphName string, opts Options) *Instance {
 
 	wantDelta := append([]int64(nil), delta...)
 	return &Instance{
-		Name:       name,
-		Mem:        mm,
-		Counters:   d.counters(),
-		InnerTrips: float64(d.g.Edges()) / float64(d.g.N),
+		Name:     name,
+		Mem:      mm,
+		Counters: d.counters(),
 		Check: combineChecks(
 			checkWord(d.out, wantSum, name+" delta checksum"),
 			checkWords(deltaA, wantDelta, name+" delta"),

@@ -330,10 +330,9 @@ func NewBFS(graphName string, opts Options) *Instance {
 	}
 
 	inst := &Instance{
-		Name:       name,
-		Mem:        mm,
-		Counters:   d.counters(),
-		InnerTrips: float64(d.g.Edges()) / float64(d.g.N),
+		Name:     name,
+		Mem:      mm,
+		Counters: d.counters(),
 		Check: combineChecks(
 			checkWord(d.out, wantSum, name+" parent checksum"),
 			checkWords(parentA, wantParent, name+" parent"),

@@ -259,10 +259,9 @@ func NewCC(graphName string, opts Options) *Instance {
 	}
 
 	return &Instance{
-		Name:       name,
-		Mem:        mm,
-		Counters:   d.counters(),
-		InnerTrips: float64(d.g.Edges()) / float64(d.g.N),
+		Name:     name,
+		Mem:      mm,
+		Counters: d.counters(),
 		Check: combineChecks(
 			checkWord(d.out, wantSum, name+" label checksum"),
 			checkWords(compA, wantComp, name+" comp"),

@@ -237,10 +237,9 @@ func NewPR(graphName string, opts Options) *Instance {
 
 	wantScore := append([]int64(nil), score...)
 	return &Instance{
-		Name:       name,
-		Mem:        mm,
-		Counters:   d.counters(),
-		InnerTrips: float64(d.g.Edges()) / float64(d.g.N),
+		Name:     name,
+		Mem:      mm,
+		Counters: d.counters(),
 		Check: combineChecks(
 			checkWord(d.out, wantSum, name+" score checksum"),
 			checkWords(scoreA, wantScore, name+" score"),

@@ -338,10 +338,9 @@ func NewSSSP(graphName string, opts Options) *Instance {
 	}
 
 	return &Instance{
-		Name:       name,
-		Mem:        mm,
-		Counters:   d.counters(),
-		InnerTrips: float64(d.g.Edges()) / float64(d.g.N),
+		Name:     name,
+		Mem:      mm,
+		Counters: d.counters(),
 		Check: combineChecks(
 			checkWord(d.out, wantSum, name+" dist checksum"),
 			checkWords(distA, want, name+" dist"),

@@ -276,14 +276,13 @@ func NewTC(graphName string, opts Options) *Instance {
 	}
 
 	return &Instance{
-		Name:       name,
-		Mem:        mm,
-		Counters:   d.counters(),
-		InnerTrips: float64(d.g.Edges()) / float64(d.g.N),
-		Check:      checkWord(d.out, want, name+" triangles"),
-		Baseline:   &Variant{Main: buildMain(camelBase)},
-		SWPF:       &Variant{Main: buildMain(camelSWPF)},
-		Parallel:   &Variant{Main: buildMain(camelParMain), Helpers: []*isa.Program{buildParWorker()}},
-		Ghost:      &Variant{Main: buildMain(camelGhostMain), Helpers: []*isa.Program{buildGhost()}},
+		Name:     name,
+		Mem:      mm,
+		Counters: d.counters(),
+		Check:    checkWord(d.out, want, name+" triangles"),
+		Baseline: &Variant{Main: buildMain(camelBase)},
+		SWPF:     &Variant{Main: buildMain(camelSWPF)},
+		Parallel: &Variant{Main: buildMain(camelParMain), Helpers: []*isa.Program{buildParWorker()}},
+		Ghost:    &Variant{Main: buildMain(camelGhostMain), Helpers: []*isa.Program{buildGhost()}},
 	}
 }

@@ -79,14 +79,6 @@ type Instance struct {
 	// sampling reads them).
 	Counters core.Counters
 
-	// InnerTrips is the builder's estimate of the innermost target
-	// loop's trip count per entry — the average degree for graph
-	// kernels (paper table 1's E/N) — or 0 when the builder makes no
-	// estimate (flat loops, data-dependent probe chains). The static
-	// cost model (analysis.GhostBenefit) uses it to discount targets
-	// whose inner loops are too short to amortize the sync segment.
-	InnerTrips float64
-
 	// Check validates the application results in Mem after a run.
 	Check func(m *mem.Memory) error
 
