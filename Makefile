@@ -1,7 +1,7 @@
 GO ?= go
 TRACE_OUT ?= TRACE_camel_ghost.json
 
-.PHONY: build vet test race lint detlint verify-smoke verify-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
+.PHONY: build vet test race lint detlint verify-smoke verify-golden results-smoke results-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,24 @@ verify-smoke:
 # change. Inspect the diff before committing.
 verify-golden:
 	$(GO) run ./cmd/gtverify -all -json > testdata/verify_golden.json
+
+# Results smoke: the full figure-6 table (34 rows: selection, targets,
+# baseline cycles, every column's speedup and energy saving, and the
+# prefetch reports) diffed against the checked-in golden. The simulator
+# is deterministic, so any drift means a simulated number moved — fix it,
+# or review the diff and re-bless with `make results-golden`. The grep
+# drops the harness-accounting and host fields (worker count, wall time,
+# simulated-cycle totals), which vary by host or by how the harness
+# shares runs; the golden is therefore a line diff, not valid JSON.
+RESULTS_FILTER = grep -v -E '"(workers|wall_seconds|simulated_cycles|sim_cycles_per_sec|sim_cycles)":'
+results-smoke:
+	$(GO) run ./cmd/ghostbench -experiment fig6 -json -quiet | $(RESULTS_FILTER) > RESULTS_fig6.json
+	diff -u testdata/fig6_golden.json RESULTS_fig6.json
+
+# Re-bless the figure-6 results golden after a reviewed change that moves
+# a simulated number. Explain the diff in CHANGES.md.
+results-golden:
+	$(GO) run ./cmd/ghostbench -experiment fig6 -json -quiet | $(RESULTS_FILTER) > testdata/fig6_golden.json
 
 # Perf smoke: figure 3 plus a 4-workload figure-6 slice with throughput
 # metrics, so simulator-speed regressions surface in tier-1. benchtraj
@@ -181,4 +199,4 @@ cli-golden:
 	$(GO) run ./cmd/gtrun -workload bfs.kron -scale profile -profile > testdata/gtrun_profile_golden.txt
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -dump > testdata/gtrun_dump_golden.txt
 
-ci: vet build race lint detlint verify-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig10-smoke cli-smoke
+ci: vet build race lint detlint verify-smoke results-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig10-smoke cli-smoke

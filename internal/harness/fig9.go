@@ -92,6 +92,7 @@ func Figure9(progress func(string)) (*Fig9Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			var smt int64
 			for _, tech := range []workloads.MultiTech{workloads.MultiSWPF, workloads.MultiSMT} {
 				c, err := multiCycles(kernel, gname, cores, tech, workloads.DefaultOptions(), cfg)
 				if err != nil {
@@ -99,7 +100,7 @@ func Figure9(progress func(string)) (*Fig9Result, error) {
 				}
 				name := TechSWPF
 				if tech == workloads.MultiSMT {
-					name = TechSMT
+					name, smt = TechSMT, c
 				}
 				speed[name] = append(speed[name], float64(base)/float64(c))
 			}
@@ -112,13 +113,13 @@ func Figure9(progress func(string)) (*Fig9Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			chosen := workloads.MultiGhost
-			if st < gt {
-				chosen = workloads.MultiSMT
-			}
-			c, err := multiCycles(kernel, gname, cores, chosen, workloads.DefaultOptions(), cfg)
-			if err != nil {
-				return nil, err
+			// OpenMP's default-input run is the SMT column's, simulated above.
+			c := smt
+			if st >= gt {
+				c, err = multiCycles(kernel, gname, cores, workloads.MultiGhost, workloads.DefaultOptions(), cfg)
+				if err != nil {
+					return nil, err
+				}
 			}
 			speed[TechGhost] = append(speed[TechGhost], float64(base)/float64(c))
 		}
@@ -140,35 +141,30 @@ func Figure9(progress func(string)) (*Fig9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Training comparison at profiling scale.
-		pg := build(workloads.ProfileOptions())
-		gRes, err := sim.RunProgram(cfg, pg.Mem, pg.Ghost.Main, pg.Ghost.Helpers)
+		// Training comparison at profiling scale. The baseline side is the
+		// (memoized) profiling run: same machine, input and program.
+		gRes, err := newVariantRuns(build(workloads.ProfileOptions()), cfg).run("ghost")
+		if err != nil {
+			return nil, fmt.Errorf("harness: fig9 %s training ghost: %w", name, err)
+		}
+		rep, err := profileWorkload(name, build, cfg)
 		if err != nil {
 			return nil, err
 		}
-		pb := build(workloads.ProfileOptions())
-		bRes, err := sim.RunProgram(cfg, pb.Mem, pb.Baseline.Main, nil)
-		if err != nil {
-			return nil, err
-		}
-		useGhost := gRes.Cycles < bRes.Cycles
+		useGhost := gRes.Cycles < rep.TotalCycles
 
-		eb := build(workloads.DefaultOptions())
-		baseRes, err := sim.RunProgram(cfg, eb.Mem, eb.Baseline.Main, nil)
+		vr := newVariantRuns(build(workloads.DefaultOptions()), cfg)
+		baseRes, err := vr.run("baseline")
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: fig9 %s baseline: %w", name, err)
 		}
 		cycles := baseRes.Cycles
 		if useGhost {
-			eg := build(workloads.DefaultOptions())
-			gRes2, err := sim.RunProgram(cfg, eg.Mem, eg.Ghost.Main, eg.Ghost.Helpers)
+			gRes, err := vr.run("ghost")
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("harness: fig9 %s ghost: %w", name, err)
 			}
-			if err := eg.Check(eg.Mem); err != nil {
-				return nil, err
-			}
-			cycles = gRes2.Cycles
+			cycles = gRes.Cycles
 		}
 		noOmp = append(noOmp, float64(baseRes.Cycles)/float64(cycles))
 	}

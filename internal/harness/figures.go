@@ -11,7 +11,9 @@ import (
 
 // Figure3 reproduces the motivation study: SWPF, SMT parallelization, and
 // Ghost Threading applied directly (no heuristic) to the three Camel
-// forms of figure 1. Returns speedups[form][technique].
+// forms of figure 1. Each form is built once and its variants run on
+// restored snapshots of its image, as in Eval. Returns
+// speedups[form][technique].
 func Figure3(cfg sim.Config) (map[string]map[string]float64, error) {
 	out := map[string]map[string]float64{}
 	for _, form := range []workloads.CamelForm{
@@ -19,15 +21,11 @@ func Figure3(cfg sim.Config) (map[string]map[string]float64, error) {
 	} {
 		name := form.String()
 		out[name] = map[string]float64{}
+		vr := newVariantRuns(workloads.NewCamel(form, workloads.DefaultOptions()), cfg)
 		var base int64
 		for _, vname := range workloads.VariantNames {
-			inst := workloads.NewCamel(form, workloads.DefaultOptions())
-			v := inst.VariantByName(vname)
-			res, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers)
+			res, err := vr.run(vname)
 			if err != nil {
-				return nil, fmt.Errorf("harness: fig3 %s/%s: %w", name, vname, err)
-			}
-			if err := inst.CheckFor(vname)(inst.Mem); err != nil {
 				return nil, fmt.Errorf("harness: fig3 %s/%s: %w", name, vname, err)
 			}
 			if vname == "baseline" {

@@ -91,14 +91,73 @@ func BuildCompilerGhost(workload string, cfg sim.Config, opts workloads.Options)
 func GovernorExperiment(names []string, cfg sim.Config, window int64) []GovRow {
 	var rows []GovRow
 	for _, name := range names {
-		if r, ok := governedManual(name, cfg, window); ok {
-			rows = append(rows, r)
-		}
-		if r, ok := governedCompiler(name, cfg, window); ok {
-			rows = append(rows, r)
-		}
+		rows = append(rows, governedWorkload(name, cfg, window)...)
 	}
 	return rows
+}
+
+// governedWorkload produces a workload's manual row (when it has a manual
+// ghost) and compiler row (when the heuristic selects targets), in that
+// order. Both kinds compare against the same baseline run: the governed
+// runs need sync tracing (the ghost publishes its iteration counter for
+// the lead series), which changes the ghost program, so every run uses
+// one traced build and the comparison stays apples-to-apples. Tracing
+// never adds or removes the manual ghost, so the traced build answers
+// whether there is one. The baseline is simulated and checked once and
+// only when some kind yields a row; its error is reported on each row.
+func governedWorkload(name string, cfg sim.Config, window int64) []GovRow {
+	build, err := workloads.Lookup(name)
+	if err != nil {
+		return []GovRow{
+			{Workload: name, Kind: "manual", Err: err.Error()},
+			{Workload: name, Kind: "compiler", Err: err.Error()},
+		}
+	}
+	var targets []core.Target
+	rep, profErr := profileWorkload(name, build, cfg)
+	if profErr == nil {
+		targets = core.SelectTargets(rep, core.DefaultHeuristicParams())
+	}
+
+	opts := workloads.DefaultOptions()
+	opts.Sync.Trace = true
+	inst := build(opts)
+	manual, compiler := inst.Ghost != nil, profErr != nil || len(targets) > 0
+	if !manual && !compiler {
+		return nil
+	}
+	snap := inst.Mem.Snapshot()
+	var base sim.Result
+	var baseErr error
+	if manual || profErr == nil {
+		base, baseErr = runChecked(inst, snap, cfg, inst.Baseline.Main, inst.Baseline.Helpers, inst.CheckFor("baseline"))
+	}
+
+	var rows []GovRow
+	if manual {
+		row := GovRow{Workload: name, Kind: "manual"}
+		if baseErr != nil {
+			row.Err = "baseline: " + baseErr.Error()
+		} else {
+			governedManual(&row, inst, snap, cfg, window, base)
+		}
+		rows = append(rows, row)
+	}
+	if !compiler {
+		return rows
+	}
+	row := GovRow{Workload: name, Kind: "compiler"}
+	switch {
+	case profErr != nil:
+		row.Err = profErr.Error()
+	case baseErr != nil:
+		row.Err = "baseline: " + baseErr.Error()
+	default:
+		// The manual runs are done, so growing the image no longer
+		// matters to their snapshot (Restore panics on a size mismatch).
+		governedCompiler(&row, inst, snap, opts, targets, cfg, window, base)
+	}
+	return append(rows, row)
 }
 
 // runChecked restores the snapshot, runs main+helpers under cfg, and
@@ -116,100 +175,49 @@ func runChecked(inst *workloads.Instance, snap []int64, cfg sim.Config,
 	return res, nil
 }
 
-// governedManual compares a workload's hand-written ghost variant
-// static versus governed. ok is false when the workload has no manual
-// ghost.
-func governedManual(name string, cfg sim.Config, window int64) (GovRow, bool) {
-	row := GovRow{Workload: name, Kind: "manual"}
-	build, err := workloads.Lookup(name)
-	if err != nil {
-		row.Err = err.Error()
-		return row, true
-	}
-
-	// The governed run needs sync tracing (the ghost publishes its
-	// iteration counter for the lead series), which changes the ghost
-	// program — so ALL three runs use the traced build, keeping the
-	// static-versus-governed comparison apples-to-apples. Tracing never
-	// adds or removes the manual ghost, so the traced build answers
-	// whether there is one.
-	opts := workloads.DefaultOptions()
-	opts.Sync.Trace = true
-	inst := build(opts)
-	if inst.Ghost == nil {
-		return row, false
-	}
-	snap := inst.Mem.Snapshot()
-
-	base, err := runChecked(inst, snap, cfg, inst.Baseline.Main, inst.Baseline.Helpers, inst.CheckFor("baseline"))
-	if err != nil {
-		row.Err = "baseline: " + err.Error()
-		return row, true
-	}
+// governedManual fills row with the workload's hand-written ghost
+// variant, static versus governed, against base.
+func governedManual(row *GovRow, inst *workloads.Instance, snap []int64, cfg sim.Config, window int64, base sim.Result) {
 	static, err := runChecked(inst, snap, cfg, inst.Ghost.Main, inst.Ghost.Helpers, inst.CheckFor("ghost"))
 	if err != nil {
 		row.Err = "static: " + err.Error()
-		return row, true
+		return
 	}
 	gcfg := GovernedConfig(cfg, window, inst.Counters)
 	governed, err := runChecked(inst, snap, gcfg, inst.Ghost.Main, inst.Ghost.Helpers, inst.CheckFor("ghost"))
 	if err != nil {
 		row.Err = "governed: " + err.Error()
-		return row, true
+		return
 	}
 	row.fill(base, static, governed)
-	return row, true
 }
 
-// governedCompiler compares a workload's compiler-extracted ghost
-// static versus governed (with the dynamic sync segment, so retuning is
-// live too). ok is false when the heuristic selects no targets.
-func governedCompiler(name string, cfg sim.Config, window int64) (GovRow, bool) {
-	row := GovRow{Workload: name, Kind: "compiler"}
-	build, err := workloads.Lookup(name)
-	if err != nil {
-		row.Err = err.Error()
-		return row, true
-	}
-	rep, err := profileWorkload(name, build, cfg)
-	if err != nil {
-		row.Err = err.Error()
-		return row, true
-	}
-	targets := core.SelectTargets(rep, core.DefaultHeuristicParams())
-	if len(targets) == 0 {
-		return row, false
-	}
-
-	opts := workloads.DefaultOptions()
-	opts.Sync.Trace = true
-	inst := build(opts)
-	// Governor-owned dynamic sync words, appended after the image is
-	// built and seeded with the static thresholds BEFORE the snapshot,
-	// so every restore re-arms them.
+// governedCompiler fills row with the workload's compiler-extracted
+// ghost, static versus governed (with the dynamic sync segment, so
+// retuning is live too), against base. It restores the pristine image
+// from snap and grows it by the governor's two sync words.
+func governedCompiler(row *GovRow, inst *workloads.Instance, snap []int64, opts workloads.Options, targets []core.Target, cfg sim.Config, window int64, base sim.Result) {
+	// Governor-owned dynamic sync words, appended to the pristine image
+	// and seeded with the static thresholds BEFORE the snapshot, so every
+	// restore re-arms them.
+	inst.Mem.Restore(snap)
 	tfAddr := inst.Mem.Grow(2)
 	clAddr := tfAddr + 1
 	inst.Mem.StoreWord(tfAddr, opts.Sync.TooFar)
 	inst.Mem.StoreWord(clAddr, opts.Sync.Close)
-	snap := inst.Mem.Snapshot()
-
-	base, err := runChecked(inst, snap, cfg, inst.Baseline.Main, inst.Baseline.Helpers, inst.CheckFor("baseline"))
-	if err != nil {
-		row.Err = "baseline: " + err.Error()
-		return row, true
-	}
+	snap = inst.Mem.Snapshot()
 
 	// Static reference: the plain static-immediate sync segment.
 	ext, err := slice.ExtractWith(inst.Baseline.Main, targets, opts.Sync, inst.Counters,
 		slice.Options{AllowUnproved: true})
 	if err != nil {
 		row.Err = "extraction: " + err.Error()
-		return row, true
+		return
 	}
 	static, err := runChecked(inst, snap, cfg, ext.Main, []*isa.Program{ext.Ghost}, inst.Check)
 	if err != nil {
 		row.Err = "static: " + err.Error()
-		return row, true
+		return
 	}
 
 	// Governed: re-extract per-phase with the dynamic sync segment
@@ -227,7 +235,7 @@ func governedCompiler(name string, cfg sim.Config, window int64) (GovRow, bool) 
 		slice.Options{AllowUnproved: true, PerPhase: true})
 	if err != nil {
 		row.Err = "dynamic extraction: " + err.Error()
-		return row, true
+		return
 	}
 	gcfg := GovernedConfig(cfg, window, inst.Counters)
 	gcfg.Governor.Retune = true
@@ -248,10 +256,9 @@ func governedCompiler(name string, cfg sim.Config, window int64) (GovRow, bool) 
 	governed, err := runChecked(inst, snap, gcfg, dext.Main, []*isa.Program{dext.Ghost}, inst.Check)
 	if err != nil {
 		row.Err = "governed: " + err.Error()
-		return row, true
+		return
 	}
 	row.fill(base, static, governed)
-	return row, true
 }
 
 // RenderGovernor renders the static-versus-governed comparison as a

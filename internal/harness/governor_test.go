@@ -5,6 +5,7 @@ import (
 
 	"ghostthread/internal/fault"
 	"ghostthread/internal/gov"
+	"ghostthread/internal/obs"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/workloads"
 )
@@ -219,5 +220,34 @@ func TestSyncTraceKeepsGhostPresence(t *testing.T) {
 		if traced := e.Build(opts).Ghost != nil; traced != plain {
 			t.Errorf("%s: manual ghost present %v untraced, %v traced", e.Name, plain, traced)
 		}
+	}
+}
+
+// TestGovernorExperimentOneBaselinePerWorkload checks that a workload's
+// manual and compiler rows share one baseline simulation. With telemetry
+// on the experiment's config every run emits windows, so the sink counts
+// run starts. camel yields both kinds: the profiling run (telemetry
+// bypasses the profile memo), one baseline, and a static and a governed
+// run per kind make 6; a baseline per kind would make 7.
+func TestGovernorExperimentOneBaselinePerWorkload(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Telemetry.WindowCycles = govWindow
+	runs := 0
+	cfg.Telemetry.Sink = func(ws obs.WindowSample) {
+		if ws.Window == 0 && ws.Core == 0 {
+			runs++
+		}
+	}
+	rows := GovernorExperiment([]string{"camel"}, cfg, govWindow)
+	manual := findGovRow(t, rows, "camel", "manual")
+	compiler := findGovRow(t, rows, "camel", "compiler")
+	if manual.Err != "" || compiler.Err != "" {
+		t.Fatalf("camel rows failed: manual %q, compiler %q", manual.Err, compiler.Err)
+	}
+	if manual.BaselineCycles != compiler.BaselineCycles {
+		t.Errorf("baseline cycles differ: manual %d, compiler %d", manual.BaselineCycles, compiler.BaselineCycles)
+	}
+	if runs != 6 {
+		t.Errorf("%d simulations, want 6 (profile, one baseline, static and governed per kind)", runs)
 	}
 }

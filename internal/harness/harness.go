@@ -10,6 +10,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -60,12 +61,18 @@ type Row struct {
 
 	// SimCycles is the total simulated cycles this row represents: the
 	// profiling run plus every distinct successful simulation, each
-	// counted once (the OpenMP fallback columns reuse the SMT column's
-	// run). It is the numerator of the harness's simulated-cycles-per-
-	// second throughput metric, and is computed identically whether the
-	// profile came from the cache or a fresh run, so rows stay
-	// bit-identical across worker counts.
+	// counted once. Columns that reuse another column's run add nothing:
+	// the OpenMP fallback columns reuse the SMT column's run, and a
+	// variant whose code is identical to an earlier one (tc's swpf is its
+	// baseline) reuses that variant's run. It is the numerator of the
+	// harness's simulated-cycles-per-second throughput metric, and is
+	// computed identically whether the profile came from the cache or a
+	// fresh run, so rows stay bit-identical across worker counts.
 	SimCycles int64
+
+	// sims counts the simulations the row ran, profiling excluded; the
+	// reuse tests read it.
+	sims int
 }
 
 // profKey identifies one memoizable profiling run: the workload name plus
@@ -231,7 +238,7 @@ func Eval(workload string, cfg sim.Config, hp core.HeuristicParams) (*Row, error
 	// graph workloads, building costs more than simulating a variant).
 	evalOpts := workloads.DefaultOptions()
 	inst := build(evalOpts)
-	snap := inst.Mem.Snapshot()
+	vr := newVariantRuns(inst, cfg)
 	decision := core.Decide(targets, inst.Ghost != nil, inst.Parallel != nil)
 
 	row := &Row{
@@ -242,28 +249,10 @@ func Eval(workload string, cfg sim.Config, hp core.HeuristicParams) (*Row, error
 		EnergySaving: map[string]float64{},
 		Unavailable:  map[string]string{},
 		Prefetch:     map[string]PrefetchReport{},
-		SimCycles:    rep.TotalCycles,
 	}
 	em := energy.DefaultModel()
 
-	runVariant := func(vname string) (sim.Result, error) {
-		v := inst.VariantByName(vname)
-		if v == nil {
-			return sim.Result{}, fmt.Errorf("no %s variant", vname)
-		}
-		inst.Mem.Restore(snap)
-		res, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if err := inst.CheckFor(vname)(inst.Mem); err != nil {
-			return sim.Result{}, fmt.Errorf("result check: %w", err)
-		}
-		row.SimCycles += res.Cycles
-		return res, nil
-	}
-
-	base, err := runVariant("baseline")
+	base, err := vr.run("baseline")
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s baseline: %w", workload, err)
 	}
@@ -282,18 +271,17 @@ func Eval(workload string, cfg sim.Config, hp core.HeuristicParams) (*Row, error
 	}
 
 	// SWPF.
-	res, err := runVariant("swpf")
+	res, err := vr.run("swpf")
 	record(TechSWPF, res, err)
 
-	// SMT OpenMP (x when parallelization needs rewriting). The run is
-	// deterministic, so the OpenMP fallbacks below reuse its outcome
-	// instead of simulating it again.
+	// SMT OpenMP (x when parallelization needs rewriting). The OpenMP
+	// fallbacks below reuse its outcome.
 	var smtRes sim.Result
 	var smtErr error
 	if inst.Parallel == nil {
 		row.Unavailable[TechSMT] = "requires code rewriting"
 	} else {
-		smtRes, smtErr = runVariant("smt-openmp")
+		smtRes, smtErr = vr.run("smt-openmp")
 		record(TechSMT, smtRes, smtErr)
 	}
 
@@ -307,7 +295,7 @@ func Eval(workload string, cfg sim.Config, hp core.HeuristicParams) (*Row, error
 		if err != nil {
 			err = fmt.Errorf("ghost plan: %w", err)
 		} else {
-			res, err = runVariant("ghost")
+			res, err = vr.run("ghost")
 		}
 	case core.UseParallel:
 		res, err = smtRes, smtErr
@@ -320,24 +308,115 @@ func Eval(workload string, cfg sim.Config, hp core.HeuristicParams) (*Row, error
 	// baseline when targets exist; otherwise mirror the fallback.
 	switch {
 	case len(targets) > 0:
-		res, err = runCompilerGhost(inst, snap, evalOpts, targets, cfg)
-		if err == nil {
-			row.SimCycles += res.Cycles
-		}
+		res, err = vr.runCompilerGhost(evalOpts, targets)
 		record(TechCompiler, res, err)
 	case inst.Parallel != nil:
 		record(TechCompiler, smtRes, smtErr)
 	default:
 		record(TechCompiler, base, nil)
 	}
+	row.SimCycles = rep.TotalCycles + vr.cycles
+	row.sims = vr.sims
 	return row, nil
 }
 
-// runCompilerGhost extracts and runs the compiler ghost on the shared
-// evaluation instance (restored to its pristine image first). Extraction
-// or run failures (including the segfaults the paper reports for sssp)
-// surface as errors → 'x' ticks.
-func runCompilerGhost(inst *workloads.Instance, snap []int64, opts workloads.Options, targets []core.Target, cfg sim.Config) (sim.Result, error) {
+// variantRuns simulates one instance's programs, each run starting from
+// the pristine memory image restored from one snapshot. The simulator is
+// deterministic, so variants whose code is identical (tc's swpf is its
+// baseline) would produce the same Result and the same final image: the
+// first of them to run is the only one simulated, and every variant
+// sharing its code runs its own result check on that final image right
+// after the simulation.
+type variantRuns struct {
+	inst *workloads.Instance
+	snap []int64
+	cfg  sim.Config
+
+	shared map[string][]string // variant -> the variants with its code, itself included
+	done   map[string]outcome  // settled variant outcomes
+
+	sims   int   // simulations run
+	cycles int64 // cycles of the simulations whose own result check passed
+}
+
+// outcome is a variant's share of a simulation: its result, or its result
+// check's error.
+type outcome struct {
+	res sim.Result
+	err error
+}
+
+func newVariantRuns(inst *workloads.Instance, cfg sim.Config) *variantRuns {
+	vr := &variantRuns{
+		inst:   inst,
+		snap:   inst.Mem.Snapshot(),
+		cfg:    cfg,
+		shared: map[string][]string{},
+		done:   map[string]outcome{},
+	}
+	vs := inst.Variants()
+	for _, a := range vs {
+		for _, b := range vs {
+			if sameCode(a.Variant, b.Variant) {
+				vr.shared[a.Name] = append(vr.shared[a.Name], b.Name)
+			}
+		}
+	}
+	return vr
+}
+
+// sameCode reports whether two variants run the same instructions: the
+// same main program and the same helpers in the same order, compared by
+// isa.Instr content. Names and loop annotations are not compared; the
+// simulator reads them only to word its errors.
+func sameCode(a, b *workloads.Variant) bool {
+	same := func(p, q *isa.Program) bool { return slices.Equal(p.Code, q.Code) }
+	return same(a.Main, b.Main) && slices.EqualFunc(a.Helpers, b.Helpers, same)
+}
+
+// simulate runs main and helpers from the pristine image, leaving the
+// final image in memory for the result checks.
+func (vr *variantRuns) simulate(main *isa.Program, helpers []*isa.Program) (sim.Result, error) {
+	vr.inst.Mem.Restore(vr.snap)
+	vr.sims++
+	return sim.RunProgram(vr.cfg, vr.inst.Mem, main, helpers)
+}
+
+// run returns the named variant's validated result, simulating it unless
+// a variant with the same code already ran. A failed simulation is not
+// shared: a variant with the same code simulates again and reports its
+// own error.
+func (vr *variantRuns) run(vname string) (sim.Result, error) {
+	if o, ok := vr.done[vname]; ok {
+		return o.res, o.err
+	}
+	v := vr.inst.VariantByName(vname)
+	if v == nil {
+		return sim.Result{}, fmt.Errorf("no %s variant", vname)
+	}
+	res, err := vr.simulate(v.Main, v.Helpers)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	for _, name := range vr.shared[vname] {
+		o := outcome{res: res}
+		if err := vr.inst.CheckFor(name)(vr.inst.Mem); err != nil {
+			o = outcome{err: fmt.Errorf("result check: %w", err)}
+		}
+		vr.done[name] = o
+	}
+	o := vr.done[vname]
+	if o.err == nil {
+		vr.cycles += res.Cycles
+	}
+	return o.res, o.err
+}
+
+// runCompilerGhost extracts the compiler ghost from the instance's
+// annotated baseline and runs it. Extraction or run failures (including
+// the segfaults the paper reports for sssp) surface as errors → 'x' ticks.
+func (vr *variantRuns) runCompilerGhost(opts workloads.Options, targets []core.Target) (sim.Result, error) {
+	inst := vr.inst
 	// AllowUnproved: the paper runs compiler slices even when translation
 	// validation cannot prove the address stream (they simply prefetch
 	// badly); gtlint/gtverify surface the UNPROVED verdicts separately.
@@ -346,14 +425,14 @@ func runCompilerGhost(inst *workloads.Instance, snap []int64, opts workloads.Opt
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("extraction: %w", err)
 	}
-	inst.Mem.Restore(snap)
-	res, err := sim.RunProgram(cfg, inst.Mem, ext.Main, []*isa.Program{ext.Ghost})
+	res, err := vr.simulate(ext.Main, []*isa.Program{ext.Ghost})
 	if err != nil {
 		return sim.Result{}, err
 	}
 	if err := inst.Check(inst.Mem); err != nil {
 		return sim.Result{}, fmt.Errorf("result check: %w", err)
 	}
+	vr.cycles += res.Cycles
 	return res, nil
 }
 

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"ghostthread/internal/core"
+	"ghostthread/internal/isa"
+	"ghostthread/internal/mem"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/workloads"
 )
@@ -201,7 +204,8 @@ func TestEvalBusyServerSelectsAtLeastAsMany(t *testing.T) {
 // shape on tc.road (no targets, a parallel version): the ghost and
 // compiler columns mirror the SMT column exactly, and the row's
 // simulated cycles count each distinct simulation once — profile,
-// baseline, swpf and smt-openmp.
+// baseline and smt-openmp (tc's swpf is the baseline code, so it shares
+// the baseline's run; TestEvalReusesIdenticalVariants pins that).
 func TestEvalOpenMPFallbackSimulatesOnce(t *testing.T) {
 	const name = "tc.road"
 	cfg := sim.DefaultConfig()
@@ -232,7 +236,7 @@ func TestEvalOpenMPFallbackSimulatesOnce(t *testing.T) {
 	want := rep.TotalCycles
 	inst := build(workloads.DefaultOptions())
 	snap := inst.Mem.Snapshot()
-	for _, vname := range []string{"baseline", "swpf", "smt-openmp"} {
+	for _, vname := range []string{"baseline", "smt-openmp"} {
 		v := inst.VariantByName(vname)
 		inst.Mem.Restore(snap)
 		res, err := sim.RunProgram(cfg, inst.Mem, v.Main, v.Helpers)
@@ -242,7 +246,101 @@ func TestEvalOpenMPFallbackSimulatesOnce(t *testing.T) {
 		want += res.Cycles
 	}
 	if row.SimCycles != want {
-		t.Errorf("SimCycles = %d, want %d (profile + baseline + swpf + smt-openmp, each once)",
+		t.Errorf("SimCycles = %d, want %d (profile + baseline + smt-openmp, each once)",
 			row.SimCycles, want)
+	}
+}
+
+// TestEvalReusesIdenticalVariants checks that a variant whose code is
+// identical to an earlier one reuses that run instead of simulating
+// again. tc's swpf is its baseline code, so tc.road's swpf speedup is
+// exactly 1 and the row simulates only baseline and smt-openmp (the
+// ghost and compiler columns fall back to OpenMP) — one fewer than the
+// three it took when swpf was simulated too. cc.road has the same row
+// shape, but its swpf differs, so swpf is still simulated.
+func TestEvalReusesIdenticalVariants(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	for _, tc := range []struct {
+		name     string
+		sameSWPF bool
+		sims     int
+	}{
+		{"tc.road", true, 2},
+		{"cc.road", false, 3},
+	} {
+		build, err := workloads.Lookup(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := build(workloads.ProfileOptions())
+		if got := sameCode(inst.Baseline, inst.SWPF); got != tc.sameSWPF {
+			t.Fatalf("%s: sameCode(baseline, swpf) = %v, want %v", tc.name, got, tc.sameSWPF)
+		}
+		row, err := Eval(tc.name, cfg, core.DefaultHeuristicParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Decision != core.UseParallel {
+			t.Fatalf("%s: decision %s, want %s", tc.name, row.Decision, core.UseParallel)
+		}
+		if row.sims != tc.sims {
+			t.Errorf("%s: %d simulations, want %d", tc.name, row.sims, tc.sims)
+		}
+		if swpf := row.Speedup[TechSWPF]; (swpf == 1) != tc.sameSWPF {
+			t.Errorf("%s: swpf speedup %v; want exactly 1 only when swpf is the baseline code", tc.name, swpf)
+		}
+	}
+}
+
+// TestSharedRunChecksEachVariant checks that a variant reusing another's
+// run still has its own result check applied to that run's final image.
+// The fixture gives tc.road a parallel variant with the baseline's code
+// and a relaxed check that always fails: smt-openmp must report that
+// failure while the baseline passes, from one simulation.
+func TestSharedRunChecksEachVariant(t *testing.T) {
+	build, err := workloads.Lookup("tc.road")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := build(workloads.ProfileOptions())
+	inst.Parallel = inst.Baseline
+	inst.CheckRelaxed = func(*mem.Memory) error { return errors.New("relaxed check ran") }
+	vr := newVariantRuns(inst, sim.DefaultConfig())
+	if _, err := vr.run("baseline"); err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	if _, err := vr.run("smt-openmp"); err == nil || !strings.Contains(err.Error(), "relaxed check ran") {
+		t.Errorf("smt-openmp = %v, want its own failing result check", err)
+	}
+	if vr.sims != 1 {
+		t.Errorf("%d simulations, want 1", vr.sims)
+	}
+}
+
+// TestSameCode pins what counts as identical code: instruction content,
+// whatever the programs are called.
+func TestSameCode(t *testing.T) {
+	prog := func(name string, imm int64) *isa.Program {
+		return &isa.Program{Name: name, Code: []isa.Instr{
+			{Op: isa.OpConst, Dst: 1, Imm: imm},
+			{Op: isa.OpHalt},
+		}}
+	}
+	variant := func(main *isa.Program, helpers ...*isa.Program) *workloads.Variant {
+		return &workloads.Variant{Main: main, Helpers: helpers}
+	}
+	for _, tc := range []struct {
+		name string
+		a, b *workloads.Variant
+		want bool
+	}{
+		{"same code, other names", variant(prog("main", 7), prog("h", 1)), variant(prog("other", 7), prog("g", 1)), true},
+		{"different imm", variant(prog("main", 7)), variant(prog("main", 8)), false},
+		{"different helper", variant(prog("main", 7), prog("h", 1)), variant(prog("main", 7), prog("h", 2)), false},
+		{"extra helper", variant(prog("main", 7)), variant(prog("main", 7), prog("h", 1)), false},
+	} {
+		if got := sameCode(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: sameCode = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -31,6 +31,9 @@ func SweepSync(workload string, cfg sim.Config) ([]SweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := baseInst.Check(baseInst.Mem); err != nil {
+		return nil, fmt.Errorf("harness: sweep %s baseline: %w", workload, err)
+	}
 
 	var grid []core.SyncParams
 	for _, freq := range []int64{8, 16, 32} {
