@@ -1,7 +1,7 @@
 GO ?= go
 TRACE_OUT ?= TRACE_camel_ghost.json
 
-.PHONY: build vet test race lint detlint verify-smoke verify-golden results-smoke results-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
+.PHONY: build vet test race lint detlint verify-smoke verify-golden results-smoke results-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig9-smoke fig9-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
 
 build:
 	$(GO) build ./...
@@ -157,6 +157,22 @@ governor-golden:
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -govern \
 		-window-out testdata/governed_windows_golden.ndjson > /dev/null
 
+# Figure-9 smoke: the multi-core scaling study on three kernel.graph rows
+# (unrounded geomeans and every run's cycles per core count) diffed
+# against the checked-in golden. These are the only runs where several
+# cores share the LLC, memory controller and memory image, so any drift
+# means multi-core stepping changed behavior — fix it, or review the diff
+# and re-bless with `make fig9-golden`.
+FIG9_ROWS = bfs.kron,cc.urand,pr.urand
+fig9-smoke:
+	$(GO) run ./cmd/ghostbench -experiment fig9 -workloads $(FIG9_ROWS) -json -quiet > FIG9.json
+	diff -u testdata/fig9_golden.json FIG9.json
+
+# Re-bless the figure-9 golden after a reviewed change. Inspect the diff
+# before committing.
+fig9-golden:
+	$(GO) run ./cmd/ghostbench -experiment fig9 -workloads $(FIG9_ROWS) -json -quiet > testdata/fig9_golden.json
+
 # Figure-10 smoke: the inter-thread distance traces (the ghost/main
 # counter words read at every window boundary) diffed against the
 # checked-in golden. Any drift means window scheduling or the sync
@@ -176,17 +192,18 @@ fig10-golden:
 # CLI smoke: gtrun's -profile and -dump modes diffed against goldens
 # captured from the gtprof and gtasm commands they replaced (fix drift,
 # or review it and re-bless with `make cli-golden`), the -dump output
-# must assemble and run under -asm -interp, and a bad flag value must
-# exit 2 with the tool's usage message (a Go panic also exits 2, so the
-# message is checked too). The binaries are built rather than run with
-# `go run`, which maps every non-zero exit to 1.
+# must assemble and run under -asm -interp, and a bad flag value (or a
+# fig9 workload with no multi-core variant) must exit 2 with the tool's
+# usage message (a Go panic also exits 2, so the message is checked too).
+# The binaries are built rather than run with `go run`, which maps every
+# non-zero exit to 1.
 CLI_BIN ?= .cli_bin
 cli-smoke:
-	$(GO) build -o $(CLI_BIN)/ ./cmd/gtrun ./cmd/gttrace
+	$(GO) build -o $(CLI_BIN)/ ./cmd/gtrun ./cmd/gttrace ./cmd/ghostbench
 	$(CLI_BIN)/gtrun -workload bfs.kron -scale profile -profile | diff -u testdata/gtrun_profile_golden.txt -
 	$(CLI_BIN)/gtrun -workload camel -variant ghost -scale profile -dump | diff -u testdata/gtrun_dump_golden.txt -
 	$(CLI_BIN)/gtrun -workload camel -variant ghost -scale profile -dump | $(CLI_BIN)/gtrun -asm /dev/stdin -interp
-	@for cmd in "gtrun -scale bogus" "gttrace -rows 0"; do \
+	@for cmd in "gtrun -scale bogus" "gttrace -rows 0" "ghostbench -experiment fig9 -workloads camel"; do \
 		tool=$${cmd%% *}; out=$$($(CLI_BIN)/$$cmd 2>&1); code=$$?; \
 		case "$$code:$$out" in "2:$$tool: "*) ;; *) \
 			echo "cli-smoke: $$cmd exited $$code, want 2 with a '$$tool:' usage message:" >&2; \
@@ -199,4 +216,4 @@ cli-golden:
 	$(GO) run ./cmd/gtrun -workload bfs.kron -scale profile -profile > testdata/gtrun_profile_golden.txt
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -dump > testdata/gtrun_dump_golden.txt
 
-ci: vet build race lint detlint verify-smoke results-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig10-smoke cli-smoke
+ci: vet build race lint detlint verify-smoke results-smoke bench-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig9-smoke fig10-smoke cli-smoke

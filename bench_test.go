@@ -113,7 +113,7 @@ func BenchmarkFigure9(b *testing.B) {
 	var r *harness.Fig9Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = harness.Figure9(nil)
+		r, err = harness.Figure9(nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

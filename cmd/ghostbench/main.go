@@ -13,7 +13,8 @@
 //	ghostbench -experiment governor # static vs adaptively-governed ghosts
 //
 // Use -csv or -json for machine-readable output, -workloads to restrict
-// the evaluation set (sweep tunes camel unless -workloads names others),
+// the evaluation set (sweep tunes camel unless -workloads names others;
+// fig9 accepts only the kernel.graph names with a multi-core variant),
 // and -j N to evaluate N workloads in parallel (default: one worker per
 // CPU).
 //
@@ -32,6 +33,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"ghostthread/internal/cli"
 	"ghostthread/internal/harness"
@@ -46,10 +49,10 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "fig6", "fig3 | table1 | fig6 | fig7 | fig8 | fig9 | fig10a | fig10b | sweep | resilience | governor | report")
 		csv        = flag.Bool("csv", false, "emit CSV instead of a table")
-		jsonOut    = flag.Bool("json", false, "emit JSON (fig6/fig8; NDJSON rows for resilience and governor)")
+		jsonOut    = flag.Bool("json", false, "emit JSON (fig6/fig8/fig9; NDJSON rows for resilience and governor)")
 		gnuplot    = flag.Bool("gnuplot", false, "emit a gnuplot script (fig6/fig8)")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		workSet    = flag.String("workloads", "", "comma-separated workload subset (default: the full 34; camel for sweep)")
+		workSet    = flag.String("workloads", "", "comma-separated workload subset (default: the full 34; camel for sweep; fig9: kernel.graph names with a multi-core variant, default all 15)")
 		jobs       = flag.Int("j", 0, "parallel workload evaluations (0 = GOMAXPROCS)")
 		scale      = cli.Scale(flag.CommandLine, workloads.ScaleEval, "workload input scale for -experiment resilience: eval | profile")
 		faultSeed  = flag.Uint64("fault-seed", 1, "master seed for the resilience fault schedules")
@@ -154,8 +157,18 @@ func main() {
 		}
 
 	case "fig9":
-		res, err := harness.Figure9(progress)
+		for _, w := range subset {
+			if !slices.Contains(harness.Fig9Workloads(), w) {
+				tool.Check(cli.Usagef("workload %s has no multi-core variant (figure 9 runs %s)",
+					w, strings.Join(harness.Fig9Workloads(), ",")))
+			}
+		}
+		res, err := harness.Figure9(subset, progress)
 		tool.Check(err)
+		if *jsonOut {
+			tool.Check(cli.JSON(res))
+			break
+		}
 		fmt.Println("Figure 9: multi-core scaling (geomean speedup over the parallel baseline)")
 		fmt.Print(harness.RenderFigure9(res))
 

@@ -245,6 +245,20 @@ func (c *Cache) delayReady(line, at int64) {
 	}
 }
 
+// ShiftUse moves a resident line's LRU stamp d cycles later, touching
+// nothing else. A parked core (cpu/park.go) uses it to stamp the L1 hits
+// it did not step as if it had.
+func (c *Cache) ShiftUse(line, d int64) {
+	base := c.setBase(line)
+	for w := 0; w < c.ways; w++ {
+		i := base + int64(w)
+		if c.tags[i] == line {
+			c.lastUse[i] += d
+			return
+		}
+	}
+}
+
 // peek probes for line without touching replacement or counter state.
 // It reports residency and, when resident, whether the fill has landed.
 func (c *Cache) peek(line, now int64) (resident, filled bool) {

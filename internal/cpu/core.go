@@ -39,18 +39,21 @@ type thread struct {
 	halted   bool // halt dispatched
 	finished bool // halted and ROB drained
 
-	pc       int
-	regs     [isa.NumRegs]int64
-	producer [isa.NumRegs]int32 // ROB slot producing the register, -1 if value final
+	pc   int
+	regs [isa.NumRegs]int64
+	// regReady is, per register, the completion cycle of its latest
+	// producer, written at dispatch once that cycle is fixed. A value at or
+	// before now is final: a committed producer has completed by now.
+	regReady [isa.NumRegs]int64
 
 	// Reorder buffer, SoA. Slot i is described by state[i], rpc[i] (the
-	// static pc, indexing code), cmeta[i] (the packed commit metadata,
+	// static pc, indexing code), cmeta[i] (the commit metadata,
 	// see decoded.go), and completeAt[i] — the completion cycle in
 	// stIssued, or the drain deadline in stSerialize (0 = not yet at the
 	// head).
 	state      []uint8
 	rpc        []int32
-	cmeta      []uint16
+	cmeta      []uint8
 	completeAt []int64
 	head, tail int
 	count      int
@@ -92,13 +95,11 @@ func (t *thread) reset(prog *isa.Program, dp *decodedProgram, robSize int, start
 	t.halted = false
 	t.finished = false
 	t.pc = 0
-	for i := range t.producer {
-		t.producer[i] = -1
-	}
+	t.regReady = [isa.NumRegs]int64{}
 	if cap(t.state) < robSize {
 		t.state = make([]uint8, robSize)
 		t.rpc = make([]int32, robSize)
-		t.cmeta = make([]uint16, robSize)
+		t.cmeta = make([]uint8, robSize)
 		t.completeAt = make([]int64, robSize)
 	}
 	t.state = t.state[:robSize]
@@ -227,6 +228,12 @@ type Core struct {
 	// is bit-identical across step modes.
 	fault *fault.Injector
 
+	// Parking (park.go): the steady-state probe and, while parked, the
+	// period Unpark replays. onStore (nil = none) runs before each store
+	// of this core lands in memory.
+	park    parkState
+	onStore func(addr int64)
+
 	err error
 }
 
@@ -280,6 +287,7 @@ func (c *Core) Load(main *isa.Program, helpers []*isa.Program) {
 		c.issueStamp[i] = -1
 	}
 	c.err = nil
+	c.park.reset()
 	if c.fault != nil {
 		// Seed the timing wheel with the fault triggers that need one: the
 		// first preemption window and the one-shot ghost kill. Putting them
@@ -311,10 +319,7 @@ func (c *Core) Done() bool {
 }
 
 // smtActive reports whether both contexts are competing for resources.
-func (c *Core) smtActive() bool {
-	t1 := &c.threads[1]
-	return t1.active && !t1.finished
-}
+func (c *Core) smtActive() bool { return c.threads[1].live() }
 
 func (c *Core) robCap() int {
 	if c.smtActive() {
@@ -655,6 +660,9 @@ func (c *Core) govRespawn() {
 	c.GovRespawns++
 	c.ghostStart = c.now
 	if c.govCtrAddr > 0 {
+		if c.onStore != nil {
+			c.onStore(c.govCtrAddr)
+		}
 		c.mem.StoreWord(c.govCtrAddr, 0)
 	}
 	if c.trace != nil {
@@ -713,6 +721,7 @@ func (c *Core) deactivateHelper() bool {
 				Kind: obs.KindGhostLife, Core: c.id, Ctx: 1})
 		}
 	}
+	c.park.retireClaims(h)
 	h.active = false
 	h.finished = true
 	h.gen++
@@ -759,18 +768,11 @@ func (c *Core) commit(t *thread) {
 			}
 			return
 		}
-		m := t.cmeta[h]
-		switch m >> cmetaQShift {
+		switch t.cmeta[h] {
 		case cmetaQStore:
 			t.sq--
 		case cmetaQLoad:
 			t.lq--
-		}
-		// Entries complete silently (no wake event), so the register
-		// claim is released here: a recycled ROB slot can then never be
-		// mistaken for a live producer.
-		if m&cmetaHasDst != 0 && t.producer[m&cmetaDstMask] == int32(h) {
-			t.producer[m&cmetaDstMask] = -1
 		}
 		t.execPC[pc]++
 		t.committed++
@@ -801,17 +803,15 @@ func (c *Core) traceGhostDrain(t *thread) {
 // readyFloor returns the earliest cycle the instruction's operands allow
 // it to begin execution: the latest completion cycle among its
 // producers. Every producer, being older, already has a fixed completion
-// cycle — the induction the analytic engine rests on.
+// cycle — the induction the analytic engine rests on. A floor at or
+// before now means the operands are final; callers treat every such
+// floor alike (max(now+1, floor), floor > now).
 func (t *thread) readyFloor(d *dInstr) int64 {
 	floor := int64(0)
 	if d.nsrc >= 1 {
-		if p := t.producer[d.src1]; p >= 0 {
-			floor = t.completeAt[p]
-		}
+		floor = t.regReady[d.src1]
 		if d.nsrc == 2 {
-			if p := t.producer[d.src2]; p >= 0 && t.completeAt[p] > floor {
-				floor = t.completeAt[p]
-			}
+			floor = max(floor, t.regReady[d.src2])
 		}
 	}
 	return floor
@@ -1061,6 +1061,9 @@ func (c *Core) dispatchOne(t *thread) bool {
 			return false
 		}
 		memAddr = addr
+		if c.onStore != nil {
+			c.onStore(addr)
+		}
 		c.mem.StoreWord(addr, t.regs[in.Src2])
 		t.sq++
 	case isa.OpPrefetch:
@@ -1086,6 +1089,9 @@ func (c *Core) dispatchOne(t *thread) bool {
 		memAddr = addr
 		if c.shadow != nil && t.id == 0 {
 			c.shadow.demand(addr)
+		}
+		if c.onStore != nil {
+			c.onStore(addr)
 		}
 		v := c.mem.LoadWord(addr) + t.regs[in.Src2]
 		c.mem.StoreWord(addr, v)
@@ -1190,11 +1196,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 		c.wrec.ObserveLead(c.mem.LoadWord(c.wrecAddr) - t.regs[in.Dst])
 	}
 
-	// Claim the destination register for timing purposes.
-	if in.Op.HasDst() {
-		t.producer[in.Dst] = idx
-	}
-
 	// Entry scheduling: fix the issue and completion cycles now.
 	switch d.class {
 	case clSerialize:
@@ -1225,6 +1226,13 @@ func (c *Core) dispatchOne(t *thread) bool {
 				t.fetchBlockedUntil = bl
 			}
 		}
+	}
+
+	if in.Op.HasDst() {
+		t.regReady[in.Dst] = t.completeAt[idx]
+	}
+	if c.park.probing {
+		c.noteDispatch(d.class, memAddr, t.regs[in.Dst])
 	}
 
 	t.tail++

@@ -37,23 +37,18 @@ type dInstr struct {
 	src2     uint8
 	nsrc     uint8
 	latClass uint8
-	hard     bool   // conditional branch with FlagHardBranch
-	cmeta    uint16 // packed commit metadata, copied into the ROB slot
+	hard     bool  // conditional branch with FlagHardBranch
+	cmeta    uint8 // commit metadata, copied into the ROB slot
 	imm      int64
 }
 
-// Commit-side metadata layout (dInstr.cmeta / thread.cmeta): everything
-// retirement needs, packed so commit never touches the dInstr.
-// Bits 0–7 are the destination register, bit 8 marks a live destination,
-// and bits 9–10 select which queue entry (if any) the retiring
-// instruction releases.
+// Commit-side metadata (dInstr.cmeta / thread.cmeta): which queue entry,
+// if any, the retiring instruction releases, so commit never touches the
+// dInstr.
 const (
-	cmetaDstMask = 0xff
-	cmetaHasDst  = 1 << 8
-	cmetaQShift  = 9
-	cmetaQNone   = 0
-	cmetaQStore  = 1
-	cmetaQLoad   = 2 // loads, prefetches, atomics share the load queue
+	cmetaQNone  = 0
+	cmetaQStore = 1
+	cmetaQLoad  = 2 // loads, prefetches, atomics share the load queue
 )
 
 // decodedProgram caches the decoded form of one isa.Program, built once
@@ -113,15 +108,11 @@ func decodeProgram(p *isa.Program) *decodedProgram {
 		default:
 			d.latClass = latInt
 		}
-		d.cmeta = uint16(in.Dst)
-		if in.Op.HasDst() {
-			d.cmeta |= cmetaHasDst
-		}
 		switch d.class {
 		case clStore:
-			d.cmeta |= cmetaQStore << cmetaQShift
+			d.cmeta = cmetaQStore
 		case clLoad, clPrefetch, clAtomic:
-			d.cmeta |= cmetaQLoad << cmetaQShift
+			d.cmeta = cmetaQLoad
 		}
 	}
 	return dp

@@ -12,24 +12,48 @@ import (
 var Fig9CoreCounts = []int{1, 2, 4}
 
 // Fig9Result holds geomean speedups over the parallel baseline at each
-// core count, plus the "no omp" single-threaded column.
+// core count, plus the "no omp" single-threaded column and the cycles
+// behind every speedup.
 type Fig9Result struct {
 	// Geomean[tech][cores] is the geomean speedup over the same-core-count
 	// parallel baseline.
-	Geomean map[string]map[int]float64
+	Geomean map[string]map[int]float64 `json:"geomean"`
 	// NoOmp is the single-threaded Ghost Threading geomean (the paper's
 	// "no omp" column).
-	NoOmp float64
+	NoOmp float64 `json:"no_omp"`
 	// Workloads lists the kernel.graph set evaluated.
-	Workloads []string
+	Workloads []string `json:"workloads"`
+	// Rows holds each workload's cycles, in Workloads order.
+	Rows []Fig9Row `json:"rows"`
 }
 
-// fig9Workloads returns the kernel.graph pairs with multi-core variants.
-func fig9Workloads() [][2]string {
-	var out [][2]string
+// Fig9Row is one kernel.graph workload's cycles: per core count, and in
+// the single-threaded "no omp" column.
+type Fig9Row struct {
+	Workload string             `json:"workload"`
+	Cycles   map[int]Fig9Cycles `json:"cycles"`
+	NoOmp    Fig9Cycles         `json:"no_omp"`
+}
+
+// Fig9Cycles is one configuration's cycles per technique. Ghost is the
+// Ghost Threading column: the ghost run when training selected it, else
+// the OpenMP run (SMT) or, in the "no omp" column, the baseline. The
+// "no omp" column has no SWPF or SMT run.
+type Fig9Cycles struct {
+	Baseline      int64 `json:"baseline"`
+	SWPF          int64 `json:"swpf,omitempty"`
+	SMT           int64 `json:"smt_openmp,omitempty"`
+	Ghost         int64 `json:"ghost"`
+	GhostSelected bool  `json:"ghost_selected"`
+}
+
+// Fig9Workloads returns the kernel.graph names with multi-core variants,
+// the set figure 9 evaluates by default.
+func Fig9Workloads() []string {
+	var out []string
 	for _, k := range workloads.MultiKernels {
 		for _, gn := range workloads.GraphNames {
-			out = append(out, [2]string{k, gn})
+			out = append(out, k+"."+gn)
 		}
 	}
 	return out
@@ -70,58 +94,57 @@ func multiCycles(kernel, graphName string, cores int, tech workloads.MultiTech, 
 // Threading over the OpenMP-parallelized baseline on the same number of
 // cores. Ghost-vs-OpenMP selection uses the paper's multi-core method —
 // a training run on the profiling inputs, not the single-core heuristic.
-func Figure9(progress func(string)) (*Fig9Result, error) {
+// names restricts the kernel.graph set to a subset of Fig9Workloads()
+// (nil = all of them).
+func Figure9(names []string, progress func(string)) (*Fig9Result, error) {
+	if names == nil {
+		names = Fig9Workloads()
+	}
 	cfg := sim.DefaultConfig()
-	res := &Fig9Result{Geomean: map[string]map[int]float64{}}
+	res := &Fig9Result{Geomean: map[string]map[int]float64{}, Workloads: names}
 	for _, tech := range []string{TechSWPF, TechSMT, TechGhost} {
 		res.Geomean[tech] = map[int]float64{}
 	}
-
-	for _, kg := range fig9Workloads() {
-		res.Workloads = append(res.Workloads, kg[0]+"."+kg[1])
+	for _, name := range names {
+		res.Rows = append(res.Rows, Fig9Row{Workload: name, Cycles: map[int]Fig9Cycles{}})
 	}
 
 	for _, cores := range Fig9CoreCounts {
 		speed := map[string][]float64{}
-		for _, kg := range fig9Workloads() {
-			kernel, gname := kg[0], kg[1]
+		for i, name := range names {
+			kernel, gname, _ := strings.Cut(name, ".")
 			if progress != nil {
-				progress(fmt.Sprintf("%s.%s @ %d cores", kernel, gname, cores))
+				progress(fmt.Sprintf("%s @ %d cores", name, cores))
 			}
-			base, err := multiCycles(kernel, gname, cores, workloads.MultiBaseline, workloads.DefaultOptions(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			var smt int64
-			for _, tech := range []workloads.MultiTech{workloads.MultiSWPF, workloads.MultiSMT} {
-				c, err := multiCycles(kernel, gname, cores, tech, workloads.DefaultOptions(), cfg)
+			var row Fig9Cycles
+			var err error
+			run := func(tech workloads.MultiTech, opts workloads.Options) int64 {
 				if err != nil {
-					return nil, err
+					return 0
 				}
-				name := TechSWPF
-				if tech == workloads.MultiSMT {
-					name, smt = TechSMT, c
-				}
-				speed[name] = append(speed[name], float64(base)/float64(c))
+				var c int64
+				c, err = multiCycles(kernel, gname, cores, tech, opts, cfg)
+				return c
 			}
+			row.Baseline = run(workloads.MultiBaseline, workloads.DefaultOptions())
+			row.SWPF = run(workloads.MultiSWPF, workloads.DefaultOptions())
+			row.SMT = run(workloads.MultiSMT, workloads.DefaultOptions())
 			// Ghost Threading: training-input comparison (paper §6.4).
-			gt, err := multiCycles(kernel, gname, cores, workloads.MultiGhost, workloads.ProfileOptions(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			st, err := multiCycles(kernel, gname, cores, workloads.MultiSMT, workloads.ProfileOptions(), cfg)
-			if err != nil {
-				return nil, err
-			}
+			gt := run(workloads.MultiGhost, workloads.ProfileOptions())
+			st := run(workloads.MultiSMT, workloads.ProfileOptions())
 			// OpenMP's default-input run is the SMT column's, simulated above.
-			c := smt
-			if st >= gt {
-				c, err = multiCycles(kernel, gname, cores, workloads.MultiGhost, workloads.DefaultOptions(), cfg)
-				if err != nil {
-					return nil, err
-				}
+			row.Ghost, row.GhostSelected = row.SMT, st >= gt
+			if row.GhostSelected {
+				row.Ghost = run(workloads.MultiGhost, workloads.DefaultOptions())
 			}
-			speed[TechGhost] = append(speed[TechGhost], float64(base)/float64(c))
+			if err != nil {
+				return nil, err
+			}
+			res.Rows[i].Cycles[cores] = row
+			base := float64(row.Baseline)
+			speed[TechSWPF] = append(speed[TechSWPF], base/float64(row.SWPF))
+			speed[TechSMT] = append(speed[TechSMT], base/float64(row.SMT))
+			speed[TechGhost] = append(speed[TechGhost], base/float64(row.Ghost))
 		}
 		//detlint:ignore keyed assignment into Geomean[tech]; iteration order cannot reach the output
 		for tech, vals := range speed {
@@ -132,8 +155,7 @@ func Figure9(progress func(string)) (*Fig9Result, error) {
 	// "no omp": single-threaded baseline vs ghost (training-selected
 	// against the baseline, since no OpenMP exists in this column).
 	var noOmp []float64
-	for _, kg := range fig9Workloads() {
-		name := kg[0] + "." + kg[1]
+	for i, name := range names {
 		if progress != nil {
 			progress(name + " (no omp)")
 		}
@@ -151,22 +173,23 @@ func Figure9(progress func(string)) (*Fig9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		useGhost := gRes.Cycles < rep.TotalCycles
+		row := &res.Rows[i].NoOmp
+		row.GhostSelected = gRes.Cycles < rep.TotalCycles
 
 		vr := newVariantRuns(build(workloads.DefaultOptions()), cfg)
 		baseRes, err := vr.run("baseline")
 		if err != nil {
 			return nil, fmt.Errorf("harness: fig9 %s baseline: %w", name, err)
 		}
-		cycles := baseRes.Cycles
-		if useGhost {
+		row.Baseline, row.Ghost = baseRes.Cycles, baseRes.Cycles
+		if row.GhostSelected {
 			gRes, err := vr.run("ghost")
 			if err != nil {
 				return nil, fmt.Errorf("harness: fig9 %s ghost: %w", name, err)
 			}
-			cycles = gRes.Cycles
+			row.Ghost = gRes.Cycles
 		}
-		noOmp = append(noOmp, float64(baseRes.Cycles)/float64(cycles))
+		noOmp = append(noOmp, float64(row.Baseline)/float64(row.Ghost))
 	}
 	res.NoOmp = Geomean(noOmp)
 	return res, nil

@@ -150,6 +150,13 @@ type System struct {
 	// behind s.now until it is caught up (see Run).
 	next []int64
 
+	// Parking (DESIGN.md §9.5), on multi-core machines unless CycleStep:
+	// a parked core's next[i] is math.MaxInt64 until a store to a word it
+	// watches, a window flush or the cycle budget unparks it.
+	park         bool
+	parked       int   // cores parked now
+	parkedCycles int64 // core-cycles applied without stepping
+
 	// err is a configuration problem New found; Run returns it before
 	// stepping anything.
 	err error
@@ -194,6 +201,12 @@ func New(cfg Config, m *mem.Memory) *System {
 		h := cache.NewHierarchy(cfg.Hier, s.llc, s.mc)
 		s.cores[i] = cpu.New(cfg.CPU, h, m)
 		s.finishAt[i] = -1 // -1 = not finished; 0 is a valid finish cycle
+	}
+	if cfg.Cores > 1 && !cfg.CycleStep {
+		s.park = true
+		for i, c := range s.cores {
+			c.SetStoreHook(func(addr int64) { s.wake(i, addr) })
+		}
 	}
 	if cfg.Shadow.Enabled {
 		for _, c := range s.cores {
@@ -385,7 +398,10 @@ func (e *ConfigError) Unwrap() error { return e.Err }
 // dispatches nothing and so touches no shared state. A lagging core is
 // caught up (SkipTo) just before its next Step and before every window
 // flush, and skipAhead jumps the machine clock over spans in which no
-// core has work. The Result is bit-identical either way.
+// core has work. On a multi-core machine a core whose timing state
+// recurs is parked instead (cpu.Core.Probe, DESIGN.md §9.5) and
+// unparked before anything could see the difference. The Result is
+// bit-identical either way.
 func (s *System) Run() (Result, error) {
 	if s.err != nil {
 		return Result{}, s.err
@@ -406,7 +422,12 @@ func (s *System) Run() (Result, error) {
 			}
 			c.SkipTo(s.now)
 			c.Step()
-			if !s.cfg.CycleStep {
+			switch {
+			case s.cfg.CycleStep:
+			case s.park && c.Probe():
+				s.next[i] = math.MaxInt64
+				s.parked++
+			default:
 				s.next[i] = c.NextEvent()
 			}
 		}
@@ -435,16 +456,56 @@ func (s *System) Run() (Result, error) {
 	return s.collect()
 }
 
-// catchUp brings every lagging core's clock up to the machine clock, so
-// that core state read between stepped cycles (Stats, PCProfile, Sample,
-// a sink's reads) and events stamped at Now()+1 match the per-cycle loop.
+// catchUp brings every lagging or parked core's clock up to the machine
+// clock, so that core state read between stepped cycles (Stats,
+// PCProfile, Sample, a sink's reads) and events stamped at Now()+1 match
+// the per-cycle loop.
 func (s *System) catchUp() {
-	for _, c := range s.cores {
-		if !c.Done() {
+	for i, c := range s.cores {
+		switch {
+		case c.Parked():
+			s.unpark(i, s.now)
+		case !c.Done():
 			c.SkipTo(s.now)
 		}
 	}
 }
+
+// wake runs just before core w's store or atomic lands on addr, at the
+// machine cycle being stepped. A parked core whose period loads addr is
+// brought up to the cycle it would have reached in the per-cycle loop by
+// then: through this cycle if its index is below w's (it stepped before
+// the writer), through the previous one otherwise (it steps after the
+// writer, and sees the store).
+func (s *System) wake(w int, addr int64) {
+	if s.parked == 0 {
+		return
+	}
+	at := s.cores[w].Now()
+	for i, c := range s.cores {
+		if i == w || !c.Parked() || !c.Watches(addr) {
+			continue
+		}
+		if i < w {
+			s.unpark(i, at)
+		} else {
+			s.unpark(i, at-1)
+		}
+	}
+}
+
+// unpark brings parked core i up to cycle target and resumes stepping it.
+func (s *System) unpark(i int, target int64) {
+	c := s.cores[i]
+	s.parkedCycles += c.Unpark(target)
+	s.parked--
+	s.next[i] = c.NextEvent()
+}
+
+// ParkedCycles returns the core-cycles Run applied to parked cores
+// without stepping them (DESIGN.md §9.5); always 0 on single-core
+// machines and under CycleStep.
+func (s *System) ParkedCycles() int64 { return s.parkedCycles }
 
 // flushWindows closes the telemetry window ending at the current cycle:
 // for each core, in index order, it diffs the core's counters against
@@ -639,7 +700,8 @@ func (s *System) collect() (Result, error) {
 // SkipTo when it is caught up. The target is capped below the next
 // telemetry window boundary (so windows flush on exactly the per-cycle
 // schedule) and below MaxCycles (so the runaway guard trips at the same
-// cycle as the reference loop).
+// cycle as the reference loop). When every unfinished core is parked,
+// only those caps remain: nothing can wake a core before them.
 //
 // The memory controller needs no entry in the next-event computation: it
 // only acts when a core sends it an access, and its pressure schedule is
@@ -648,7 +710,7 @@ func (s *System) collect() (Result, error) {
 // traffic occupies.
 func (s *System) skipAhead() {
 	next := slices.Min(s.next)
-	if next == math.MaxInt64 {
+	if next == math.MaxInt64 && s.parked == 0 {
 		return // every core is done
 	}
 	target := next - 1
