@@ -1,7 +1,7 @@
 GO ?= go
 TRACE_OUT ?= TRACE_camel_ghost.json
 
-.PHONY: build vet test race lint detlint verify-smoke verify-golden results-smoke results-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig9-smoke fig9-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
+.PHONY: build vet test race lint lint-golden detlint verify-smoke verify-golden results-smoke results-golden bench-smoke profile-fig6 trace-smoke fault-smoke metrics-smoke metrics-golden governor-smoke governor-golden fig9-smoke fig9-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
 
 build:
 	$(GO) build ./...
@@ -24,9 +24,19 @@ race:
 	$(GO) test -race -timeout 40m ./...
 
 # Static analysis sweep: every registered workload x variant through the
-# verifier battery (exit 1 on any error-severity finding).
+# verifier battery (exit 1 on any error-severity finding), with the
+# minimality report, diffed against the checked-in golden. The golden
+# pins every race and minimality finding, so a finding that appears or
+# vanishes fails the gate — fix it, or review the diff and re-bless with
+# `make lint-golden`.
 lint:
-	$(GO) run ./cmd/gtlint -all
+	$(GO) run ./cmd/gtlint -all -v -json > LINT_all.json
+	diff -u testdata/lint_golden.json LINT_all.json
+
+# Re-bless the lint golden after a reviewed change to a checker. Inspect
+# the diff before committing.
+lint-golden:
+	$(GO) run ./cmd/gtlint -all -v -json > testdata/lint_golden.json
 
 # Determinism lint: the timing-critical simulator packages must not read
 # the wall clock, draw from the global rand source, or iterate maps in

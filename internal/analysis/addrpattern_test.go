@@ -15,7 +15,11 @@ import (
 //	computed  — load [base + (i^mix)] (xor breaks affinity, no load);
 //	indirect  — load [vals + idx] where idx = load [index + i];
 //	indirect2 — load [vals + idx2] where idx2 = load [vals + idx];
-//	chase     — p = load [p], the list-walk recurrence.
+//	chase     — p = load [p], the list-walk recurrence;
+//	twoarm    — load [base + k] where k += 1 on both arms of a branch:
+//	            one step per iteration, affine with stride 1;
+//	bumped    — load [base + c] where c += 1 on one arm only: no fixed
+//	            stride, computed.
 func buildPatternZoo(t *testing.T) (*isa.Program, map[string]int) {
 	t.Helper()
 	b := isa.NewBuilder("pattern-zoo")
@@ -29,6 +33,8 @@ func buildPatternZoo(t *testing.T) (*isa.Program, map[string]int) {
 	p := b.Imm(24576)
 	zero := b.Imm(0)
 	limit := b.Imm(1024)
+	k := b.Imm(0)
+	c := b.Imm(0)
 
 	b.CountedLoop("zoo", zero, limit, func(i isa.Reg) {
 		inv := b.Reg()
@@ -63,6 +69,29 @@ func buildPatternZoo(t *testing.T) (*isa.Program, map[string]int) {
 		pcs["indirect2"] = b.Load(v2, v2Addr, 0)
 
 		pcs["chase"] = b.Load(p, p, 0)
+
+		odd := b.Reg()
+		b.AndI(odd, i, 1)
+		even, joined := b.NewLabel(), b.NewLabel()
+		b.BEQ(odd, zero, even)
+		b.AddI(k, k, 1)
+		b.Jmp(joined)
+		b.Bind(even)
+		b.AddI(k, k, 1)
+		b.Bind(joined)
+		kAddr := b.Reg()
+		b.Add(kAddr, base, k)
+		kv := b.Reg()
+		pcs["twoarm"] = b.Load(kv, kAddr, 0)
+
+		skip := b.NewLabel()
+		b.BEQ(odd, zero, skip)
+		b.AddI(c, c, 1)
+		b.Bind(skip)
+		bAddr := b.Reg()
+		b.Add(bAddr, base, c)
+		bv := b.Reg()
+		pcs["bumped"] = b.Load(bv, bAddr, 0)
 	})
 	b.Halt()
 	return b.MustBuild(), pcs
@@ -79,6 +108,8 @@ func TestStrideClassification(t *testing.T) {
 		"indirect":  analysis.ClassIndirect,
 		"indirect2": analysis.ClassIndirect,
 		"chase":     analysis.ClassChase,
+		"twoarm":    analysis.ClassAffine,
+		"bumped":    analysis.ClassComputed,
 	}
 	for name, pc := range pcs {
 		ap := pt.PatternAt(pc)
@@ -89,6 +120,9 @@ func TestStrideClassification(t *testing.T) {
 
 	if ap := pt.PatternAt(pcs["affine"]); ap.Stride != 2 || !ap.BaseKnown || ap.Base != 4096 {
 		t.Errorf("affine pattern: stride %d base (%v, %d), want stride 2 base (true, 4096)", ap.Stride, ap.BaseKnown, ap.Base)
+	}
+	if ap := pt.PatternAt(pcs["twoarm"]); ap.Stride != 1 {
+		t.Errorf("two-armed counter: stride %d, want 1 (one increment per iteration, whichever arm runs)", ap.Stride)
 	}
 	if ap := pt.PatternAt(pcs["indirect"]); ap.IndirectDepth != 1 {
 		t.Errorf("indirect depth %d, want 1", ap.IndirectDepth)
@@ -138,6 +172,88 @@ func TestOuterCarriedIsNotChase(t *testing.T) {
 	ap := pt.PatternAt(loadPC)
 	if ap.Class != analysis.ClassIndirect {
 		t.Fatalf("inner load under an outer-loop value rotation: class %s, want %s", ap.Class, analysis.ClassIndirect)
+	}
+}
+
+// TestNestedRecurrenceChases is the converse: a recurrence of a loop
+// nested inside the operand's loop does chase. The outer loop's read
+// lands where the inner list walk ended (triangle counting reads the
+// slot its binary search found), so every outer iteration waits on the
+// walk — a pointer chase, not an indirect load.
+func TestNestedRecurrenceChases(t *testing.T) {
+	b := isa.NewBuilder("walk-then-read")
+	head := b.Imm(4096)
+	zero := b.Imm(0)
+	olim := b.Imm(64)
+	ilim := b.Imm(8)
+
+	var readPC int
+	b.CountedLoop("outer", zero, olim, func(_ isa.Reg) {
+		p := b.Reg()
+		b.Mov(p, head)
+		b.CountedLoop("walk", zero, ilim, func(_ isa.Reg) {
+			b.Load(p, p, 0)
+		})
+		v := b.Reg()
+		readPC = b.Load(v, p, 1)
+	})
+	b.Halt()
+	prog := b.MustBuild()
+
+	pt := analysis.AnalyzeAddrPatterns(prog)
+	if ap := pt.PatternAt(readPC); ap.Class != analysis.ClassChase {
+		t.Fatalf("outer-loop read of an inner walk's end: class %s, want %s", ap.Class, analysis.ClassChase)
+	}
+}
+
+// TestClassEdgeShapes pins three shapes at the edges of the classes:
+// an access after an inner loop reading that loop's final counter does
+// not step with any loop enclosing it, so it is computed, not affine; a
+// counter mixed with a hash of itself is not a stream; and an address
+// fed by an atomic's returned value (a work-queue ticket) is indirect.
+func TestClassEdgeShapes(t *testing.T) {
+	cases := []struct {
+		name  string
+		want  analysis.StrideClass
+		depth int
+		// body emits one outer iteration and returns the classified pc.
+		body func(b *isa.Builder, i, base, zero isa.Reg) int
+	}{
+		{"after inner loop", analysis.ClassComputed, 0, func(b *isa.Builder, _, base, zero isa.Reg) int {
+			lim := b.Imm(8)
+			var j isa.Reg
+			b.CountedLoop("inner", zero, lim, func(jr isa.Reg) { j = jr })
+			addr, v := b.Reg(), b.Reg()
+			b.Add(addr, base, j)
+			return b.Load(v, addr, 0)
+		}},
+		{"counter plus its hash", analysis.ClassComputed, 0, func(b *isa.Builder, i, base, _ isa.Reg) int {
+			h, addr, v := b.Reg(), b.Reg(), b.Reg()
+			b.XorI(h, i, 0x55)
+			b.Add(addr, base, h)
+			b.Add(addr, addr, i)
+			return b.Load(v, addr, 0)
+		}},
+		{"atomic ticket", analysis.ClassIndirect, 1, func(b *isa.Builder, _, base, _ isa.Reg) int {
+			q, one := b.Imm(100), b.Imm(1)
+			idx, addr, v := b.Reg(), b.Reg(), b.Reg()
+			b.AtomicAdd(idx, q, 0, one)
+			b.Add(addr, base, idx)
+			return b.Load(v, addr, 0)
+		}},
+	}
+	for _, c := range cases {
+		b := isa.NewBuilder(c.name)
+		base := b.Imm(4096)
+		zero := b.Imm(0)
+		limit := b.Imm(64)
+		var pc int
+		b.CountedLoop("outer", zero, limit, func(i isa.Reg) { pc = c.body(b, i, base, zero) })
+		b.Halt()
+		ap := analysis.AnalyzeAddrPatterns(b.MustBuild()).PatternAt(pc)
+		if ap.Class != c.want || ap.IndirectDepth != c.depth {
+			t.Errorf("%s: class %s depth %d, want %s depth %d", c.name, ap.Class, ap.IndirectDepth, c.want, c.depth)
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
 package analysis
 
 // alias.go — a may-alias oracle between memory operands, built on the
-// interval analysis and the symbolic address-pattern analysis. All rules
-// over-approximate the dynamic address sets (every induction variable
-// ranges over all of ℤ), so a "no alias" answer is sound for any pair of
-// dynamic instances of the two operands — exactly what the race checker
-// compares.
+// interval analysis and the canonical address expressions of the
+// symbolic evaluator. All rules over-approximate the dynamic address
+// sets (every iteration counter ranges over all of ℤ), so a "no alias"
+// answer is sound for any pair of dynamic instances of the two operands
+// — exactly what the race checker compares.
 
-import "ghostthread/internal/isa"
+import (
+	"fmt"
+	"strings"
+)
 
 // gcd64 returns the non-negative greatest common divisor (gcd(0, x) = |x|).
 func gcd64(a, b int64) int64 {
@@ -24,15 +27,17 @@ func gcd64(a, b int64) int64 {
 }
 
 // progression is an arithmetic-progression over-approximation of an
-// operand's dynamic address set: {residue + k·modulus | k ∈ ℤ}. A
-// modulus of 0 is the singleton {residue}.
+// operand's dynamic address set: {base + residue + k·modulus | k ∈ ℤ},
+// where base is a canonical sum of stable terms (empty for a constant
+// base). A modulus of 0 is the singleton {base + residue}.
 type progression struct {
+	base    string
 	residue int64
 	modulus int64
 }
 
-// disjoint reports whether two progressions cannot meet:
-// residues differ modulo gcd(modulusA, modulusB).
+// disjoint reports whether two progressions over the same base cannot
+// meet: residues differ modulo gcd(modulusA, modulusB).
 func (p progression) disjoint(o progression) bool {
 	g := gcd64(p.modulus, o.modulus)
 	d := p.residue - o.residue
@@ -42,135 +47,31 @@ func (p progression) disjoint(o progression) bool {
 	return d%g != 0
 }
 
-// ivInit returns the constant initialization value of IV r of loop li,
-// joining the reaching out-of-loop definitions. ok is false when the
-// init is not a compile-time constant.
-func (pt *Patterns) ivInit(r isa.Reg, li int) (int64, bool) {
-	defs := pt.outOfLoopDefs(r, li)
-	if len(defs) == 0 {
-		return 0, false // live-in: unknown
+// progression folds the address of the memory operand at pc into a
+// progression: iteration-counter terms set the modulus, the constant the
+// residue, and every other term must be stable (a live-in or a pure
+// operation on live-ins) to join the base. ok is false otherwise, and
+// for an expression that relies on an erased sync skip, whose counters
+// are then not exact.
+func (pt *Patterns) progression(pc int) (p progression, ok bool) {
+	e := pt.ev.AddrExpr(pc)
+	if len(e.Skips) > 0 {
+		return p, false
 	}
-	var e *symExpr
-	for _, d := range defs {
-		ed := pt.evalDef(d)
-		if e == nil {
-			e = ed
-		} else {
-			e = joinExpr(e, ed)
+	p.residue = e.Const
+	var base strings.Builder
+	for _, t := range e.Terms {
+		if t.Atom.Kind == AtomIter {
+			p.modulus = gcd64(p.modulus, t.Coeff)
+			continue
 		}
-	}
-	if e.affine && len(e.coeffs) == 0 && len(e.syms) == 0 {
-		return e.c, true
-	}
-	return 0, false
-}
-
-// constProgression folds an affine expression with a constant base and
-// constant-init basic IVs into a concrete arithmetic progression.
-func (pt *Patterns) constProgression(e *symExpr, imm int64) (progression, bool) {
-	if !e.affine || len(e.syms) != 0 {
-		return progression{}, false
-	}
-	p := progression{residue: e.c + imm}
-	for r, co := range e.coeffs {
-		info, ok := pt.basicIVInfo(r)
-		if !ok {
-			return progression{}, false
+		if !pt.atomShape(t.Atom).stable {
+			return p, false
 		}
-		init, ok := pt.ivInit(r, info.loop)
-		if !ok {
-			return progression{}, false
-		}
-		p.residue += co * init
-		p.modulus = gcd64(p.modulus, co*info.step)
+		fmt.Fprintf(&base, "+%d*%s", t.Coeff, t.Atom.Key())
 	}
+	p.base = base.String()
 	return p, true
-}
-
-// relativeProgression folds an affine expression into a progression
-// relative to its (uninterpreted) symbolic and IV-init terms: only the
-// constant part and the per-step moduli are concrete. Valid for
-// comparison against another expression with identical symbolic parts.
-func (pt *Patterns) relativeProgression(e *symExpr, imm int64) (progression, bool) {
-	if !e.affine {
-		return progression{}, false
-	}
-	p := progression{residue: e.c + imm}
-	for r, co := range e.coeffs {
-		info, ok := pt.basicIVInfo(r)
-		if !ok || !pt.ivInitStable(r, info.loop) {
-			return progression{}, false
-		}
-		p.modulus = gcd64(p.modulus, co*info.step)
-	}
-	return p, true
-}
-
-// ivInitStable reports whether the IV's initialization value is the same
-// for every entry into its loop — a constant, a live-in register, or
-// definitions that all sit outside every natural loop (executed once).
-// Only then do matching IV-init terms cancel between two expressions
-// compared across arbitrary dynamic instances.
-func (pt *Patterns) ivInitStable(r isa.Reg, li int) bool {
-	if _, ok := pt.ivInit(r, li); ok {
-		return true
-	}
-	for _, d := range pt.outOfLoopDefs(r, li) {
-		if pt.F.InnermostLoop(pt.G.BlockOf[d]) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// basicIVInfo returns the basic-IV record of r (any loop), requiring r to
-// be a basic IV with a non-zero step wherever it is an IV at all.
-func (pt *Patterns) basicIVInfo(r isa.Reg) (ivInfo, bool) {
-	infos := pt.ivs[r]
-	if len(infos) != 1 || !infos[0].basic || infos[0].step == 0 {
-		return ivInfo{}, false
-	}
-	return infos[0], true
-}
-
-// stableSyms reports whether every symbolic term of e is stable for the
-// whole region execution: a live-in register (spawn copies it once), or
-// a register whose reaching definitions all sit outside every natural
-// loop (straight-line initialization code, executed once).
-func (pt *Patterns) stableSyms(e *symExpr) bool {
-	for r := range e.syms {
-		for _, d := range e.initPCs[r] {
-			if pt.F.InnermostLoop(pt.G.BlockOf[d]) >= 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// sameSyms reports whether two same-program expressions have identical
-// symbolic parts — same registers, same coefficients, same reaching
-// definitions — so the symbolic terms cancel in the address difference.
-func sameSyms(a, b *symExpr) bool {
-	if !equalTerms(a.syms, b.syms) {
-		return false
-	}
-	for r := range a.syms {
-		da, db := a.initPCs[r], b.initPCs[r]
-		if len(da) != len(db) {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, d := range da {
-			seen[d] = true
-		}
-		for _, d := range db {
-			if !seen[d] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // MayAlias reports whether the memory operands at apc (in pa's program)
@@ -178,47 +79,30 @@ func sameSyms(a, b *symExpr) bool {
 // when one of three sound disjointness arguments applies:
 //
 //  1. the interval analysis bounds the two address sets apart;
-//  2. both addresses are affine with constant bases and constant-init
-//     basic induction variables, and the two arithmetic progressions
-//     cannot meet (residues differ modulo the gcd of the strides);
-//  3. same program only: both addresses share identical, stable symbolic
-//     base terms and identical IV coefficients, so the bases cancel and
-//     the constant offset difference is tested against the stride gcd —
-//     the rule that separates interleaved streams (A[2i] vs A[2i+1])
-//     whose common base is a live-in register.
+//  2. both addresses are a constant plus iteration-counter terms, and the
+//     two arithmetic progressions cannot meet (residues differ modulo
+//     the gcd of the counter coefficients);
+//  3. same analysis only: both addresses share identical stable
+//     non-counter terms, so those cancel and the constant offset
+//     difference is tested against the coefficient gcd — the rule that
+//     separates interleaved streams (A[2i] vs A[2i+1]) whose common base
+//     is a live-in register.
 //
 // Cross-program pairs (a main-thread store against a helper's access)
 // use only rules 1 and 2: register files are copied at spawn, so a
-// symbolic base in the helper need not track later redefinitions in the
-// main thread.
+// live-in in the helper need not track later redefinitions in the main
+// thread.
 func MayAlias(pa *Patterns, apc int, pb *Patterns, bpc int) bool {
-	// Rule 1: interval disjointness.
 	if !pa.Vals.MemAddr(apc).Intersects(pb.Vals.MemAddr(bpc)) {
 		return false
 	}
-
-	ea, eb := pa.exprAt(apc), pb.exprAt(bpc)
-	immA, immB := pa.Prog.Code[apc].Imm, pb.Prog.Code[bpc].Imm
-
-	// Rule 2: concrete arithmetic progressions.
-	if ca, ok := pa.constProgression(ea, immA); ok {
-		if cb, ok := pb.constProgression(eb, immB); ok {
-			if ca.disjoint(cb) {
-				return false
-			}
-		}
+	ra, ok := pa.progression(apc)
+	if !ok {
+		return true
 	}
-
-	// Rule 3: same program, identical symbolic parts.
-	if pa == pb && sameSyms(ea, eb) && equalTerms(ea.coeffs, eb.coeffs) &&
-		pa.stableSyms(ea) && pb.stableSyms(eb) {
-		if ra, ok := pa.relativeProgression(ea, immA); ok {
-			if rb, ok := pb.relativeProgression(eb, immB); ok {
-				if ra.disjoint(rb) {
-					return false
-				}
-			}
-		}
+	rb, ok := pb.progression(bpc)
+	if !ok || ra.base != rb.base || (ra.base != "" && pa != pb) {
+		return true
 	}
-	return true
+	return !ra.disjoint(rb)
 }

@@ -119,6 +119,117 @@ func TestRaceCheckerAliasUpgrade(t *testing.T) {
 	}
 }
 
+// TestMayAliasRefusals pins the cases where the progression rules must
+// not fire although the two addresses differ by a constant: a base
+// reloaded every iteration or chosen by a branch is not stable, so it
+// need not cancel between dynamic instances, and a counter whose sync
+// skip was erased is not exact (the skip moves it off its residue).
+func TestMayAliasRefusals(t *testing.T) {
+	cases := []struct {
+		name string
+		// body emits one iteration and returns the address register both
+		// stores use; k is a counter set to 4096 before the loop.
+		body func(b *isa.Builder, i, k, zero isa.Reg) isa.Reg
+	}{
+		{"reloaded base", func(b *isa.Builder, i, _, _ isa.Reg) isa.Reg {
+			cfg := b.Imm(100)
+			base := b.Reg()
+			b.Load(base, cfg, 0)
+			off := b.Reg()
+			b.MulI(off, i, 2)
+			addr := b.Reg()
+			b.Add(addr, base, off)
+			return addr
+		}},
+		{"branch-chosen base", func(b *isa.Builder, i, _, zero isa.Reg) isa.Reg {
+			flag, base := b.Reg(), b.Reg()
+			b.Load(flag, i, 0)
+			other, joined := b.NewLabel(), b.NewLabel()
+			b.BEQ(flag, zero, other)
+			b.Mov(base, isa.Reg(30))
+			b.Jmp(joined)
+			b.Bind(other)
+			b.Mov(base, isa.Reg(31))
+			b.Bind(joined)
+			off := b.Reg()
+			b.MulI(off, i, 2)
+			addr := b.Reg()
+			b.Add(addr, base, off)
+			return addr
+		}},
+		{"erased skip", func(b *isa.Builder, i, k, zero isa.Reg) isa.Reg {
+			b.AddI(k, k, 2)
+			low, done := b.Reg(), b.NewLabel()
+			b.AndI(low, i, 7)
+			b.BNE(low, zero, done)
+			skip := b.AddI(k, k, 1)
+			b.FlagRange(skip, skip+1, isa.FlagSync)
+			b.FlagRange(skip, skip+1, isa.FlagSyncSkip)
+			b.Bind(done)
+			return k
+		}},
+	}
+	for _, c := range cases {
+		b := isa.NewBuilder(c.name)
+		b.ReserveRegs(32)
+		zero := b.Imm(0)
+		limit := b.Imm(512)
+		v := b.Imm(7)
+		k := b.Imm(4096)
+		var pcA, pcB int
+		b.CountedLoop("stores", zero, limit, func(i isa.Reg) {
+			addr := c.body(b, i, k, zero)
+			pcA = b.Store(addr, 0, v)
+			pcB = b.Store(addr, 1, v)
+		})
+		b.Halt()
+		pt := analysis.AnalyzeAddrPatterns(b.MustBuild())
+		if !analysis.MayAlias(pt, pcA, pt, pcB) {
+			t.Errorf("%s: base[0] and base[1] reported disjoint", c.name)
+		}
+	}
+}
+
+// TestRaceCheckerTwoArmedCounter pins the stride of a counter bumped on
+// both arms of a branch: helper A stores to 4096+k with k += 1 on either
+// arm, so it writes every word from 4096 up, and helper B's odd stream
+// 4096+2i+1 meets it. Summing both arms into one step of 2 would put A
+// on the even words only and hide the race.
+func TestRaceCheckerTwoArmedCounter(t *testing.T) {
+	ab := isa.NewBuilder("two-armed-writer")
+	base := ab.Imm(4096)
+	zero := ab.Imm(0)
+	limit := ab.Imm(512)
+	v := ab.Imm(7)
+	k := ab.Imm(0)
+	ab.CountedLoop("a", zero, limit, func(i isa.Reg) {
+		odd := ab.Reg()
+		ab.AndI(odd, i, 1)
+		even, joined := ab.NewLabel(), ab.NewLabel()
+		ab.BEQ(odd, zero, even)
+		ab.AddI(k, k, 1)
+		ab.Jmp(joined)
+		ab.Bind(even)
+		ab.AddI(k, k, 1)
+		ab.Bind(joined)
+		addr := ab.Reg()
+		ab.Add(addr, base, k)
+		ab.Store(addr, 0, v)
+	})
+	ab.Halt()
+	hA := ab.MustBuild()
+	hB, _, _ := buildStridedStores(t, "odd-writer", 4096, 2, 1, 1)
+
+	mb := isa.NewBuilder("spawner")
+	mb.Spawn(0)
+	mb.Spawn(1)
+	mb.JoinWait()
+	mb.Halt()
+	if fs := analysis.CheckRaces(mb.MustBuild(), []*isa.Program{hA, hB}, false); len(fs) == 0 {
+		t.Error("race check missed helper A's every-word stream meeting helper B's odd stream")
+	}
+}
+
 // TestMinimalityAliasHoistable pins the alias-driven minimality upgrade:
 // a loop-invariant load in the ghost whose word no main-thread store may
 // alias is flagged hoistable; the same load aliased by a store is not.

@@ -1,8 +1,19 @@
 // Package analysis is a static-analysis layer over the isa IR: control
 // flow graph construction, dominators, natural-loop reconstruction
 // (cross-checked against the Builder's loop annotations), reaching
-// definitions / def-use chains, register liveness, and an abstract
-// interpretation of register values over an interval domain.
+// definitions / def-use chains, register liveness, an abstract
+// interpretation of register values over an interval domain, and a
+// pruned-SSA rename with one symbolic evaluator (SymEval) that
+// canonicalizes every value into an affine combination of atoms.
+//
+// The symbolic evaluator serves two clients. Translation validation
+// (VerifyHelper) proves a ghost helper's prefetch addresses equal to the
+// main thread's demand addresses. The address-pattern analysis
+// (Patterns) reads each memory operand's canonical address to classify
+// it (invariant, affine with a stride, computed, indirect with a depth,
+// pointer-chase) and to answer the may-alias oracle (MayAlias) the race
+// lint, the minimality report and the validator's speculation points
+// use.
 //
 // On top of the framework sit the checkers that turn the repository's
 // dynamic correctness story into compile-time guarantees:
@@ -19,8 +30,8 @@
 //     and a bounded skip amount.
 //   - CheckRaces verifies the Parallel (SMT-OpenMP) variants' shared
 //     writes are race-free by construction: every write that can execute
-//     while the sibling thread is live is an AtomicAdd or lands in a
-//     statically-partitioned address range disjoint from the sibling's.
+//     while the sibling thread is live is an AtomicAdd or lands in an
+//     address set MayAlias proves disjoint from the sibling's.
 //   - Minimality quantifies dead and loop-invariant instructions in a
 //     ghost program — the manual-vs-compiler overhead gap of paper §6.1.
 //

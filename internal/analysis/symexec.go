@@ -158,8 +158,10 @@ func (e *SymExpr) Key() string {
 func (e *SymExpr) IsConst() bool { return len(e.Terms) == 0 }
 
 // maxRenderDepth bounds String's recursion: beyond it sub-expressions
-// render as their interned #ID (the canonical keys remain exact; only
-// the human rendering is elided).
+// render as the placeholder #N (the canonical keys remain exact; only
+// the human rendering is elided). The placeholder names no interned ID,
+// whose numbering depends on what the process evaluated before, so a
+// verdict renders the same text alone and in a sweep.
 const maxRenderDepth = 6
 
 // String renders the expression for verdict messages, eliding deeply
@@ -168,7 +170,7 @@ func (e *SymExpr) String() string { return e.render(maxRenderDepth) }
 
 func (e *SymExpr) render(depth int) string {
 	if depth <= 0 {
-		return fmt.Sprintf("#%d", internID(e))
+		return "#N"
 	}
 	var sb strings.Builder
 	wrote := false

@@ -225,14 +225,12 @@ func verifySite(mp, gp *Patterns, spawnPC int) *Verdict {
 	mainLabels, ghostLabels := map[int]string{}, map[int]string{}
 	matchLoops(mainLoops, ghostLoops, "L", mainLabels, ghostLabels)
 
-	mssa := BuildSSA(mp.G)
-	gssa := BuildSSA(gp.G)
-	mev := NewSymEval(main, mp.G, mssa, mp.F, mainLabels, false)
+	mev := NewSymEval(main, mp.G, mp.S, mp.F, mainLabels, false)
 	mev.Prefix = "m"
-	gev := NewSymEval(ghost, gp.G, gssa, gp.F, ghostLabels, true)
+	gev := NewSymEval(ghost, gp.G, gp.S, gp.F, ghostLabels, true)
 	gev.Prefix = "g"
 
-	rw := newRewriter(mp, gp, mev, gev, mssa, spawnPC, v.JoinPC)
+	rw := newRewriter(mp, gp, mev, spawnPC, v.JoinPC)
 
 	// Evaluate and rewrite every candidate once, with its μ-unfolded form
 	// (recurrences collapsed to their initial value) for second-pass
@@ -530,7 +528,6 @@ func matchLoops(a, b []*loopNode, prefix string, la, lb map[int]string) {
 type rewriter struct {
 	mp, gp     *Patterns
 	mev        *SymEval
-	mssa       *SSA
 	spawnPC    int
 	joinPC     int
 	params     map[isa.Reg]*SymExpr
@@ -549,9 +546,9 @@ type publishedWord struct {
 	clobbers []int
 }
 
-func newRewriter(mp, gp *Patterns, mev, gev *SymEval, mssa *SSA, spawnPC, joinPC int) *rewriter {
+func newRewriter(mp, gp *Patterns, mev *SymEval, spawnPC, joinPC int) *rewriter {
 	rw := &rewriter{
-		mp: mp, gp: gp, mev: mev, mssa: mssa,
+		mp: mp, gp: gp, mev: mev,
 		spawnPC: spawnPC, joinPC: joinPC,
 		params:     map[isa.Reg]*SymExpr{},
 		published:  map[string]*publishedWord{},
@@ -604,7 +601,7 @@ func (rw *rewriter) buildPublished() {
 		}
 		// Later dominating stores to the same word win (forward scan).
 		rw.published[addr.Key()] = &publishedWord{
-			value:    rw.mev.ValueExpr(rw.mssa.UseVal[pc][1]),
+			value:    rw.mev.ValueExpr(rw.mp.S.UseVal[pc][1]),
 			clobbers: clobbers,
 		}
 	}
@@ -647,10 +644,10 @@ func (rw *rewriter) atom(a *SymAtom) *SymExpr {
 		if p, ok := rw.params[a.Reg]; ok {
 			return p
 		}
-		id := rw.mssa.ValueOfRegAt(rw.spawnPC, a.Reg)
+		id := rw.mp.S.ValueOfRegAt(rw.spawnPC, a.Reg)
 		var p *SymExpr
 		if id < 0 {
-			p = rw.mev.ValueExpr(rw.mssa.Param(a.Reg))
+			p = rw.mev.ValueExpr(rw.mp.S.Param(a.Reg))
 		} else {
 			p = rw.mev.ValueExpr(id)
 		}

@@ -43,24 +43,20 @@ func (s *ShadowStats) Add(other ShadowStats) {
 // Checked returns the number of prefetches that received a verdict.
 func (s *ShadowStats) Checked() int64 { return s.Confirmed + s.Divergent + s.Orphaned }
 
-// DefaultShadowBuffer is the pending-prefetch capacity used when a
-// ShadowConfig leaves Buffer zero: deep enough for any sane ghost lead.
+// DefaultShadowBuffer is the pending-prefetch capacity of the shadow
+// buffer: deep enough for any sane ghost lead.
 const DefaultShadowBuffer = 4096
 
 // shadowOracle holds the oracle state for one core.
 type shadowOracle struct {
-	buffer   int
 	demanded map[int64]bool // lines the main context demand-accessed
 	pending  []int64        // FIFO of ghost prefetch lines awaiting a demand
 	stats    ShadowStats
 	drained  bool
 }
 
-func newShadowOracle(buffer int) *shadowOracle {
-	if buffer <= 0 {
-		buffer = DefaultShadowBuffer
-	}
-	return &shadowOracle{buffer: buffer, demanded: make(map[int64]bool)}
+func newShadowOracle() *shadowOracle {
+	return &shadowOracle{demanded: make(map[int64]bool)}
 }
 
 // demand records a main-context demand access (load or atomic).
@@ -79,7 +75,7 @@ func (o *shadowOracle) prefetch(addr int64) {
 		return
 	}
 	o.pending = append(o.pending, line)
-	if len(o.pending) > o.buffer {
+	if len(o.pending) > DefaultShadowBuffer {
 		// Evict the oldest entry. A demand may still arrive for it later,
 		// so the eviction is indeterminate, not divergent.
 		head := o.pending[0]
@@ -124,10 +120,10 @@ func (c *Core) SetShadow(o *ShadowOracle) {
 // core (opaque: all state lives behind it).
 type ShadowOracle struct{ impl *shadowOracle }
 
-// NewShadow builds a shadow oracle with the given pending-buffer
-// capacity (0 selects DefaultShadowBuffer).
-func NewShadow(buffer int) *ShadowOracle {
-	return &ShadowOracle{impl: newShadowOracle(buffer)}
+// NewShadow builds a shadow oracle with a DefaultShadowBuffer-deep
+// pending buffer.
+func NewShadow() *ShadowOracle {
+	return &ShadowOracle{impl: newShadowOracle()}
 }
 
 // ShadowStats finalizes and returns the oracle's counters (zero when no

@@ -180,11 +180,8 @@ type PhaseDetector struct {
 }
 
 // NewPhaseDetector returns a detector with the given TV-distance
-// threshold (<= 0 selects DefaultPhaseThreshold).
+// threshold (the simulator uses DefaultPhaseThreshold).
 func NewPhaseDetector(threshold float64) *PhaseDetector {
-	if threshold <= 0 {
-		threshold = DefaultPhaseThreshold
-	}
 	return &PhaseDetector{threshold: threshold}
 }
 

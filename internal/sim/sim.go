@@ -74,10 +74,6 @@ type TelemetryConfig struct {
 	// each core emits one WindowSample.
 	WindowCycles int64
 
-	// PhaseThreshold is the phase detector's total-variation trigger
-	// (<= 0 selects obs.DefaultPhaseThreshold).
-	PhaseThreshold float64
-
 	// GhostCounterAddr is the memory word the ghost publishes its
 	// iteration count to (core.Counters.GhostAddr) for the ghost-lead
 	// samples; the ghost only publishes when core.SyncParams.Trace is set.
@@ -98,13 +94,11 @@ type TelemetryConfig struct {
 // Enabled reports whether windowed telemetry is on.
 func (t TelemetryConfig) Enabled() bool { return t.WindowCycles > 0 }
 
-// ShadowConfig configures the shadow oracle.
+// ShadowConfig configures the shadow oracle. Each core holds up to
+// cpu.DefaultShadowBuffer pending prefetches; one evicted from the full
+// buffer before any demand arrives counts as orphaned, not divergent.
 type ShadowConfig struct {
 	Enabled bool
-	// Buffer is the per-core pending-prefetch capacity (0 selects
-	// cpu.DefaultShadowBuffer). Prefetches evicted from a full buffer
-	// before any demand arrives count as orphaned, not divergent.
-	Buffer int
 }
 
 // DefaultConfig returns the single-core idle-server machine.
@@ -210,7 +204,7 @@ func New(cfg Config, m *mem.Memory) *System {
 	}
 	if cfg.Shadow.Enabled {
 		for _, c := range s.cores {
-			c.SetShadow(cpu.NewShadow(cfg.Shadow.Buffer))
+			c.SetShadow(cpu.NewShadow())
 		}
 	}
 	if cfg.Telemetry.Enabled() {
@@ -222,7 +216,7 @@ func New(cfg Config, m *mem.Memory) *System {
 		}
 		for i, c := range s.cores {
 			s.tele.wrec[i] = obs.NewWindowRecorder()
-			s.tele.det[i] = obs.NewPhaseDetector(cfg.Telemetry.PhaseThreshold)
+			s.tele.det[i] = obs.NewPhaseDetector(obs.DefaultPhaseThreshold)
 			c.SetWindowRecorder(s.tele.wrec[i], cfg.Telemetry.GhostCounterAddr)
 		}
 	}

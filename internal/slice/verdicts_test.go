@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 	"testing"
 
 	"ghostthread/internal/analysis"
@@ -18,12 +17,6 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/compiler_verdicts_golden.json from the current extractor")
 
 const verdictsGolden = "testdata/compiler_verdicts_golden.json"
-
-// internRef matches an interned sub-expression reference in rendered
-// expressions. The IDs come from a process-global table filled in
-// first-use order, so they depend on which tests ran before; the golden
-// compares them as one placeholder.
-var internRef = regexp.MustCompile(`#[0-9]+`)
 
 // compilerVerdicts is one golden entry: the outcome of extracting a
 // workload's compiler slice.
@@ -64,7 +57,7 @@ func TestCompilerVerdictsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = append(internRef.ReplaceAll(raw, []byte("#N")), '\n')
+	raw = append(raw, '\n')
 
 	if *update {
 		if err := os.WriteFile(verdictsGolden, raw, 0o644); err != nil {
