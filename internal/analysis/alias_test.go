@@ -275,11 +275,11 @@ func TestMinimalityAliasHoistable(t *testing.T) {
 	}
 
 	ghost, mainFar := buildPair(900) // store elsewhere: load is hoistable
-	if !hasHoist(analysis.ReportMinimalityVs(ghost, mainFar)) {
+	if !hasHoist(analysis.ReportMinimalityVs(analysis.AnalyzeAddrPatterns(ghost), analysis.AnalyzeAddrPatterns(mainFar))) {
 		t.Error("invariant load with no aliasing store not flagged hoistable")
 	}
 	ghost2, mainHit := buildPair(100) // store to the loaded word: must stay
-	if hasHoist(analysis.ReportMinimalityVs(ghost2, mainHit)) {
+	if hasHoist(analysis.ReportMinimalityVs(analysis.AnalyzeAddrPatterns(ghost2), analysis.AnalyzeAddrPatterns(mainHit))) {
 		t.Error("invariant load the main thread stores to was flagged hoistable")
 	}
 }

@@ -29,8 +29,11 @@ func pureOp(op isa.Op) bool {
 //   - a summary of instruction counts (total / sync / dead / invariant).
 func ReportMinimality(p *isa.Program) []Finding {
 	g := BuildCFG(p)
-	idom := g.Dominators()
-	loops := g.NaturalLoops(idom)
+	return reportMinimality(p, g, g.NaturalLoops(g.Dominators()))
+}
+
+// reportMinimality is ReportMinimality over p's CFG and loop forest.
+func reportMinimality(p *isa.Program, g *CFG, loops *LoopForest) []Finding {
 	du := g.ReachingDefs()
 
 	var out []Finding
@@ -90,11 +93,12 @@ func ReportMinimality(p *isa.Program) []Finding {
 // of a word some main-thread store MAY write must stay in the loop: the
 // reload is how the slice tracks the main thread.) Findings are
 // reported under the "minimality-alias" checker, info severity — an
-// over-fat slice is slow, not wrong.
-func ReportMinimalityVs(ghost, source *isa.Program) []Finding {
-	out := ReportMinimality(ghost)
-	gp := AnalyzeAddrPatterns(ghost)
-	sp := AnalyzeAddrPatterns(source)
+// over-fat slice is slow, not wrong. It takes the address-pattern
+// analyses of the ghost (gp) and the source (sp), which an extraction
+// already holds (slice.Result.GhostPatterns, MainPatterns).
+func ReportMinimalityVs(gp, sp *Patterns) []Finding {
+	ghost, source := gp.Prog, sp.Prog
+	out := reportMinimality(ghost, gp.G, gp.F)
 
 	var stores []int
 	for pc := range source.Code {

@@ -129,8 +129,13 @@ type Verdict struct {
 // spawn site. The main program must contain at least one OpSpawn with
 // Imm == hid; otherwise a single UNPROVED verdict explains the failure.
 func VerifyHelper(main, ghost *isa.Program, hid int) []*Verdict {
-	mp := AnalyzeAddrPatterns(main)
-	gp := AnalyzeAddrPatterns(ghost)
+	return VerifyHelperPatterns(AnalyzeAddrPatterns(main), AnalyzeAddrPatterns(ghost), hid)
+}
+
+// VerifyHelperPatterns is VerifyHelper over already-built address-pattern
+// analyses of main (mp) and the helper (gp).
+func VerifyHelperPatterns(mp, gp *Patterns, hid int) []*Verdict {
+	main, ghost := mp.Prog, gp.Prog
 	var out []*Verdict
 	for pc := range main.Code {
 		in := &main.Code[pc]

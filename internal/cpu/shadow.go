@@ -1,6 +1,10 @@
 package cpu
 
-import "ghostthread/internal/cache"
+import (
+	"slices"
+
+	"ghostthread/internal/cache"
+)
 
 // shadow.go — the dynamic shadow oracle, the runtime half of the
 // translation validator (internal/analysis/transval.go). When attached,
@@ -49,19 +53,34 @@ const DefaultShadowBuffer = 4096
 
 // shadowOracle holds the oracle state for one core.
 type shadowOracle struct {
-	demanded map[int64]bool // lines the main context demand-accessed
-	pending  []int64        // FIFO of ghost prefetch lines awaiting a demand
+	demanded []uint64 // bitset of lines the main context demand-accessed, grown on demand
+	pending  []int64  // FIFO of ghost prefetch lines awaiting a demand
 	stats    ShadowStats
 	drained  bool
 }
 
-func newShadowOracle() *shadowOracle {
-	return &shadowOracle{demanded: make(map[int64]bool)}
+// demand records a main-context demand access (load or atomic). Demand
+// addresses are in range (dispatch faults an unmapped one first), so the
+// line is never negative.
+func (o *shadowOracle) demand(addr int64) {
+	line := cache.LineOf(addr)
+	w := int(line >> 6)
+	if w >= len(o.demanded) {
+		// Words past len were never written, so the re-slice exposes zeros.
+		o.demanded = slices.Grow(o.demanded, w+1-len(o.demanded))[:w+1]
+	}
+	o.demanded[w] |= 1 << (uint64(line) & 63)
 }
 
-// demand records a main-context demand access (load or atomic).
-func (o *shadowOracle) demand(addr int64) {
-	o.demanded[cache.LineOf(addr)] = true
+// isDemanded reports whether the main context demanded line. A negative
+// line, or one beyond the highest demanded so far, reads as never
+// demanded.
+func (o *shadowOracle) isDemanded(line int64) bool {
+	if line < 0 {
+		return false
+	}
+	w := line >> 6
+	return w < int64(len(o.demanded)) && o.demanded[w]&(1<<(uint64(line)&63)) != 0
 }
 
 // prefetch records a ghost-context prefetch of the raw (pre-clamp)
@@ -70,7 +89,7 @@ func (o *shadowOracle) demand(addr int64) {
 // never demand an unmapped line, so they surface as divergent.
 func (o *shadowOracle) prefetch(addr int64) {
 	line := cache.LineOf(addr)
-	if o.demanded[line] {
+	if o.isDemanded(line) {
 		o.stats.Confirmed++
 		return
 	}
@@ -80,7 +99,7 @@ func (o *shadowOracle) prefetch(addr int64) {
 		// so the eviction is indeterminate, not divergent.
 		head := o.pending[0]
 		o.pending = o.pending[1:]
-		if o.demanded[head] {
+		if o.isDemanded(head) {
 			o.stats.Confirmed++
 		} else {
 			o.stats.Orphaned++
@@ -96,7 +115,7 @@ func (o *shadowOracle) finalize() {
 	}
 	o.drained = true
 	for _, line := range o.pending {
-		if o.demanded[line] {
+		if o.isDemanded(line) {
 			o.stats.Confirmed++
 		} else {
 			o.stats.Divergent++
@@ -123,7 +142,7 @@ type ShadowOracle struct{ impl *shadowOracle }
 // NewShadow builds a shadow oracle with a DefaultShadowBuffer-deep
 // pending buffer.
 func NewShadow() *ShadowOracle {
-	return &ShadowOracle{impl: newShadowOracle()}
+	return &ShadowOracle{impl: &shadowOracle{}}
 }
 
 // ShadowStats finalizes and returns the oracle's counters (zero when no

@@ -15,7 +15,7 @@ import (
 // cached report changes (e.g. the profiler's attribution rules). A version
 // mismatch is treated as a stale key: the blob is evicted and the profile
 // recomputed.
-const diskCacheVersion = 1
+const diskCacheVersion = 2
 
 // profCacheDir is the on-disk profile-cache directory ("" = disabled).
 // It is written once at process start (flag parsing) before any worker

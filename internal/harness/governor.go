@@ -176,17 +176,26 @@ func runChecked(inst *workloads.Instance, snap []int64, cfg sim.Config,
 }
 
 // governedManual fills row with the workload's hand-written ghost
-// variant, static versus governed, against base.
+// variant, static versus governed, against base. The governed run goes
+// first: a governor that took no decision and made no respawn (PC-synced
+// re-seeds respawn without logging a decision) left the run unperturbed
+// (TestGovernorObserverPurity), so that run is also the static run and
+// static is simulated only when the governor acted.
 func governedManual(row *GovRow, inst *workloads.Instance, snap []int64, cfg sim.Config, window int64, base sim.Result) {
-	static, err := runChecked(inst, snap, cfg, inst.Ghost.Main, inst.Ghost.Helpers, inst.CheckFor("ghost"))
-	if err != nil {
-		row.Err = "static: " + err.Error()
-		return
-	}
 	gcfg := GovernedConfig(cfg, window, inst.Counters)
-	governed, err := runChecked(inst, snap, gcfg, inst.Ghost.Main, inst.Ghost.Helpers, inst.CheckFor("ghost"))
-	if err != nil {
-		row.Err = "governed: " + err.Error()
+	governed, govErr := runChecked(inst, snap, gcfg, inst.Ghost.Main, inst.Ghost.Helpers, inst.CheckFor("ghost"))
+	static := governed
+	if govErr != nil || len(governed.GovDecisions) > 0 || governed.GovRespawns > 0 {
+		// A failed governed run still runs static, whose failure is
+		// reported first.
+		var err error
+		if static, err = runChecked(inst, snap, cfg, inst.Ghost.Main, inst.Ghost.Helpers, inst.CheckFor("ghost")); err != nil {
+			row.Err = "static: " + err.Error()
+			return
+		}
+	}
+	if govErr != nil {
+		row.Err = "governed: " + govErr.Error()
 		return
 	}
 	row.fill(base, static, governed)

@@ -224,30 +224,44 @@ func TestSyncTraceKeepsGhostPresence(t *testing.T) {
 }
 
 // TestGovernorExperimentOneBaselinePerWorkload checks that a workload's
-// manual and compiler rows share one baseline simulation. With telemetry
+// manual and compiler rows share one baseline simulation, and that a
+// silent governed manual run doubles as the static run. With telemetry
 // on the experiment's config every run emits windows, so the sink counts
 // run starts. camel yields both kinds: the profiling run (telemetry
-// bypasses the profile memo), one baseline, and a static and a governed
-// run per kind make 6; a baseline per kind would make 7.
+// bypasses the profile memo), one baseline, the manual governed run
+// (silent, so it is also static), and the compiler's static and governed
+// runs make 5; a baseline per kind would make 6. On hj8 the idle
+// governor kills the manual ghost twice, so its static run is simulated
+// too and the count is 6.
 func TestGovernorExperimentOneBaselinePerWorkload(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Telemetry.WindowCycles = govWindow
-	runs := 0
-	cfg.Telemetry.Sink = func(ws obs.WindowSample) {
-		if ws.Window == 0 && ws.Core == 0 {
-			runs++
+	for _, tc := range []struct {
+		workload string
+		want     int
+	}{
+		{"camel", 5},
+		{"hj8", 6},
+	} {
+		cfg := sim.DefaultConfig()
+		cfg.Telemetry.WindowCycles = govWindow
+		runs := 0
+		cfg.Telemetry.Sink = func(ws obs.WindowSample) {
+			if ws.Window == 0 && ws.Core == 0 {
+				runs++
+			}
 		}
-	}
-	rows := GovernorExperiment([]string{"camel"}, cfg, govWindow)
-	manual := findGovRow(t, rows, "camel", "manual")
-	compiler := findGovRow(t, rows, "camel", "compiler")
-	if manual.Err != "" || compiler.Err != "" {
-		t.Fatalf("camel rows failed: manual %q, compiler %q", manual.Err, compiler.Err)
-	}
-	if manual.BaselineCycles != compiler.BaselineCycles {
-		t.Errorf("baseline cycles differ: manual %d, compiler %d", manual.BaselineCycles, compiler.BaselineCycles)
-	}
-	if runs != 6 {
-		t.Errorf("%d simulations, want 6 (profile, one baseline, static and governed per kind)", runs)
+		rows := GovernorExperiment([]string{tc.workload}, cfg, govWindow)
+		manual := findGovRow(t, rows, tc.workload, "manual")
+		compiler := findGovRow(t, rows, tc.workload, "compiler")
+		if manual.Err != "" || compiler.Err != "" {
+			t.Fatalf("%s rows failed: manual %q, compiler %q", tc.workload, manual.Err, compiler.Err)
+		}
+		if manual.BaselineCycles != compiler.BaselineCycles {
+			t.Errorf("%s: baseline cycles differ: manual %d, compiler %d",
+				tc.workload, manual.BaselineCycles, compiler.BaselineCycles)
+		}
+		if runs != tc.want {
+			t.Errorf("%s: %d simulations, want %d (manual kills %d, decisions %d)",
+				tc.workload, runs, tc.want, manual.Kills, len(manual.Decisions))
+		}
 	}
 }

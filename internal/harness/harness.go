@@ -95,7 +95,6 @@ type profKey struct {
 	maxCycles int64
 	cycleStep bool
 	fault     fault.Config
-	shadow    sim.ShadowConfig
 	governor  gov.Config
 }
 
@@ -121,7 +120,11 @@ var (
 // pair — workload builders seed their own RNGs — so a cached report is
 // bit-identical to a fresh one. Reports are treated as immutable by all
 // consumers. sync.Once gives concurrent workers single-flight semantics.
+// The shadow oracle is stripped first: a report carries no shadow
+// verdict and the oracle never changes a run, so shadowed and unshadowed
+// callers share one profile.
 func profileWorkload(workload string, build workloads.Builder, cfg sim.Config) (*profile.Report, error) {
+	cfg.Shadow = sim.ShadowConfig{}
 	if cfg.Telemetry.Enabled() {
 		// Telemetry configs bypass the memo: a cache hit would silently
 		// drop the windows (and Sink calls) the caller is counting on
@@ -138,7 +141,6 @@ func profileWorkload(workload string, build workloads.Builder, cfg sim.Config) (
 		maxCycles: cfg.MaxCycles,
 		cycleStep: cfg.CycleStep,
 		fault:     cfg.Fault,
-		shadow:    cfg.Shadow,
 		governor:  cfg.Governor,
 	}
 	profMu.Lock()

@@ -8,6 +8,7 @@ import (
 	"ghostthread/internal/core"
 	"ghostthread/internal/obs"
 	"ghostthread/internal/sim"
+	"ghostthread/internal/workloads"
 )
 
 var parallelNames = []string{"camel", "nas-is", "hj2"}
@@ -63,6 +64,46 @@ func TestProfileMemoization(t *testing.T) {
 	}
 	if again := profileRuns.Load() - before - first; again != 0 {
 		t.Errorf("second matrix re-ran %d profiles, want 0 (memoized)", again)
+	}
+}
+
+// TestProfileIgnoresShadow: profiling strips the shadow oracle, so a
+// shadowed and an unshadowed caller share one profiling run and one
+// report — and that report equals a profile taken with the oracle
+// attached, since the oracle only observes.
+func TestProfileIgnoresShadow(t *testing.T) {
+	build, err := workloads.Lookup("camel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A config unique to this test, so earlier tests' cache entries
+	// cannot stand in for the run counted here.
+	cfg := sim.DefaultConfig()
+	cfg.MaxCycles -= 2
+
+	before := profileRuns.Load()
+	on := cfg
+	on.Shadow.Enabled = true
+	withShadow, err := profileWorkload("camel", build, on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := profileWorkload("camel", build, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := profileRuns.Load() - before; got != 1 {
+		t.Errorf("shadow on then off ran %d profiles, want 1", got)
+	}
+	if !reflect.DeepEqual(withShadow, without) {
+		t.Error("shadowed and unshadowed profiling returned different reports")
+	}
+	shadowed, err := runProfile("camel", build, on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shadowed, without) {
+		t.Error("a profile taken with the shadow oracle attached differs from the memoized one")
 	}
 }
 

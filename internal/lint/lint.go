@@ -121,7 +121,7 @@ func Workload(name string, opts Options) (*analysis.Report, error) {
 				}
 			}
 			if opts.Minimality {
-				rep.Add(analysis.ReportMinimalityVs(ext.Ghost, ext.Main)...)
+				rep.Add(analysis.ReportMinimalityVs(ext.GhostPatterns, ext.MainPatterns)...)
 			}
 		}
 	}

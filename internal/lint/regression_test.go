@@ -76,7 +76,7 @@ func TestAliasMinimalityOnlyAddsInfo(t *testing.T) {
 		swept++
 
 		plain := analysis.ReportMinimality(ext.Ghost)
-		vs := analysis.ReportMinimalityVs(ext.Ghost, ext.Main)
+		vs := analysis.ReportMinimalityVs(ext.GhostPatterns, ext.MainPatterns)
 		if len(vs) < len(plain) {
 			t.Errorf("%s: alias-upgraded minimality dropped base findings: %d -> %d", e.Name, len(plain), len(vs))
 		}

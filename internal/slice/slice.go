@@ -108,6 +108,12 @@ type Result struct {
 	// Verdicts holds the translation-validation results for the extracted
 	// pair, one per spawn site (see analysis.VerifyHelper).
 	Verdicts []*analysis.Verdict
+
+	// MainPatterns and GhostPatterns are the address-pattern analyses of
+	// Main and Ghost the validator built, for callers that analyse the
+	// pair further (analysis.ReportMinimalityVs). They memoize
+	// lazily, so one Result is not safe for concurrent analysis.
+	MainPatterns, GhostPatterns *analysis.Patterns
 }
 
 // Extract builds the compiler ghost for the given selected targets with
@@ -191,7 +197,9 @@ func ExtractWith(base *isa.Program, targets []core.Target, params core.SyncParam
 	// the main thread's demand stream (analysis/transval.go). UNPROVED
 	// slices are rejected unless the caller opts out — they still carry
 	// the verdicts for reporting.
-	res.Verdicts = analysis.VerifyHelper(main, ghost, 0)
+	res.MainPatterns = analysis.AnalyzeAddrPatterns(main)
+	res.GhostPatterns = analysis.AnalyzeAddrPatterns(ghost)
+	res.Verdicts = analysis.VerifyHelperPatterns(res.MainPatterns, res.GhostPatterns, 0)
 	if !opts.AllowUnproved {
 		for _, v := range res.Verdicts {
 			if v.Status != analysis.Unproved {
