@@ -45,7 +45,7 @@ func BenchmarkFigure3(b *testing.B) {
 // benchMatrix runs the full 34-workload evaluation on the given machine
 // (parallel across GOMAXPROCS workers) and reports the geomeans (paper
 // fig 6: 1.06/1.22/1.33/1.11 on idle; fig 8: 1.07/1.26/1.40/1.06 on
-// busy) plus the harness's simulated-cycles-per-second throughput.
+// busy).
 func benchMatrix(b *testing.B, cfg sim.Config, machine string) *harness.Matrix {
 	var m *harness.Matrix
 	var err error
@@ -60,37 +60,12 @@ func benchMatrix(b *testing.B, cfg sim.Config, machine string) *harness.Matrix {
 	b.ReportMetric(m.GeomeanSpeedup(harness.TechGhost), "ghost-x")
 	b.ReportMetric(m.GeomeanSpeedup(harness.TechCompiler), "compiler-x")
 	b.ReportMetric(float64(m.GhostSelected()), "selected")
-	b.ReportMetric(m.CyclesPerSec, "simcycles/s")
 	return m
 }
 
 // BenchmarkFigure6 regenerates the idle-server single-core speedups.
 func BenchmarkFigure6(b *testing.B) {
 	benchMatrix(b, sim.DefaultConfig(), "idle")
-}
-
-// BenchmarkMatrixFig6 is the end-to-end simulator-throughput benchmark:
-// the same 4-workload figure-6 slice `make bench-smoke` records in
-// BENCH_fig6.json, reporting simulated-cycles-per-second and (via
-// ReportAllocs) the full pipeline's allocation bill, so both axes of the
-// raw-speed work are visible from one `go test -bench` line. Under
-// -short it shrinks to the single cheapest workload.
-func BenchmarkMatrixFig6(b *testing.B) {
-	names := []string{"camel", "kangaroo", "hj2", "bfs.kron"}
-	if testing.Short() {
-		names = names[:1]
-	}
-	b.ReportAllocs()
-	var m *harness.Matrix
-	var err error
-	for i := 0; i < b.N; i++ {
-		m, err = harness.RunMatrixWorkers(names, "idle", sim.DefaultConfig(), 0, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(m.CyclesPerSec, "simcycles/s")
-	b.ReportMetric(m.GeomeanSpeedup(harness.TechGhost), "ghost-x")
 }
 
 // BenchmarkFigure7 regenerates the idle-server energy savings (paper

@@ -23,8 +23,7 @@
 // late spawns, dropped/delayed prefetches, DRAM jitter, stale sync reads,
 // and (at the top level) a ghost kill. With -json it emits one NDJSON row
 // per (workload, level) cell as it completes, so a killed sweep keeps its
-// partial results; -fault-seed reseeds the schedules and -panic-at NAME
-// crashes one worker on purpose to exercise the panic-recovery path.
+// partial results; -fault-seed reseeds the schedules.
 package main
 
 import (
@@ -57,7 +56,6 @@ func main() {
 		scale      = cli.Scale(flag.CommandLine, workloads.ScaleEval, "workload input scale for -experiment resilience: eval | profile")
 		faultSeed  = flag.Uint64("fault-seed", 1, "master seed for the resilience fault schedules")
 		budget     = flag.Int64("budget", 0, "per-run cycle-budget watchdog for resilience (0 = machine default)")
-		panicAt    = flag.String("panic-at", "", "resilience: panic inside this workload's worker (tests panic recovery)")
 		window     = cli.Int(flag.CommandLine, "window", 0, 0, "telemetry window in cycles; resilience: emit a sample every N cycles (0 = off; enables sync tracing); governor: the governor's judging window (0 = 20000)")
 		windowOut  = flag.String("window-out", "", "resilience: write telemetry NDJSON here (tail with gtmon -in FILE; empty = discard)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this file")
@@ -219,7 +217,6 @@ func main() {
 			Levels:      harness.ResilienceLevels(*faultSeed),
 			Workers:     *jobs,
 			CycleBudget: *budget,
-			InjectPanic: *panicAt,
 		}
 		opts.BuildOpts = workloads.DefaultOptions()
 		opts.BuildOpts.Scale = *scale

@@ -157,44 +157,3 @@ func (g *CFG) ReachingDefs() *DefUse {
 	}
 	return du
 }
-
-// Liveness computes per-block live-out register sets with the standard
-// backward dataflow, and returns them indexed by block ID.
-func (g *CFG) Liveness() []RegSet {
-	p := g.Prog
-	nb := len(g.Blocks)
-	liveIn := make([]RegSet, nb)
-	liveOut := make([]RegSet, nb)
-
-	blockIn := func(b int) RegSet {
-		live := liveOut[b]
-		for pc := g.Blocks[b].End - 1; pc >= g.Blocks[b].Start; pc-- {
-			in := &p.Code[pc]
-			if in.Op.HasDst() {
-				live.Remove(in.Dst)
-			}
-			for _, r := range srcRegs(in) {
-				live.Add(r)
-			}
-		}
-		return live
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for i := len(g.RPO) - 1; i >= 0; i-- {
-			b := g.RPO[i]
-			var out RegSet
-			for _, s := range g.Blocks[b].Succs {
-				out.Union(&liveIn[s])
-			}
-			liveOut[b] = out
-			in := blockIn(b)
-			if liveIn[b] != in {
-				liveIn[b] = in
-				changed = true
-			}
-		}
-	}
-	return liveOut
-}

@@ -219,16 +219,6 @@ func (c *Cache) peekReady(line int64) (readyAt int64, resident bool) {
 	return 0, false
 }
 
-// PeekReady reports whether line is resident and, if so, the cycle its
-// fill lands, without touching replacement or counter state. It gives the
-// event-skip machinery (and diagnostics) visibility into in-flight fills:
-// a core blocked on a line that is resident-but-filling wakes no earlier
-// than the returned readyAt, which is also when the matching completion
-// or MSHR-release event on the core's timing wheel fires.
-func (c *Cache) PeekReady(line int64) (readyAt int64, resident bool) {
-	return c.peekReady(line)
-}
-
 // delayReady pushes a resident line's fill-ready cycle out to at (never
 // pulling an already-later fill in). Touches nothing else — no
 // replacement, counter, or classification state.

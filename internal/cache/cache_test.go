@@ -215,21 +215,21 @@ func TestPeekReadyExposesInFlightFills(t *testing.T) {
 	h := testHierarchy()
 	addr := int64(0x8000)
 	line := addr / mem.LineWords
-	if _, resident := h.L1.PeekReady(line); resident {
+	if _, resident := h.L1.peekReady(line); resident {
 		t.Fatal("line resident before any access")
 	}
 	res := h.DemandAccess(addr, 10) // cold DRAM miss; fill in flight
-	ra, resident := h.L1.PeekReady(line)
+	ra, resident := h.L1.peekReady(line)
 	if !resident {
 		t.Fatal("line not resident in L1 after demand access")
 	}
 	if ra != res.CompleteAt {
-		t.Errorf("PeekReady readyAt = %d, want fill completion %d", ra, res.CompleteAt)
+		t.Errorf("peekReady readyAt = %d, want fill completion %d", ra, res.CompleteAt)
 	}
 	// Peeking must not perturb counters or replacement state.
 	hits, misses := h.L1.Hits, h.L1.Misses
-	h.L1.PeekReady(line)
+	h.L1.peekReady(line)
 	if h.L1.Hits != hits || h.L1.Misses != misses {
-		t.Error("PeekReady moved hit/miss counters")
+		t.Error("peekReady moved hit/miss counters")
 	}
 }

@@ -146,8 +146,7 @@ type Core struct {
 	dhelpers []*decodedProgram
 	threads  [2]thread
 	now      int64
-	events   eventWheel
-	due      []event  // scratch for the cycle's due events (reused)
+	events   triggerList
 	lat      [3]int64 // issue latency per latClass (Int, Mul, Div)
 
 	// Analytic MSHR file: mshrFreeAt holds, per slot, the cycle at which
@@ -158,16 +157,16 @@ type Core struct {
 	// expressed as per-cycle retries.
 	mshrFreeAt []int64
 
-	// Issue-port claim ring: issueCnt[c&wheelMask] is the number of the
+	// Issue-port claim ring: issueCnt[c&claimMask] is the number of the
 	// cycle's IssueWidth ports already claimed, valid when
-	// issueStamp[c&wheelMask] == c (stale slots read as zero, so the ring
+	// issueStamp[c&claimMask] == c (stale slots read as zero, so the ring
 	// never needs bulk clearing as the clock advances). Every instruction
 	// claims the earliest free cycle at dispatch, in dispatch order.
-	// Claims beyond the ring horizon are not tracked — a dependence chain
-	// stretching a wheel-length into the future is latency-bound, not
-	// port-bound.
-	issueCnt   [wheelSize]int16
-	issueStamp [wheelSize]int64
+	// Claims beyond claimHorizon cycles ahead are not tracked — a
+	// dependence chain stretching that far into the future is
+	// latency-bound, not port-bound.
+	issueCnt   [claimHorizon]int16
+	issueStamp [claimHorizon]int64
 
 	// Statistics.
 	LoadLevel     [4]int64 // demand loads + atomics satisfied per level
@@ -289,15 +288,15 @@ func (c *Core) Load(main *isa.Program, helpers []*isa.Program) {
 	c.err = nil
 	c.park.reset()
 	if c.fault != nil {
-		// Seed the timing wheel with the fault triggers that need one: the
-		// first preemption window and the one-shot ghost kill. Putting them
-		// on the wheel (instead of polling) is what lets injection compose
-		// with the event-skip fast path.
+		// Seed the trigger list with the fault triggers that need one: the
+		// first preemption window and the one-shot ghost kill. Scheduling
+		// them (instead of polling) is what lets injection compose with
+		// the event-skip fast path.
 		if gap := c.fault.NextPreemptGap(); gap > 0 {
-			c.events.push(c.now, event{at: gap, kind: evFaultPreempt})
+			c.events.push(event{at: gap, kind: evFaultPreempt})
 		}
 		if at := c.fault.Config().GhostKillAt; at > 0 {
-			c.events.push(c.now, event{at: at, kind: evFaultKill})
+			c.events.push(event{at: at, kind: evFaultKill})
 		}
 	}
 }
@@ -342,13 +341,20 @@ func (c *Core) sqCap() int {
 	return c.cfg.StoreQ
 }
 
+// claimHorizon is how many cycles ahead the issue-port claim ring
+// tracks; a power of two, so claimMask indexes the ring.
+const (
+	claimHorizon = 1 << 10
+	claimMask    = claimHorizon - 1
+)
+
 // claimIssue claims an issue port at the earliest cycle at or after
-// ready with a free slot and returns that cycle. Ports beyond the ring
-// horizon are untracked (see the issueCnt field comment).
+// ready with a free slot and returns that cycle. Ports beyond
+// claimHorizon are untracked (see the issueCnt field comment).
 func (c *Core) claimIssue(ready int64) int64 {
 	cyc := ready
-	for cyc-c.now <= wheelSize {
-		b := int(uint64(cyc) & wheelMask)
+	for cyc-c.now <= claimHorizon {
+		b := int(uint64(cyc) & claimMask)
 		if c.issueStamp[b] != cyc {
 			c.issueStamp[b] = cyc
 			c.issueCnt[b] = 1
@@ -493,8 +499,8 @@ const never = math.MaxInt64
 // It must be called between Steps (after Step has returned), when these
 // invariants hold and every possible state change is one of:
 //
-//   - a timing-wheel event firing (fault preemption or kill triggers —
-//     the only events left in the analytic engine);
+//   - a pending trigger firing (fault preemption or kill, governor kill
+//     or respawn — the only events left in the analytic engine);
 //   - the ROB head reaching its completion cycle (stIssued) or, for a
 //     serialize, its drain deadline;
 //   - a committable ROB head (commit-width limits can leave one);
@@ -508,7 +514,7 @@ func (c *Core) NextEvent() int64 {
 		return never
 	}
 	next := int64(never)
-	if at, ok := c.events.peekAt(c.now); ok && at < next {
+	if at, ok := c.events.next(); ok && at < next {
 		next = at
 	}
 	for i := range c.threads {
@@ -595,9 +601,15 @@ func (c *Core) SkipTo(target int64) {
 	c.now = target
 }
 
+// processEvents fires the triggers due this cycle, one at a time in
+// (deadline, schedule order). A handler's push (applyPreempt's next
+// window) is due strictly later, so it lands after them.
 func (c *Core) processEvents() {
-	c.due = c.events.takeDue(c.now, c.due)
-	for _, e := range c.due {
+	for {
+		e, ok := c.events.popDue(c.now)
+		if !ok {
+			return
+		}
 		switch e.kind {
 		case evFaultPreempt:
 			c.applyPreempt()
@@ -688,7 +700,7 @@ func (c *Core) applyPreempt() {
 			h.fetchBlockedUntil = bl
 		}
 	}
-	c.events.push(c.now, event{at: c.now + win + gap, kind: evFaultPreempt})
+	c.events.push(event{at: c.now + win + gap, kind: evFaultPreempt})
 }
 
 // deactivateHelper kills the live helper context mid-flight — the shared
@@ -1307,7 +1319,7 @@ func (c *Core) SetWindowRecorder(w *obs.WindowRecorder, ghostAddr int64) {
 }
 
 // SetFault attaches (or with nil detaches) a fault injector. Attach
-// before Load: Load schedules the injector's timing-wheel triggers.
+// before Load: Load schedules the injector's triggers.
 func (c *Core) SetFault(inj *fault.Injector) { c.fault = inj }
 
 // SetGovCounter tells the governor hooks which memory word holds the
@@ -1333,18 +1345,19 @@ func (c *Core) SetGovCounter(addr int64) { c.govCtrAddr = addr }
 func (c *Core) SetGovResync(pc, cap int64) { c.govResyncPC, c.govRespawnCap = pc, cap }
 
 // ScheduleGovKill schedules a governor ghost-kill for the next stepped
-// cycle. It rides the timing wheel exactly like the evFaultKill trigger,
+// cycle. It rides the trigger list exactly like the evFaultKill trigger,
 // so it fires at the same cycle under per-cycle stepping and event
-// skipping (NextEvent never skips past a pending wheel event). Call only between steps (window-boundary flushes qualify).
+// skipping (NextEvent never skips past a pending trigger). Call only
+// between steps (window-boundary flushes qualify).
 func (c *Core) ScheduleGovKill() {
-	c.events.push(c.now, event{at: c.now + 1, kind: evGovKill})
+	c.events.push(event{at: c.now + 1, kind: evGovKill})
 }
 
 // ScheduleGovRespawn schedules a governor ghost re-spawn for the next
 // stepped cycle (see ScheduleGovKill for the determinism argument and
 // govRespawn for the semantics).
 func (c *Core) ScheduleGovRespawn() {
-	c.events.push(c.now, event{at: c.now + 1, kind: evGovRespawn})
+	c.events.push(event{at: c.now + 1, kind: evGovRespawn})
 }
 
 // FaultStats returns the counters of faults actually injected so far

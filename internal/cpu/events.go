@@ -1,10 +1,8 @@
 package cpu
 
-import "math/bits"
-
-// event kinds processed by the core's timing wheel. The analytic engine
+// event kinds processed from the core's trigger list. The analytic engine
 // fixes every instruction's issue and completion cycles at dispatch, so
-// the wheel carries only asynchronous triggers: the fault injector's and
+// the list carries only asynchronous triggers: the fault injector's and
 // the adaptive governor's (internal/gov), which both ride the same
 // deterministic mechanism.
 const (
@@ -19,162 +17,52 @@ type event struct {
 	kind int8
 }
 
-const (
-	wheelBits  = 10
-	wheelSize  = 1 << wheelBits // cycles of look-ahead the ring covers
-	wheelMask  = wheelSize - 1
-	wheelWords = wheelSize / 64 // occupancy-bitmap words
-)
-
-// eventWheel is the core's timing wheel: a ring of wheelSize per-cycle
-// buckets plus an overflow min-heap for the rare event scheduled beyond
-// the ring's horizon (a distant fault trigger, mostly).
-//
-// Two invariants make it both O(1) and deterministic:
-//
-//   - Every ring event's deadline lies in (now, now+wheelSize], so each
-//     occupied bucket holds events of exactly one absolute cycle (two
-//     distinct deadlines in one bucket would have to differ by a multiple
-//     of wheelSize, putting one of them outside the window). Deadlines
-//     never lapse unprocessed: the step loop drains the due bucket every
-//     stepped cycle and SkipTo never jumps past peekAt.
-//
-//   - Each bucket is a slice drained and refilled in FIFO order, so
-//     same-cycle events fire in exactly the order they were scheduled —
-//     a deterministic rule, unlike a binary heap's history-dependent
-//     tie-breaking. The bucket slices double as the event arena: takeDue
-//     truncates them in place and push appends, so after warm-up the
-//     wheel performs no allocation at all.
-//
-// Far events are never migrated onto the ring: they fire directly from
-// the heap when due, ordered after the due bucket's events. Migrating
-// would make same-cycle order depend on *when* the migration ran — under
-// event skipping a far event crosses the horizon at a later stepped cycle
-// than under per-cycle stepping, so it would interleave differently with
-// ring pushes and break the bit-identity of the two stepping modes.
-type eventWheel struct {
-	buckets [wheelSize][]event
-	occ     [wheelWords]uint64 // bit b set ⇔ buckets[b] non-empty
-	near    int                // events currently on the ring
-	far     []event            // min-heap (by at) beyond the horizon
+// triggerList is the core's pending triggers, sorted by (deadline,
+// schedule order): a push lands after every trigger whose deadline is ≤
+// its own, so same-cycle triggers fire in exactly the order they were
+// scheduled, however far ahead each was scheduled. Only the next
+// preemption window, the one-shot kill and the governor's next-cycle
+// decisions are ever scheduled, and no measured run had more than two
+// pending (DESIGN.md §13.2), so a linear insert is all the structure the
+// list needs. The backing array is reused across pushes and pops, so
+// after warm-up the list performs no allocation.
+type triggerList struct {
+	q []event
 }
 
-// reset discards all pending events, keeping bucket capacity.
-func (w *eventWheel) reset() {
-	if w.near > 0 {
-		for i := range w.buckets {
-			w.buckets[i] = w.buckets[i][:0]
-		}
+// reset discards all pending triggers, keeping capacity.
+func (l *triggerList) reset() { l.q = l.q[:0] }
+
+func (l *triggerList) len() int { return len(l.q) }
+
+// push schedules e; e.at must lie after the core's current cycle.
+func (l *triggerList) push(e event) {
+	i := len(l.q)
+	for i > 0 && l.q[i-1].at > e.at {
+		i--
 	}
-	w.occ = [wheelWords]uint64{}
-	w.near = 0
-	w.far = w.far[:0]
+	l.q = append(l.q, event{})
+	copy(l.q[i+1:], l.q[i:])
+	l.q[i] = e
 }
 
-// push schedules e, which must satisfy e.at > now.
-func (w *eventWheel) push(now int64, e event) {
-	if e.at-now > wheelSize {
-		w.farPush(e)
-		return
+// next returns the earliest pending deadline.
+func (l *triggerList) next() (int64, bool) {
+	if len(l.q) == 0 {
+		return 0, false
 	}
-	b := int(uint64(e.at) & wheelMask)
-	w.buckets[b] = append(w.buckets[b], e)
-	w.occ[b>>6] |= 1 << uint(b&63)
-	w.near++
+	return l.q[0].at, true
 }
 
-// peekAt returns the earliest pending deadline. It must be called between
-// steps, when every pending event satisfies at > now.
-func (w *eventWheel) peekAt(now int64) (int64, bool) {
-	ring := int64(0)
-	haveRing := false
-	if w.near > 0 {
-		// Scan the occupancy bitmap from bucket (now+1) & mask forward.
-		start := int(uint64(now+1) & wheelMask)
-		wi := start >> 6
-		word := w.occ[wi] &^ (1<<uint(start&63) - 1)
-		for k := 0; k <= wheelWords; k++ {
-			if word != 0 {
-				b := wi<<6 | bits.TrailingZeros64(word)
-				d := (b - start) & wheelMask
-				ring = now + 1 + int64(d)
-				haveRing = true
-				break
-			}
-			wi = (wi + 1) & (wheelWords - 1)
-			word = w.occ[wi]
-			if wi == start>>6 {
-				word &= 1<<uint(start&63) - 1 // wrapped: only bits before start
-			}
-		}
+// popDue removes and returns the head trigger if it is due at now. It
+// shifts the rest down in place rather than re-slicing the front, so the
+// backing array keeps its full capacity for later pushes.
+func (l *triggerList) popDue(now int64) (event, bool) {
+	if len(l.q) == 0 || l.q[0].at > now {
+		return event{}, false
 	}
-	if len(w.far) == 0 {
-		return ring, haveRing
-	}
-	if !haveRing || w.far[0].at < ring {
-		return w.far[0].at, true
-	}
-	return ring, true
-}
-
-// takeDue moves every event due at exactly cycle now into scratch
-// (reusing its capacity) and returns it: the due ring bucket in FIFO
-// order, then any due far events. Handlers may push new events while
-// iterating the result; a push landing in the same bucket (deadline
-// now+wheelSize) is a future event and stays put because the due events
-// were detached first.
-func (w *eventWheel) takeDue(now int64, scratch []event) []event {
-	scratch = scratch[:0]
-	b := int(uint64(now) & wheelMask)
-	if bucket := w.buckets[b]; len(bucket) > 0 {
-		scratch = append(scratch, bucket...)
-		w.buckets[b] = bucket[:0]
-		w.occ[b>>6] &^= 1 << uint(b&63)
-		w.near -= len(scratch)
-	}
-	for len(w.far) > 0 && w.far[0].at <= now {
-		scratch = append(scratch, w.farPop())
-	}
-	return scratch
-}
-
-func (w *eventWheel) len() int { return w.near + len(w.far) }
-
-// farPush/farPop maintain the overflow min-heap ordered by event.at.
-
-func (w *eventWheel) farPush(e event) {
-	w.far = append(w.far, e)
-	i := len(w.far) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if w.far[p].at <= w.far[i].at {
-			break
-		}
-		w.far[p], w.far[i] = w.far[i], w.far[p]
-		i = p
-	}
-}
-
-func (w *eventWheel) farPop() event {
-	top := w.far[0]
-	n := len(w.far) - 1
-	w.far[0] = w.far[n]
-	w.far = w.far[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && w.far[l].at < w.far[s].at {
-			s = l
-		}
-		if r < n && w.far[r].at < w.far[s].at {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		w.far[i], w.far[s] = w.far[s], w.far[i]
-		i = s
-	}
-	return top
+	e := l.q[0]
+	n := copy(l.q, l.q[1:])
+	l.q = l.q[:n]
+	return e, true
 }

@@ -214,7 +214,7 @@ func (c *Core) probe() bool {
 
 // parkable reports whether the core may start a probe: no observer or
 // fault injector attached (they act at every dispatch), nothing on the
-// timing wheel, no miss in flight, no claim of a killed helper ahead, and
+// trigger list, no miss in flight, no claim of a killed helper ahead, and
 // no serialize in the window.
 func (c *Core) parkable() bool {
 	if c.trace != nil || c.wrec != nil || c.shadow != nil || c.fault != nil ||
@@ -272,9 +272,9 @@ func (c *Core) claimsAhead(buf []claim) []claim {
 			horizon = max(horizon, t.completeAt[t.slot(j)])
 		}
 	}
-	horizon = min(horizon, c.now+wheelSize)
+	horizon = min(horizon, c.now+claimHorizon)
 	for cyc := c.now + 1; cyc <= horizon; cyc++ {
-		b := int(uint64(cyc) & wheelMask)
+		b := int(uint64(cyc) & claimMask)
 		if c.issueStamp[b] == cyc {
 			buf = append(buf, claim{cyc - c.now, c.issueCnt[b]})
 		}
@@ -461,11 +461,11 @@ func (c *Core) shiftTiming(d int64) {
 		}
 	}
 	for _, cl := range p.claims {
-		c.issueStamp[int(uint64(c.now+cl.at)&wheelMask)] = -1
+		c.issueStamp[int(uint64(c.now+cl.at)&claimMask)] = -1
 	}
 	for _, cl := range p.claims {
 		at := c.now + d + cl.at
-		b := int(uint64(at) & wheelMask)
+		b := int(uint64(at) & claimMask)
 		c.issueStamp[b], c.issueCnt[b] = at, cl.cnt
 	}
 }

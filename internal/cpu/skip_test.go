@@ -367,38 +367,3 @@ func TestSkipEquivalenceCycleGuard(t *testing.T) {
 		t.Errorf("guard tripped at %d (skip) vs %d (ref)", optCycles, refCycles)
 	}
 }
-
-// BenchmarkCoreStep measures simulator throughput on a DRAM-bound
-// pointer chase whose working set (512 KiB) dwarfs the 32 KiB LLC —
-// the event-skip fast path must deliver >= 1.5x the per-cycle loop.
-func BenchmarkCoreStep(b *testing.B) {
-	const (
-		base  = int64(1 << 15)
-		ptrs  = int64(1 << 16) // 512 KiB working set at stride 1
-		hops  = 20_000
-		guard = int64(200_000_000)
-	)
-	init := chaseInit(base, ptrs, 1)
-	prog := chaseProgram(base, hops)
-
-	bench := func(b *testing.B, skip bool) {
-		var simCycles int64
-		for i := 0; i < b.N; i++ {
-			c := buildRig(DefaultConfig(), 1<<18, init)
-			c.Load(prog, nil)
-			var err error
-			if skip {
-				_, err = c.Run(guard)
-			} else {
-				_, err = runStepwise(c, guard)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			simCycles += c.Now()
-		}
-		b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "simcycles/s")
-	}
-	b.Run("event-skip", func(b *testing.B) { bench(b, true) })
-	b.Run("cycle-step", func(b *testing.B) { bench(b, false) })
-}

@@ -13,8 +13,8 @@
 // Every fault kind draws from its own seeded splitmix64 stream, so a
 // schedule is exactly reproducible from (Config, core id) alone and
 // independent of which other kinds are enabled. Faults that need a future
-// trigger (preemption windows, the one-shot kill) become events on the
-// core's timing wheel — never per-cycle polling — so injection composes
+// trigger (preemption windows, the one-shot kill) become entries on the
+// core's trigger list — never per-cycle polling — so injection composes
 // with the event-skip fast path: a faulted run is bit-identical between
 // per-cycle stepping and event skipping.
 package fault

@@ -18,7 +18,7 @@
 //
 //   - kill: a ghost whose windowed realized-benefit estimate stays
 //     negative for KillAfter consecutive post-warmup windows is retired
-//     via the core's timing wheel (cpu.Core.ScheduleGovKill), exactly the
+//     via the core's trigger list (cpu.Core.ScheduleGovKill), exactly the
 //     mechanism the fault injector's one-shot kill uses.
 //
 //   - respawn: at an obs.PhaseDetector boundary (or after RevivePeriod

@@ -53,37 +53,6 @@ func GovernedConfig(cfg sim.Config, window int64, counters core.Counters) sim.Co
 	return cfg
 }
 
-// BuildCompilerGhost profiles workload under cfg (memoized; telemetry
-// and governor are stripped first so profiling runs clean),
-// selects targets with the default heuristic, builds a fresh instance
-// with opts, and extracts the compiler p-slice from its annotated
-// baseline. The error reports "no targets" when the heuristic selects
-// nothing.
-func BuildCompilerGhost(workload string, cfg sim.Config, opts workloads.Options) (*workloads.Instance, *slice.Result, error) {
-	build, err := workloads.Lookup(workload)
-	if err != nil {
-		return nil, nil, err
-	}
-	pcfg := cfg
-	pcfg.Telemetry = sim.TelemetryConfig{}
-	pcfg.Governor = gov.Config{}
-	rep, err := profileWorkload(workload, build, pcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	targets := core.SelectTargets(rep, core.DefaultHeuristicParams())
-	if len(targets) == 0 {
-		return nil, nil, fmt.Errorf("harness: %s: heuristic selected no targets", workload)
-	}
-	inst := build(opts)
-	ext, err := slice.ExtractWith(inst.Baseline.Main, targets, opts.Sync, inst.Counters,
-		slice.Options{AllowUnproved: true})
-	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %s: extraction: %w", workload, err)
-	}
-	return inst, ext, nil
-}
-
 // GovernorExperiment runs the static-versus-governed comparison for
 // every named workload, producing one row per available ghost kind
 // (manual variant, compiler extraction). window is the telemetry window

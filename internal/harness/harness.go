@@ -11,11 +11,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ghostthread/internal/cache"
 	"ghostthread/internal/core"
@@ -189,8 +187,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("harness: %s: panic: %v\n%s", e.Workload, e.Value, e.Stack)
 }
 
-// testPanicHook, when non-nil, runs at the top of every safeEval call.
-// The recovery tests use it to crash a chosen workload's evaluation.
+// testPanicHook, when non-nil, runs at the top of every safeEval call
+// and every resilience task. The recovery tests use it to crash a chosen
+// workload's task.
 var testPanicHook func(workload string)
 
 // safeEval is Eval with per-task panic recovery: a panic anywhere in the
@@ -459,14 +458,8 @@ type Matrix struct {
 	Machine string
 	Rows    []*Row
 
-	// Harness throughput, recorded by RunMatrixWorkers: how many workers
-	// ran, how long the matrix took, and how many simulated cycles it
-	// covered. CyclesPerSec = SimCycles / WallSeconds is the headline
-	// simulator-speed metric the -json output reports.
-	Workers      int
-	WallSeconds  float64
-	SimCycles    int64
-	CyclesPerSec float64
+	// SimCycles is the sum of the rows' simulated cycles.
+	SimCycles int64
 }
 
 // RunMatrix evaluates every named workload serially (one worker).
@@ -486,16 +479,37 @@ func RunMatrix(names []string, machine string, cfg sim.Config, progress func(str
 // callback is serialized but fires in completion-start order, which
 // under concurrency is not the input order.
 func RunMatrixWorkers(names []string, machine string, cfg sim.Config, workers int, progress func(string)) (*Matrix, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) && len(names) > 0 {
-		workers = len(names)
-	}
-	start := time.Now() //detlint:ignore host throughput metric (wall_seconds); never feeds simulated state
 	rows := make([]*Row, len(names))
 	errs := make([]error, len(names))
 	var progressMu sync.Mutex
+	runPool(len(names), workers, func(i int) {
+		if progress != nil {
+			progressMu.Lock()
+			progress(names[i])
+			progressMu.Unlock()
+		}
+		rows[i], errs[i] = safeEval(names[i], cfg, core.DefaultHeuristicParams())
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	m := &Matrix{Machine: machine, Rows: rows}
+	for _, r := range rows {
+		m.SimCycles += r.SimCycles
+	}
+	return m, nil
+}
+
+// runPool calls task(i) once for every i in [0, n) on a pool of at most
+// workers goroutines (workers <= 0 means GOMAXPROCS). Each task must
+// write only its own index's slot of any shared result.
+func runPool(n, workers int, task func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -503,34 +517,15 @@ func RunMatrixWorkers(names []string, machine string, cfg sim.Config, workers in
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if progress != nil {
-					progressMu.Lock()
-					progress(names[i])
-					progressMu.Unlock()
-				}
-				rows[i], errs[i] = safeEval(names[i], cfg, core.DefaultHeuristicParams())
+				task(i)
 			}
 		}()
 	}
-	for i := range names {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	m := &Matrix{Machine: machine, Rows: rows, Workers: workers}
-	m.WallSeconds = time.Since(start).Seconds()
-	for _, r := range rows {
-		m.SimCycles += r.SimCycles
-	}
-	if m.WallSeconds > 0 {
-		m.CyclesPerSec = float64(m.SimCycles) / m.WallSeconds
-	}
-	return m, nil
 }
 
 // GeomeanSpeedup returns the geomean speedup for a technique across the
@@ -657,11 +652,4 @@ func (m *Matrix) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortRows orders rows in the canonical figure order (the order given to
-// RunMatrix is preserved by default; this re-sorts alphabetically for ad
-// hoc sets).
-func (m *Matrix) SortRows() {
-	sort.Slice(m.Rows, func(i, j int) bool { return m.Rows[i].Workload < m.Rows[j].Workload })
 }

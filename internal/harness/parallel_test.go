@@ -34,9 +34,6 @@ func TestRunMatrixWorkersMatchesSerial(t *testing.T) {
 				i, serial.Rows[i], par.Rows[i])
 		}
 	}
-	if par.Workers != 3 {
-		t.Errorf("Workers = %d, want 3 (clamped to len(names))", par.Workers)
-	}
 	if serial.SimCycles == 0 || serial.SimCycles != par.SimCycles {
 		t.Errorf("SimCycles differ: serial %d, parallel %d", serial.SimCycles, par.SimCycles)
 	}
@@ -126,8 +123,11 @@ func TestProfileMemoizationBypassedWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestMatrixJSONThroughputFields checks the -json plumbing: throughput
-// metrics and per-row simulated cycles must appear in the output.
+// TestMatrixJSONThroughputFields checks the -json plumbing: the
+// matrix's and every row's simulated cycles appear in the output, the
+// matrix total as the last field (so the results golden's line filter
+// leaves the field before it, comma included, unchanged), and no host
+// field (worker count, wall time) does.
 func TestMatrixJSONThroughputFields(t *testing.T) {
 	m, err := RunMatrixWorkers([]string{"camel"}, "idle", sim.DefaultConfig(), 2, nil)
 	if err != nil {
@@ -137,14 +137,21 @@ func TestMatrixJSONThroughputFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{
-		`"workers"`, `"wall_seconds"`, `"simulated_cycles"`, `"sim_cycles_per_sec"`, `"sim_cycles"`,
-	} {
+	for _, field := range []string{`"simulated_cycles"`, `"sim_cycles"`} {
 		if !strings.Contains(js, field) {
 			t.Errorf("JSON output missing %s:\n%s", field, js)
 		}
 	}
-	if m.CyclesPerSec <= 0 || m.WallSeconds <= 0 {
-		t.Errorf("throughput not recorded: %f cycles/s over %fs", m.CyclesPerSec, m.WallSeconds)
+	for _, field := range []string{`"workers"`, `"wall_seconds"`, `"sim_cycles_per_sec"`} {
+		if strings.Contains(js, field) {
+			t.Errorf("JSON output still carries host field %s", field)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(js), "\n")
+	if last := lines[len(lines)-2]; !strings.HasPrefix(strings.TrimSpace(last), `"simulated_cycles":`) {
+		t.Errorf("last JSON field = %s, want simulated_cycles", last)
+	}
+	if m.SimCycles <= 0 {
+		t.Errorf("simulated cycles not recorded: %d", m.SimCycles)
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -84,10 +83,6 @@ type ResilienceOptions struct {
 	// DefaultOptions — evaluation scale; the fault-smoke target passes
 	// ProfileOptions to stay fast).
 	BuildOpts workloads.Options
-	// InjectPanic, when non-empty, panics inside the named workload's
-	// task — the acceptance check that a crashing worker becomes an error
-	// row while every other row survives.
-	InjectPanic string
 	// Window enables windowed telemetry on every run of the sweep (the
 	// sample period in cycles; 0 = off). Telemetry is observation only —
 	// it never changes any row's cycle counts.
@@ -131,14 +126,6 @@ func Resilience(names []string, cfg sim.Config, opts ResilienceOptions, sink fun
 		cfg.MaxCycles = opts.CycleBudget
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) && len(names) > 0 {
-		workers = len(names)
-	}
-
 	var sinkMu sync.Mutex
 	emit := func(r ResilienceRow) {
 		if sink == nil {
@@ -159,22 +146,9 @@ func Resilience(names []string, cfg sim.Config, opts ResilienceOptions, sink fun
 	}
 
 	perWorkload := make([][]ResilienceRow, len(names))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				perWorkload[i] = resilienceTask(names[i], cfg, levels, buildOpts, opts.InjectPanic, opts.Window, emit, winEmit)
-			}
-		}()
-	}
-	for i := range names {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	runPool(len(names), opts.Workers, func(i int) {
+		perWorkload[i] = resilienceTask(names[i], cfg, levels, buildOpts, opts.Window, emit, winEmit)
+	})
 
 	var rows []ResilienceRow
 	for _, rs := range perWorkload {
@@ -184,10 +158,11 @@ func Resilience(names []string, cfg sim.Config, opts ResilienceOptions, sink fun
 }
 
 // resilienceTask runs one workload through the ladder, emitting each row
-// as it completes. A panic anywhere inside (builder, simulator, check, or
-// the injected test panic) is recovered into a single error row so the
-// rest of the sweep is unaffected.
-func resilienceTask(name string, cfg sim.Config, levels []ResilienceLevel, buildOpts workloads.Options, injectPanic string, window int64, emit func(ResilienceRow), winEmit func(obs.MonitorRow)) (rows []ResilienceRow) {
+// as it completes. It builds the workload once and restores the pristine
+// image before every run. A panic anywhere inside (builder, simulator or
+// check) is recovered into a single error row so the rest of the sweep is
+// unaffected.
+func resilienceTask(name string, cfg sim.Config, levels []ResilienceLevel, buildOpts workloads.Options, window int64, emit func(ResilienceRow), winEmit func(obs.MonitorRow)) (rows []ResilienceRow) {
 	defer func() {
 		if r := recover(); r != nil {
 			perr := &PanicError{Workload: name, Value: r, Stack: debug.Stack()}
@@ -196,21 +171,24 @@ func resilienceTask(name string, cfg sim.Config, levels []ResilienceLevel, build
 			emit(row)
 		}
 	}()
-	if injectPanic == name {
-		panic(fmt.Sprintf("injected resilience-test panic in %s", name))
+	if testPanicHook != nil {
+		testPanicHook(name)
 	}
 
+	setupErr := func(msg string) []ResilienceRow {
+		row := ResilienceRow{Workload: name, Level: "setup", Err: msg}
+		emit(row)
+		return []ResilienceRow{row}
+	}
 	build, err := workloads.Lookup(name)
 	if err != nil {
-		row := ResilienceRow{Workload: name, Level: "setup", Err: err.Error()}
-		emit(row)
-		return []ResilienceRow{row}
+		return setupErr(err.Error())
 	}
-	if probe := build(buildOpts); probe.Ghost == nil {
-		row := ResilienceRow{Workload: name, Level: "setup", Err: "no ghost variant"}
-		emit(row)
-		return []ResilienceRow{row}
+	inst := build(buildOpts)
+	if inst.Ghost == nil {
+		return setupErr("no ghost variant")
 	}
+	snap := inst.Mem.Snapshot()
 
 	for _, lv := range levels {
 		row := ResilienceRow{
@@ -222,7 +200,6 @@ func resilienceTask(name string, cfg sim.Config, levels []ResilienceLevel, build
 		runCfg.Fault = lv.Fault
 
 		runOne := func(variant string) (sim.Result, error) {
-			inst := build(buildOpts)
 			v := inst.VariantByName(variant)
 			oneCfg := runCfg
 			if window > 0 {
@@ -233,14 +210,7 @@ func resilienceTask(name string, cfg sim.Config, levels []ResilienceLevel, build
 					winEmit(obs.MonitorRow{Workload: name, Variant: variant, Level: level, WindowSample: ws})
 				}
 			}
-			res, err := sim.RunProgram(oneCfg, inst.Mem, v.Main, v.Helpers)
-			if err != nil {
-				return res, err
-			}
-			if cerr := inst.CheckFor(variant)(inst.Mem); cerr != nil {
-				return res, fmt.Errorf("result check: %w", cerr)
-			}
-			return res, nil
+			return runChecked(inst, snap, oneCfg, v.Main, v.Helpers, inst.CheckFor(variant))
 		}
 
 		base, err := runOne("baseline")

@@ -83,12 +83,18 @@ func TestResilienceSweep(t *testing.T) {
 }
 
 func TestResilienceInjectedPanic(t *testing.T) {
+	testPanicHook = func(workload string) {
+		if workload == "hj2" {
+			panic("injected resilience-test panic in " + workload)
+		}
+	}
+	defer func() { testPanicHook = nil }()
+
 	var streamed []ResilienceRow
 	rows, err := Resilience([]string{"camel", "hj2"}, sim.DefaultConfig(), ResilienceOptions{
-		Levels:      shortLadder(),
-		Workers:     2,
-		BuildOpts:   workloads.ProfileOptions(),
-		InjectPanic: "hj2",
+		Levels:    shortLadder(),
+		Workers:   2,
+		BuildOpts: workloads.ProfileOptions(),
 	}, func(r ResilienceRow) { streamed = append(streamed, r) })
 	if err != nil {
 		t.Fatal(err)

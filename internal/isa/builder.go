@@ -42,9 +42,6 @@ func (b *Builder) Reg() Reg {
 	return r
 }
 
-// NumAllocatedRegs reports how many registers have been allocated so far.
-func (b *Builder) NumAllocatedRegs() int { return int(b.nextReg) }
-
 // ReserveRegs marks registers [0, n) as in use so subsequent allocations
 // start above them. The slice extractor reserves the source program's
 // registers this way: the extracted code reuses them verbatim and relies
@@ -232,9 +229,6 @@ func (b *Builder) MarkTarget() { b.flagLast(FlagTargetLoad) }
 
 // MarkHard flags the most recent branch as data-dependent/unpredictable.
 func (b *Builder) MarkHard() { b.flagLast(FlagHardBranch) }
-
-// MarkSync flags the most recent instruction as synchronization code.
-func (b *Builder) MarkSync() { b.flagLast(FlagSync) }
 
 // FlagRange applies f to every instruction in [from, to) (used by the
 // sync-segment generator to mark its code).

@@ -123,11 +123,6 @@ func (o Op) IsBranch() bool { return o >= OpJmp && o <= OpBGT }
 // IsCondBranch reports whether the opcode is a conditional branch.
 func (o Op) IsCondBranch() bool { return o >= OpBEQ && o <= OpBGT }
 
-// IsMem reports whether the opcode accesses data memory.
-func (o Op) IsMem() bool {
-	return o == OpLoad || o == OpStore || o == OpPrefetch || o == OpAtomicAdd
-}
-
 // HasDst reports whether the opcode writes a destination register.
 func (o Op) HasDst() bool {
 	switch o {

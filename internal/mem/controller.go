@@ -58,7 +58,6 @@ type Controller struct {
 	// Stale stamps (a slot index from a lapped, past window) read as
 	// free, so the ring never needs clearing as time advances.
 	slotStamp [slotRingLen]int64
-	lastEnd   int64 // end cycle of the latest-booked slot (diagnostics)
 
 	// Latency jitter fault injection (jitterMax == 0 = off). The stream
 	// draws once per scheduled transfer — inside Schedule, the only place
@@ -126,9 +125,6 @@ func (c *Controller) Schedule(now int64) int64 {
 	}
 	c.Transfers++
 	start := max(now, k*cpl)
-	if end := (k + 1) * cpl; end > c.lastEnd {
-		c.lastEnd = end
-	}
 	lat := c.cfg.AccessLatency
 	if c.jitterMax > 0 {
 		lat += c.jitter.Intn(c.jitterMax + 1)
@@ -146,18 +142,11 @@ func (c *Controller) SetJitter(max int64, s fault.Stream) {
 	c.jitter0 = s
 }
 
-// NextFree returns the end cycle of the latest slot booked so far (zero
-// on a fresh controller). It is a read-only probe for diagnostics: the
-// controller never needs a wake-up, because it only changes state inside
-// Schedule, and a probe must never perturb the booking state.
-func (c *Controller) NextFree() int64 { return c.lastEnd }
-
 // Reset clears timing state but keeps the configuration; the jitter
 // stream rewinds to its SetJitter snapshot so a reset run replays the
 // same schedule.
 func (c *Controller) Reset() {
 	c.resetSlots()
-	c.lastEnd = 0
 	c.Transfers = 0
 	c.jitter = c.jitter0
 }

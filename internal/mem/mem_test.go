@@ -173,28 +173,3 @@ func TestControllerZeroCyclesPerLineDefaults(t *testing.T) {
 		t.Errorf("second schedule = %d, want 11", t0)
 	}
 }
-
-func TestControllerNextFreeIsReadOnly(t *testing.T) {
-	c := NewController(ControllerConfig{AccessLatency: 200, CyclesPerLine: 4, PressureLinesPerKCycle: 100})
-	if c.NextFree() != 0 {
-		t.Errorf("fresh controller NextFree = %d, want 0", c.NextFree())
-	}
-	done := c.Schedule(1000)
-	nf := c.NextFree()
-	if nf <= 1000 {
-		t.Errorf("NextFree = %d after a transfer at 1000, want > 1000", nf)
-	}
-	// Probing must not advance pressure accounting: a later Schedule sees
-	// the same state as if NextFree had never been called.
-	for i := 0; i < 5; i++ {
-		if c.NextFree() != nf {
-			t.Fatal("NextFree changed controller state")
-		}
-	}
-	ref := NewController(ControllerConfig{AccessLatency: 200, CyclesPerLine: 4, PressureLinesPerKCycle: 100})
-	ref.Schedule(1000)
-	if got, want := c.Schedule(5000), ref.Schedule(5000); got != want {
-		t.Errorf("Schedule after NextFree probes = %d, want %d", got, want)
-	}
-	_ = done
-}

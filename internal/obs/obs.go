@@ -53,7 +53,7 @@ const (
 	// stall (Arg = pc of the blocking instruction).
 	KindROBStall
 	// KindGovKill: the adaptive governor retired a negative-benefit ghost
-	// (fires on the ghost context at the decision's wheel-event cycle).
+	// (fires on the ghost context at the decision's trigger cycle).
 	KindGovKill
 	// KindGovRespawn: the governor re-spawned the ghost with fresh
 	// live-ins (Arg = helper id).

@@ -61,7 +61,7 @@ type Config struct {
 	// governor's input. Unlike the pure observers above, the governor
 	// ACTS: kills, respawns and retunes perturb timing. But its decisions
 	// fire only at window-boundary flush cycles and are applied through
-	// each core's timing wheel, so a governed run is still bit-identical
+	// each core's trigger list, so a governed run is still bit-identical
 	// with and without CycleStep and composes with fault schedules and
 	// replay.
 	Governor gov.Config
@@ -430,7 +430,7 @@ func (s *System) Run() (Result, error) {
 			s.catchUp()
 			s.flushWindows()
 			if !s.cfg.CycleStep {
-				// Governor decisions push wheel events at now+1.
+				// Governor decisions push triggers at now+1.
 				for i, c := range s.cores {
 					s.next[i] = c.NextEvent()
 				}
@@ -513,8 +513,8 @@ func (s *System) ParkedCycles() int64 { return s.parkedCycles }
 //
 // When the governor is attached, the window's samples are staged, judged
 // (gov.Governor.Step annotates them with the decisions taken), and the
-// decisions applied — kills and respawns through each core's timing
-// wheel for the next stepped cycle, retunes as direct stores to the
+// decisions applied — kills and respawns through each core's trigger
+// list for the next stepped cycle, retunes as direct stores to the
 // governor-owned sync words — before the annotated samples are appended
 // and sunk. Decisions therefore land at window-boundary cycles only,
 // which both stepping modes step on, preserving bit-identity.
@@ -599,7 +599,7 @@ func (s *System) flushWindows() {
 
 // governWindow feeds the just-closed window's samples to the governor
 // and applies its decisions. Kills and respawns are scheduled on each
-// core's timing wheel (they fire at the next stepped cycle, exactly like
+// core's trigger list (they fire at the next stepped cycle, exactly like
 // the fault injector's triggers); retunes store the new throttle window
 // into the governor-owned sync words, which the dynamic sync segment
 // reads on its next check. All of it runs between stepped cycles, at the

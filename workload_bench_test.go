@@ -52,20 +52,3 @@ func runOnce(b *testing.B, build workloads.Builder, vname string) int64 {
 	}
 	return res.Cycles
 }
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (simulated
-// cycles per second) on a representative memory-bound kernel — the
-// number that bounds how large an input the harness can afford.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	var cycles int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst := workloads.NewCamel(workloads.CamelOriginal, workloads.ProfileOptions())
-		res, err := sim.RunProgram(sim.DefaultConfig(), inst.Mem, inst.Baseline.Main, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
-}
