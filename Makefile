@@ -118,13 +118,20 @@ fault-golden:
 # profile scale diffed against the checked-in golden (the stream is
 # deterministic, so any drift means window accounting changed behavior —
 # fix it, or review and re-bless with `make metrics-golden`), then
-# bfs.kron's stream must detect at least one phase boundary. Chrome
-# counter-track export is validated by TestChromeTraceWindowsCounters in
-# tier-1.
+# gtmon -once must ingest every line of that stream (samples ingested =
+# line count, no bad lines), then bfs.kron's stream must detect at least
+# one phase boundary. Chrome counter-track export is validated by
+# TestChromeTraceWindowsCounters in tier-1.
 metrics-smoke:
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile \
 		-window 20000 -window-out METRICS_camel.ndjson > /dev/null
 	diff -u testdata/metrics_golden.ndjson METRICS_camel.ndjson
+	@prom=$$($(GO) run ./cmd/gtmon -in METRICS_camel.ndjson -once) && \
+		n=$$(wc -l < METRICS_camel.ndjson | tr -d ' ') && \
+		echo "$$prom" | grep -qx "ghostsim_samples_ingested_total $$n" && \
+		echo "$$prom" | grep -qx 'ghostsim_bad_lines_total 0' || \
+		{ echo "metrics-smoke: gtmon -once did not ingest all $$n lines of METRICS_camel.ndjson cleanly:" >&2; \
+		  echo "$$prom" | grep -E '^ghostsim_(samples_ingested|bad_lines)_total' >&2; exit 1; }
 	$(GO) run ./cmd/gtrun -workload bfs.kron -variant ghost -scale profile \
 		-window 20000 -window-out METRICS_bfs.ndjson > /dev/null
 	@grep -q '"phase_boundary":true' METRICS_bfs.ndjson

@@ -11,6 +11,7 @@
 //	ghostbench -experiment sweep    # sync hyper-parameter tuning (§4.3.2)
 //	ghostbench -experiment resilience  # speedup vs fault intensity
 //	ghostbench -experiment governor # static vs adaptively-governed ghosts
+//	ghostbench -experiment report   # the full evaluation as one markdown document
 //
 // Use -csv or -json for machine-readable output, -workloads to restrict
 // the evaluation set (sweep tunes camel unless -workloads names others;

@@ -82,16 +82,19 @@ type AddrPattern struct {
 	Loop int `json:"loop"`
 }
 
-// Patterns is the address-pattern analysis of one program. Build it once
-// with AnalyzeAddrPatterns and query memory operands with PatternAt; the
-// alias oracle (MayAlias) compares operands across two Patterns. Both
-// read the canonical address expressions of one symbolic evaluator over
-// the program's pruned SSA (symexec.go) — the evaluator translation
-// validation uses — so the classes, the alias answers and the proofs
-// share one algebra.
+// Patterns is the analysis of one program, and the only one: CFG,
+// dominators, natural loops, interval values and pruned SSA, built once
+// by AnalyzeAddrPatterns and taken by every checker, the safety plan and
+// translation validation. Def-use chains are read off the SSA (S.Uses,
+// S.DefsOf). PatternAt classifies memory operands; the alias oracle
+// (MayAlias) compares operands across two Patterns. Both read the
+// canonical address expressions of one symbolic evaluator over the SSA
+// (symexec.go) — the evaluator translation validation uses — so the
+// classes, the alias answers and the proofs share one algebra.
 type Patterns struct {
 	Prog *isa.Program
 	G    *CFG
+	Idom []int // immediate dominator of each block of G (CFG.Dominators)
 	F    *LoopForest
 	Vals *Values
 	S    *SSA
@@ -105,14 +108,16 @@ type Patterns struct {
 	shapes map[*SymAtom]*shape
 }
 
-// AnalyzeAddrPatterns runs the supporting analyses (CFG, natural loops,
-// pruned SSA, interval abstract interpretation) for a program.
+// AnalyzeAddrPatterns analyses a program: CFG, dominators, natural
+// loops, pruned SSA and interval abstract interpretation, each built
+// once.
 func AnalyzeAddrPatterns(p *isa.Program) *Patterns {
 	g := BuildCFG(p)
-	f := g.NaturalLoops(g.Dominators())
-	s := BuildSSA(g)
+	idom := g.Dominators()
+	f := g.NaturalLoops(idom)
+	s := BuildSSA(g, idom)
 	pt := &Patterns{
-		Prog: p, G: g, F: f, S: s,
+		Prog: p, G: g, Idom: idom, F: f, S: s,
 		Vals:   AnalyzeValues(g),
 		ev:     NewSymEval(p, g, s, f, nil, true),
 		loopOf: map[string]int{},

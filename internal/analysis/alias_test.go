@@ -106,8 +106,8 @@ func TestRaceCheckerAliasUpgrade(t *testing.T) {
 	mb.Spawn(1)
 	mb.JoinWait()
 	mb.Halt()
-	main := mb.MustBuild()
-	helpers := []*isa.Program{h0, h1}
+	main := analysis.AnalyzeAddrPatterns(mb.MustBuild())
+	helpers := analyzeAll(h0, h1)
 
 	interval := analysis.CheckRacesOpt(main, helpers, false, analysis.RaceOptions{IntervalOnly: true})
 	if len(interval) == 0 {
@@ -225,7 +225,7 @@ func TestRaceCheckerTwoArmedCounter(t *testing.T) {
 	mb.Spawn(1)
 	mb.JoinWait()
 	mb.Halt()
-	if fs := analysis.CheckRaces(mb.MustBuild(), []*isa.Program{hA, hB}, false); len(fs) == 0 {
+	if fs := analysis.CheckRaces(analysis.AnalyzeAddrPatterns(mb.MustBuild()), analyzeAll(hA, hB), false); len(fs) == 0 {
 		t.Error("race check missed helper A's every-word stream meeting helper B's odd stream")
 	}
 }

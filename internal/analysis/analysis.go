@@ -1,19 +1,21 @@
 // Package analysis is a static-analysis layer over the isa IR: control
 // flow graph construction, dominators, natural-loop reconstruction
-// (cross-checked against the Builder's loop annotations), reaching
-// definitions / def-use chains, register liveness, an abstract
+// (cross-checked against the Builder's loop annotations), an abstract
 // interpretation of register values over an interval domain, and a
-// pruned-SSA rename with one symbolic evaluator (SymEval) that
-// canonicalizes every value into an affine combination of atoms.
+// pruned-SSA rename whose value graph carries the def-use chains and
+// feeds one symbolic evaluator (SymEval) that canonicalizes every value
+// into an affine combination of atoms. AnalyzeAddrPatterns builds all of
+// it once per program; the result (Patterns) is what every client below
+// takes.
 //
 // The symbolic evaluator serves two clients. Translation validation
-// (VerifyHelper) proves a ghost helper's prefetch addresses equal to the
-// main thread's demand addresses. The address-pattern analysis
-// (Patterns) reads each memory operand's canonical address to classify
-// it (invariant, affine with a stride, computed, indirect with a depth,
-// pointer-chase) and to answer the may-alias oracle (MayAlias) the race
-// lint, the minimality report and the validator's speculation points
-// use.
+// (VerifyHelperPatterns) proves a ghost helper's prefetch addresses
+// equal to the main thread's demand addresses. The address-pattern
+// queries (Patterns.PatternAt) read each memory operand's canonical
+// address to classify it (invariant, affine with a stride, computed,
+// indirect with a depth, pointer-chase) and to answer the may-alias
+// oracle (MayAlias) the race lint, the minimality report and the
+// validator's speculation points use.
 //
 // On top of the framework sit the checkers that turn the repository's
 // dynamic correctness story into compile-time guarantees:

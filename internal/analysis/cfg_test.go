@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,9 +89,8 @@ func TestNaturalLoopsNested(t *testing.T) {
 	b.Halt()
 	p := b.MustBuild()
 
-	g := analysis.BuildCFG(p)
-	idom := g.Dominators()
-	f := g.NaturalLoops(idom)
+	pt := analysis.AnalyzeAddrPatterns(p)
+	f := pt.F
 	if len(f.Loops) != 2 {
 		t.Fatalf("got %d natural loops, want 2", len(f.Loops))
 	}
@@ -113,7 +113,7 @@ func TestNaturalLoopsNested(t *testing.T) {
 
 	// The annotation cross-check must accept structured builder output and
 	// record the annotation IDs on the natural loops.
-	if fs := g.CrossCheckLoops(f); len(fs) != 0 {
+	if fs := analysis.CrossCheckLoops(pt); len(fs) != 0 {
 		t.Fatalf("cross-check rejected builder output: %v", fs)
 	}
 	for i := range f.Loops {
@@ -142,13 +142,12 @@ func TestNaturalLoopsIrreducible(t *testing.T) {
 		instr(isa.OpBNE, 0, 5, 3, 0, 1),
 		instr(isa.OpHalt, 0, 0, 0, 0, 0),
 	}}
-	g := analysis.BuildCFG(p)
-	f := g.NaturalLoops(g.Dominators())
-	if len(f.Irreducible) == 0 {
+	pt := analysis.AnalyzeAddrPatterns(p)
+	if len(pt.F.Irreducible) == 0 {
 		t.Fatal("irreducible retreating edge not detected")
 	}
 	found := false
-	for _, fd := range g.CrossCheckLoops(f) {
+	for _, fd := range analysis.CrossCheckLoops(pt) {
 		if fd.Severity == analysis.SevWarn && strings.Contains(fd.Msg, "irreducible") {
 			found = true
 		}
@@ -177,10 +176,8 @@ func TestCrossCheckStaleAnnotation(t *testing.T) {
 		instr(isa.OpHalt, 0, 0, 0, 0, 0),
 	}}
 	p.Loops = []isa.Loop{{ID: 0, Name: "stale", Parent: -1, Head: 1, End: 5, Backedge: 4}}
-	g := analysis.BuildCFG(p)
-	f := g.NaturalLoops(g.Dominators())
 	found := false
-	for _, fd := range g.CrossCheckLoops(f) {
+	for _, fd := range analysis.CrossCheckLoops(analysis.AnalyzeAddrPatterns(p)) {
 		if fd.Severity == analysis.SevError && strings.Contains(fd.Msg, "not a natural-loop back edge") {
 			found = true
 		}
@@ -198,9 +195,8 @@ func TestCrossCheckBackedgeOutsideBody(t *testing.T) {
 		instr(isa.OpHalt, 0, 0, 0, 0, 0),
 	}}
 	p.Loops = []isa.Loop{{ID: 0, Name: "escape", Parent: -1, Head: 0, End: 2, Backedge: 1}}
-	g := analysis.BuildCFG(p)
 	found := false
-	for _, fd := range g.CrossCheckLoops(g.NaturalLoops(g.Dominators())) {
+	for _, fd := range analysis.CrossCheckLoops(analysis.AnalyzeAddrPatterns(p)) {
 		if fd.Severity == analysis.SevError && strings.Contains(fd.Msg, "outside body") {
 			found = true
 		}
@@ -225,27 +221,25 @@ func TestReachingDefsAndLiveness(t *testing.T) {
 	b.Halt()
 	p := b.MustBuild()
 
-	g := analysis.BuildCFG(p)
-	du := g.ReachingDefs()
+	pt := analysis.AnalyzeAddrPatterns(p)
+	g := pt.G
 
-	defs := du.DefsOfReg(add2, r1)
-	if len(defs) != 2 {
-		t.Fatalf("defs of r1 at join = %v, want both %d and %d", defs, c1, c2)
+	// Both definitions of r1 reach the join through the phi.
+	if defs, want := pt.S.DefsOf(add2, r1), []int{c1, c2}; !slices.Equal(defs, want) {
+		t.Fatalf("defs of r1 at join = %v, want %v", defs, want)
 	}
-	seen := map[int]bool{}
-	for _, d := range defs {
-		seen[d] = true
+	// The first definition feeds the add before the branch directly and
+	// the join add through the phi.
+	if uses, want := pt.S.Uses(c1), []int{add1, add2}; !slices.Equal(uses, want) {
+		t.Fatalf("uses of first def = %v, want %v", uses, want)
 	}
-	if !seen[c1] || !seen[c2] {
-		t.Fatalf("defs of r1 at join = %v, want {%d,%d}", defs, c1, c2)
+	// r3 has one definition on every path.
+	if defs, want := pt.S.DefsOf(add2, r3), []int{add1}; !slices.Equal(defs, want) {
+		t.Fatalf("defs of r3 at join = %v, want %v", defs, want)
 	}
-	uses := du.UsesOf[c1]
-	wantUse := map[int]bool{add1: true, add2: true}
-	for _, u := range uses {
-		delete(wantUse, u)
-	}
-	if len(wantUse) != 0 {
-		t.Fatalf("uses of first def = %v, missing %v", uses, wantUse)
+	// add2's value is read by nothing.
+	if uses := pt.S.Uses(add2); uses != nil {
+		t.Fatalf("uses of the join add = %v, want none", uses)
 	}
 
 	// Live-out of the redefinition block (the union of its successors'

@@ -69,10 +69,10 @@ func hasFinding(fs []analysis.Finding, sev analysis.Severity, substr string) boo
 
 func TestSyncSegmentCleanGhost(t *testing.T) {
 	p, ctr := buildSyncGhost(t)
-	if fs := analysis.CheckSyncSegment(p, ctr); len(fs) != 0 {
+	if fs := analysis.CheckSyncSegment(analysis.AnalyzeAddrPatterns(p), ctr); len(fs) != 0 {
 		t.Fatalf("canonical ghost rejected by sync-segment lint: %v", fs)
 	}
-	if fs := analysis.CheckGhostSafety(p, ctr); len(fs) != 0 {
+	if fs := analysis.CheckGhostSafety(analysis.AnalyzeAddrPatterns(p), ctr); len(fs) != 0 {
 		t.Fatalf("canonical ghost rejected by ghost-safety: %v", fs)
 	}
 }
@@ -140,7 +140,7 @@ func TestSyncSegmentDefects(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, ctr := mutateGhost(t, tc.pred, tc.rewrite)
-			fs := analysis.CheckSyncSegment(p, ctr)
+			fs := analysis.CheckSyncSegment(analysis.AnalyzeAddrPatterns(p), ctr)
 			if !hasFinding(fs, analysis.SevError, tc.want) {
 				t.Fatalf("defect not reported: want error containing %q, got %v", tc.want, fs)
 			}
@@ -160,7 +160,7 @@ func TestSyncSegmentAbsentWarns(t *testing.T) {
 	})
 	b.Halt()
 	p := b.MustBuild()
-	fs := analysis.CheckSyncSegment(p, analysis.CounterAddrs{Main: testMainCtr, Ghost: testGhostCtr})
+	fs := analysis.CheckSyncSegment(analysis.AnalyzeAddrPatterns(p), analysis.CounterAddrs{Main: testMainCtr, Ghost: testGhostCtr})
 	if len(fs) != 1 || fs[0].Severity != analysis.SevWarn ||
 		!strings.Contains(fs[0].Msg, "no synchronization segment") {
 		t.Fatalf("unsynchronized ghost: got %v, want one warning about the missing segment", fs)
@@ -176,7 +176,7 @@ func TestGhostSafetyRejectsWrites(t *testing.T) {
 		x := b.Imm(1)
 		b.Store(base, 0, x)
 		b.Halt()
-		fs := analysis.CheckGhostSafety(b.MustBuild(), ctr)
+		fs := analysis.CheckGhostSafety(analysis.AnalyzeAddrPatterns(b.MustBuild()), ctr)
 		if !hasFinding(fs, analysis.SevError, "outside its private counter word") {
 			t.Fatalf("rogue constant store not rejected: %v", fs)
 		}
@@ -194,7 +194,7 @@ func TestGhostSafetyRejectsWrites(t *testing.T) {
 			b.Store(a, 0, x)
 		})
 		b.Halt()
-		fs := analysis.CheckGhostSafety(b.MustBuild(), ctr)
+		fs := analysis.CheckGhostSafety(analysis.AnalyzeAddrPatterns(b.MustBuild()), ctr)
 		if !hasFinding(fs, analysis.SevError, "unproven address") {
 			t.Fatalf("ranged store not rejected: %v", fs)
 		}
@@ -206,7 +206,7 @@ func TestGhostSafetyRejectsWrites(t *testing.T) {
 		one := b.Imm(1)
 		b.AtomicAdd(b.Reg(), base, 0, one)
 		b.Halt()
-		fs := analysis.CheckGhostSafety(b.MustBuild(), ctr)
+		fs := analysis.CheckGhostSafety(analysis.AnalyzeAddrPatterns(b.MustBuild()), ctr)
 		if !hasFinding(fs, analysis.SevError, "atomic add") {
 			t.Fatalf("rogue atomic add not rejected: %v", fs)
 		}
@@ -217,7 +217,7 @@ func TestGhostSafetyRejectsWrites(t *testing.T) {
 		b.Spawn(0)
 		b.Join()
 		b.Halt()
-		fs := analysis.CheckGhostSafety(b.MustBuild(), ctr)
+		fs := analysis.CheckGhostSafety(analysis.AnalyzeAddrPatterns(b.MustBuild()), ctr)
 		if !hasFinding(fs, analysis.SevError, "must not manage threads") {
 			t.Fatalf("ghost spawn/join not rejected: %v", fs)
 		}
@@ -229,7 +229,7 @@ func TestGhostSafetyRejectsWrites(t *testing.T) {
 		x := b.Imm(1)
 		b.Store(ga, 0, x)
 		b.Halt()
-		if fs := analysis.CheckGhostSafety(b.MustBuild(), ctr); len(fs) != 0 {
+		if fs := analysis.CheckGhostSafety(analysis.AnalyzeAddrPatterns(b.MustBuild()), ctr); len(fs) != 0 {
 			t.Fatalf("counter publish rejected: %v", fs)
 		}
 	})
@@ -280,14 +280,14 @@ func raceMain(base, n int64, atomic bool) *isa.Program {
 
 func TestCheckRaces(t *testing.T) {
 	t.Run("overlapping plain writes", func(t *testing.T) {
-		fs := analysis.CheckRaces(raceMain(100, 50, false), []*isa.Program{raceWriter("h0", 120, 50, false)}, false)
+		fs := analysis.CheckRaces(analysis.AnalyzeAddrPatterns(raceMain(100, 50, false)), analyzeAll(raceWriter("h0", 120, 50, false)), false)
 		if !hasFinding(fs, analysis.SevError, "races with helper 0") {
 			t.Fatalf("overlapping writes not reported: %v", fs)
 		}
 	})
 
 	t.Run("relaxed downgrades to warning", func(t *testing.T) {
-		fs := analysis.CheckRaces(raceMain(100, 50, false), []*isa.Program{raceWriter("h0", 120, 50, false)}, true)
+		fs := analysis.CheckRaces(analysis.AnalyzeAddrPatterns(raceMain(100, 50, false)), analyzeAll(raceWriter("h0", 120, 50, false)), true)
 		if len(fs) == 0 {
 			t.Fatal("relaxed run reported nothing")
 		}
@@ -299,14 +299,14 @@ func TestCheckRaces(t *testing.T) {
 	})
 
 	t.Run("partitioned ranges are clean", func(t *testing.T) {
-		fs := analysis.CheckRaces(raceMain(100, 50, false), []*isa.Program{raceWriter("h0", 150, 50, false)}, false)
+		fs := analysis.CheckRaces(analysis.AnalyzeAddrPatterns(raceMain(100, 50, false)), analyzeAll(raceWriter("h0", 150, 50, false)), false)
 		if len(fs) != 0 {
 			t.Fatalf("statically partitioned ranges flagged: %v", fs)
 		}
 	})
 
 	t.Run("atomic accumulation is clean", func(t *testing.T) {
-		fs := analysis.CheckRaces(raceMain(100, 50, true), []*isa.Program{raceWriter("h0", 100, 50, true)}, false)
+		fs := analysis.CheckRaces(analysis.AnalyzeAddrPatterns(raceMain(100, 50, true)), analyzeAll(raceWriter("h0", 100, 50, true)), false)
 		if len(fs) != 0 {
 			t.Fatalf("atomic-vs-atomic flagged: %v", fs)
 		}
@@ -321,7 +321,7 @@ func TestCheckRaces(t *testing.T) {
 		b.JoinWait()
 		b.Store(ba, 0, one) // after join
 		b.Halt()
-		fs := analysis.CheckRaces(b.MustBuild(), []*isa.Program{raceWriter("h0", 100, 1, false)}, false)
+		fs := analysis.CheckRaces(analysis.AnalyzeAddrPatterns(b.MustBuild()), analyzeAll(raceWriter("h0", 100, 1, false)), false)
 		if len(fs) != 0 {
 			t.Fatalf("pre-spawn/post-join writes flagged: %v", fs)
 		}
@@ -333,10 +333,10 @@ func TestCheckRaces(t *testing.T) {
 		b.Spawn(1)
 		b.JoinWait()
 		b.Halt()
-		fs := analysis.CheckRaces(b.MustBuild(), []*isa.Program{
+		fs := analysis.CheckRaces(analysis.AnalyzeAddrPatterns(b.MustBuild()), analyzeAll(
 			raceWriter("h0", 100, 10, false),
 			raceWriter("h1", 105, 10, false),
-		}, false)
+		), false)
 		if !hasFinding(fs, analysis.SevError, "races with helper 1") {
 			t.Fatalf("co-active helper overlap not reported: %v", fs)
 		}
@@ -357,7 +357,7 @@ func TestReportMinimality(t *testing.T) {
 		b.Prefetch(inv, 0)
 	})
 	b.Halt()
-	fs := analysis.ReportMinimality(b.MustBuild())
+	fs := analysis.ReportMinimality(analysis.AnalyzeAddrPatterns(b.MustBuild()))
 	if !hasFinding(fs, analysis.SevInfo, "dead instruction") {
 		t.Errorf("dead constant not reported: %v", fs)
 	}
@@ -367,4 +367,13 @@ func TestReportMinimality(t *testing.T) {
 	if !hasFinding(fs, analysis.SevInfo, "slice profile") {
 		t.Errorf("summary line missing: %v", fs)
 	}
+}
+
+// analyzeAll analyses each program.
+func analyzeAll(progs ...*isa.Program) []*analysis.Patterns {
+	out := make([]*analysis.Patterns, len(progs))
+	for i, p := range progs {
+		out[i] = analysis.AnalyzeAddrPatterns(p)
+	}
+	return out
 }

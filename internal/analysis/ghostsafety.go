@@ -10,10 +10,9 @@ import "ghostthread/internal/isa"
 // interpretation: a store whose address interval is not the singleton
 // {ctr.Ghost} is rejected, because a ghost that can overwrite shared data
 // silently corrupts the main thread instead of merely losing prefetch
-// coverage.
-func CheckGhostSafety(p *isa.Program, ctr CounterAddrs) []Finding {
-	g := BuildCFG(p)
-	v := AnalyzeValues(g)
+// coverage. pt is the ghost's analysis.
+func CheckGhostSafety(pt *Patterns, ctr CounterAddrs) []Finding {
+	p, g, v := pt.Prog, pt.G, pt.Vals
 	var out []Finding
 	for pc := range p.Code {
 		in := &p.Code[pc]

@@ -130,10 +130,10 @@ func (f *LoopForest) EnclosingLoops(block int) []int {
 // correspond to a natural loop whose header lies inside the annotated
 // body and whose blocks stay within [Head, End). Structured Builder
 // output always passes; hand-assembled programs with stale annotations
-// do not. Matching loops are recorded in NaturalLoop.Annotated.
-func (g *CFG) CrossCheckLoops(f *LoopForest) []Finding {
+// do not. Matching loops are recorded in NaturalLoop.Annotated of pt.F.
+func CrossCheckLoops(pt *Patterns) []Finding {
 	var out []Finding
-	p := g.Prog
+	p, g, f := pt.Prog, pt.G, pt.F
 	for li := range p.Loops {
 		al := &p.Loops[li]
 		if al.Backedge < 0 || al.Head >= al.End {

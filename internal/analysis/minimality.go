@@ -27,15 +27,10 @@ func pureOp(op isa.Op) bool {
 //   - loop-invariant instructions: pure computations inside a loop whose
 //     operands are all defined outside it, re-executed every iteration;
 //   - a summary of instruction counts (total / sync / dead / invariant).
-func ReportMinimality(p *isa.Program) []Finding {
-	g := BuildCFG(p)
-	return reportMinimality(p, g, g.NaturalLoops(g.Dominators()))
-}
-
-// reportMinimality is ReportMinimality over p's CFG and loop forest.
-func reportMinimality(p *isa.Program, g *CFG, loops *LoopForest) []Finding {
-	du := g.ReachingDefs()
-
+//
+// pt is the ghost's analysis.
+func ReportMinimality(pt *Patterns) []Finding {
+	p, g, loops := pt.Prog, pt.G, pt.F
 	var out []Finding
 	dead, invariant, syncN, reachableN := 0, 0, 0, 0
 	for pc := range p.Code {
@@ -48,7 +43,7 @@ func reportMinimality(p *isa.Program, g *CFG, loops *LoopForest) []Finding {
 			syncN++
 			continue // the sync segment is fixed overhead, not slice fat
 		}
-		if (pureOp(in.Op) || in.Op == isa.OpLoad) && in.Op.HasDst() && len(du.UsesOf[pc]) == 0 {
+		if (pureOp(in.Op) || in.Op == isa.OpLoad) && in.Op.HasDst() && len(pt.S.Uses(pc)) == 0 {
 			dead++
 			out = append(out, finding("minimality", p, pc, SevInfo,
 				"dead instruction: result of %s is never used", in.Op))
@@ -60,7 +55,7 @@ func reportMinimality(p *isa.Program, g *CFG, loops *LoopForest) []Finding {
 			l := &loops.Loops[li]
 			allOutside := true
 			for _, r := range srcRegs(in) {
-				defs := du.DefsOfReg(pc, r)
+				defs := pt.S.DefsOf(pc, r)
 				if len(defs) == 0 {
 					allOutside = false // live-in from spawn: can't judge
 					break
@@ -98,7 +93,7 @@ func reportMinimality(p *isa.Program, g *CFG, loops *LoopForest) []Finding {
 // already holds (slice.Result.GhostPatterns, MainPatterns).
 func ReportMinimalityVs(gp, sp *Patterns) []Finding {
 	ghost, source := gp.Prog, sp.Prog
-	out := reportMinimality(ghost, gp.G, gp.F)
+	out := ReportMinimality(gp)
 
 	var stores []int
 	for pc := range source.Code {

@@ -15,9 +15,8 @@ type memWrite struct {
 
 // collectWrites returns the reachable memory writes of a program with
 // their abstract address intervals.
-func collectWrites(p *isa.Program) (*CFG, []memWrite) {
-	g := BuildCFG(p)
-	v := AnalyzeValues(g)
+func collectWrites(pt *Patterns) []memWrite {
+	p, g, v := pt.Prog, pt.G, pt.Vals
 	var ws []memWrite
 	for pc := range p.Code {
 		in := &p.Code[pc]
@@ -29,7 +28,7 @@ func collectWrites(p *isa.Program) (*CFG, []memWrite) {
 		}
 		ws = append(ws, memWrite{pc: pc, addr: v.MemAddr(pc), atomic: in.Op == isa.OpAtomicAdd})
 	}
-	return g, ws
+	return ws
 }
 
 // RaceOptions configures CheckRacesOpt.
@@ -54,18 +53,20 @@ type RaceOptions struct {
 // main thread performs before spawning (e.g. building a hash table) are
 // not flagged. relaxed downgrades findings to warnings for workloads
 // whose algorithm tolerates races by design (relaxed-consistency graph
-// kernels).
-func CheckRaces(main *isa.Program, helpers []*isa.Program, relaxed bool) []Finding {
-	return CheckRacesOpt(main, helpers, relaxed, RaceOptions{})
+// kernels). It takes the analyses of the main program (mp) and of each
+// helper (hps; nil for an absent helper).
+func CheckRaces(mp *Patterns, hps []*Patterns, relaxed bool) []Finding {
+	return CheckRacesOpt(mp, hps, relaxed, RaceOptions{})
 }
 
 // CheckRacesOpt is CheckRaces with explicit options.
-func CheckRacesOpt(main *isa.Program, helpers []*isa.Program, relaxed bool, opts RaceOptions) []Finding {
+func CheckRacesOpt(mp *Patterns, hps []*Patterns, relaxed bool, opts RaceOptions) []Finding {
 	sev := SevError
 	if relaxed {
 		sev = SevWarn
 	}
-	g, mainWrites := collectWrites(main)
+	main, g := mp.Prog, mp.G
+	mainWrites := collectWrites(mp)
 
 	// Forward may-active dataflow over the main CFG. Spawn h adds h;
 	// Join (either flavor — the ISA joins the sibling context, not a
@@ -121,22 +122,10 @@ func CheckRacesOpt(main *isa.Program, helpers []*isa.Program, relaxed bool, opts
 		return cur
 	}
 
-	helperWrites := make([][]memWrite, len(helpers))
-	for h, hp := range helpers {
+	helperWrites := make([][]memWrite, len(hps))
+	for h, hp := range hps {
 		if hp != nil {
-			_, helperWrites[h] = collectWrites(hp)
-		}
-	}
-
-	// Symbolic address patterns per program, for the alias oracle.
-	var patMain *Patterns
-	pats := make([]*Patterns, len(helpers))
-	if !opts.IntervalOnly {
-		patMain = AnalyzeAddrPatterns(main)
-		for h, hp := range helpers {
-			if hp != nil {
-				pats[h] = AnalyzeAddrPatterns(hp)
-			}
+			helperWrites[h] = collectWrites(hp)
 		}
 	}
 
@@ -145,7 +134,7 @@ func CheckRacesOpt(main *isa.Program, helpers []*isa.Program, relaxed bool, opts
 		if a.atomic && b.atomic {
 			return false
 		}
-		if pa != nil && pb != nil {
+		if !opts.IntervalOnly {
 			return MayAlias(pa, a.pc, pb, b.pc)
 		}
 		return a.addr.Intersects(b.addr)
@@ -163,14 +152,14 @@ func CheckRacesOpt(main *isa.Program, helpers []*isa.Program, relaxed bool, opts
 	// Main writes vs. each possibly-active helper's writes.
 	for _, mw := range mainWrites {
 		for h := range activeAt(mw.pc) {
-			if h < 0 || h >= len(helpers) {
+			if h < 0 || h >= len(hps) {
 				continue
 			}
 			for _, hw := range helperWrites[h] {
-				if conflict(mw, hw, patMain, pats[h]) {
+				if conflict(mw, hw, mp, hps[h]) {
 					out = append(out, finding("race", main, mw.pc, sev,
 						"write to %s races with helper %d (%s) write at pc %d to %s; partition the range or use atomicadd",
-						describe(mw), h, helpers[h].Name, hw.pc, describe(hw)))
+						describe(mw), h, hps[h].Prog.Name, hw.pc, describe(hw)))
 				}
 			}
 		}
@@ -189,17 +178,17 @@ func CheckRacesOpt(main *isa.Program, helpers []*isa.Program, relaxed bool, opts
 		}
 		return false
 	}
-	for h1 := range helpers {
-		for h2 := h1 + 1; h2 < len(helpers); h2++ {
-			if helpers[h1] == nil || helpers[h2] == nil || !coActive(h1, h2) {
+	for h1 := range hps {
+		for h2 := h1 + 1; h2 < len(hps); h2++ {
+			if hps[h1] == nil || hps[h2] == nil || !coActive(h1, h2) {
 				continue
 			}
 			for _, w1 := range helperWrites[h1] {
 				for _, w2 := range helperWrites[h2] {
-					if conflict(w1, w2, pats[h1], pats[h2]) {
-						out = append(out, finding("race", helpers[h1], w1.pc, sev,
+					if conflict(w1, w2, hps[h1], hps[h2]) {
+						out = append(out, finding("race", hps[h1].Prog, w1.pc, sev,
 							"helper %d (%s) write to %s races with helper %d (%s) write at pc %d to %s",
-							h1, helpers[h1].Name, describe(w1), h2, helpers[h2].Name, w2.pc, describe(w2)))
+							h1, hps[h1].Prog.Name, describe(w1), h2, hps[h2].Prog.Name, w2.pc, describe(w2)))
 					}
 				}
 			}

@@ -1,12 +1,17 @@
 package analysis
 
-import "ghostthread/internal/isa"
+import (
+	"slices"
+
+	"ghostthread/internal/isa"
+)
 
 // This file builds pruned SSA form over the reconstructed CFG: phi
 // placement at iterated dominance frontiers, restricted to registers live
 // into the frontier block, followed by the classic dominator-tree
-// renaming walk. The translation validator (transval.go) evaluates the
-// resulting value graph symbolically; nothing here rewrites the program.
+// renaming walk. The symbolic evaluator (symexec.go) evaluates the
+// resulting value graph, and the checkers read def-use chains off it
+// (Uses, DefsOf); nothing here rewrites the program.
 
 // SSAValKind distinguishes the three definition forms of an SSA value.
 type SSAValKind uint8
@@ -52,6 +57,11 @@ type SSA struct {
 	entryVal []map[isa.Reg]int
 
 	params map[isa.Reg]int
+
+	// readers[v] lists the PCs of the instructions that read value v and
+	// phiArgOf[v] the phis that take it as an argument: the forward edges
+	// of the value graph, indexed on the first Uses query.
+	readers, phiArgOf [][]int
 }
 
 // DomFrontiers computes the dominance frontier of every block with the
@@ -125,9 +135,10 @@ func (g *CFG) liveIn() []RegSet {
 	return in
 }
 
-// BuildSSA renames the program into pruned SSA form. Only reachable
-// blocks are renamed; uses in unreachable code keep value ID -1.
-func BuildSSA(g *CFG) *SSA {
+// BuildSSA renames the program into pruned SSA form over g's immediate
+// dominators. Only reachable blocks are renamed; uses in unreachable
+// code keep value ID -1.
+func BuildSSA(g *CFG, idom []int) *SSA {
 	n := len(g.Prog.Code)
 	s := &SSA{
 		G:        g,
@@ -145,7 +156,6 @@ func BuildSSA(g *CFG) *SSA {
 		return s
 	}
 
-	idom := g.Dominators()
 	df := g.DomFrontiers(idom)
 	live := g.liveIn()
 
@@ -323,4 +333,80 @@ func (s *SSA) Param(r isa.Reg) int {
 	s.Vals = append(s.Vals, SSAValue{Kind: SSAParam, Reg: r, PC: -1, Block: -1})
 	s.params[r] = id
 	return id
+}
+
+// Uses returns the PCs of the instructions that read the value the
+// instruction at pc defines, directly or through phis, in ascending
+// order: the def-use chain of that definition. It is nil when pc defines
+// no value or nothing reads it.
+func (s *SSA) Uses(pc int) []int {
+	if s.DefVal[pc] < 0 {
+		return nil
+	}
+	if s.readers == nil {
+		s.readers = make([][]int, len(s.Vals))
+		s.phiArgOf = make([][]int, len(s.Vals))
+		for upc, ids := range s.UseVal {
+			for _, id := range ids {
+				if id >= 0 {
+					s.readers[id] = append(s.readers[id], upc)
+				}
+			}
+		}
+		for _, phis := range s.PhisAt {
+			for _, phi := range phis {
+				for _, id := range s.Vals[phi].Args {
+					if id >= 0 {
+						s.phiArgOf[id] = append(s.phiArgOf[id], phi)
+					}
+				}
+			}
+		}
+	}
+	var out []int
+	walkValues(s.DefVal[pc], func(id int) []int {
+		out = append(out, s.readers[id]...)
+		return s.phiArgOf[id]
+	})
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// DefsOf returns the PCs of the instructions whose definition of r may
+// reach its use at pc, following phi arguments back to their
+// definitions, in ascending order: the use-def chain of that operand. r
+// must be a source register of the instruction at pc. A path on which r
+// keeps its entry value contributes no PC, so nil means r is a live-in
+// there (for a ghost: the spawn-time register file).
+func (s *SSA) DefsOf(pc int, r isa.Reg) []int {
+	var out []int
+	for i, src := range srcRegs(&s.G.Prog.Code[pc]) {
+		if src != r || s.UseVal[pc][i] < 0 {
+			continue
+		}
+		walkValues(s.UseVal[pc][i], func(id int) []int {
+			v := &s.Vals[id]
+			if v.Kind == SSAInstr {
+				out = append(out, v.PC)
+			}
+			return v.Args
+		})
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// walkValues visits every SSA value reachable from id along next, each
+// once.
+func walkValues(id int, next func(id int) []int) {
+	seen := map[int]bool{}
+	for work := []int{id}; len(work) > 0; {
+		id := work[len(work)-1]
+		work = work[:len(work)-1]
+		if id < 0 || seen[id] {
+			continue
+		}
+		seen[id] = true
+		work = append(work, next(id)...)
+	}
 }

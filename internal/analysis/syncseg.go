@@ -18,12 +18,10 @@ import "ghostthread/internal/isa"
 //     serialize) and, when it sits in a throttle loop, a bounded backoff
 //     exit so a stalled main thread cannot wedge the ghost forever;
 //  5. the inferred thresholds ordered Close < TooFar.
-func CheckSyncSegment(p *isa.Program, ctr CounterAddrs) []Finding {
-	g := BuildCFG(p)
-	idom := g.Dominators()
-	loops := g.NaturalLoops(idom)
-	v := AnalyzeValues(g)
-	du := g.ReachingDefs()
+//
+// pt is the ghost's analysis.
+func CheckSyncSegment(pt *Patterns, ctr CounterAddrs) []Finding {
+	p, g, idom, loops, v := pt.Prog, pt.G, pt.Idom, pt.F, pt.Vals
 
 	sync := func(pc int) bool { return g.ReachablePC(pc) && p.Code[pc].HasFlag(isa.FlagSync) }
 	anySync := false
@@ -66,7 +64,7 @@ func CheckSyncSegment(p *isa.Program, ctr CounterAddrs) []Finding {
 		if haveIncr && !counterRegs.Has(in.Src1) {
 			continue
 		}
-		for _, use := range du.UsesOf[pc] {
+		for _, use := range pt.S.Uses(pc) {
 			if op := p.Code[use].Op; op == isa.OpBEQ || op == isa.OpBNE {
 				syncFreq = in.Imm + 1
 			}
@@ -131,7 +129,7 @@ func CheckSyncSegment(p *isa.Program, ctr CounterAddrs) []Finding {
 			out = append(out, finding("sync-segment", p, pc, SevError,
 				"serialize is not guarded by a flag test (no dominating branch pins a tested register nonzero here)"))
 		}
-		if li := loops.InnermostLoop(sb); li >= 0 && !boundedLoopExit(g, du, loops, li) {
+		if li := loops.InnermostLoop(sb); li >= 0 && !boundedLoopExit(pt, li) {
 			out = append(out, finding("sync-segment", p, pc, SevError,
 				"serialize throttle loop has no bounded backoff exit; a stalled main thread would wedge the ghost"))
 		}
@@ -157,7 +155,7 @@ func CheckSyncSegment(p *isa.Program, ctr CounterAddrs) []Finding {
 			continue
 		}
 		feedsBranch := -1
-		for _, use := range du.UsesOf[pc] {
+		for _, use := range pt.S.Uses(pc) {
 			if p.Code[use].Op.IsCondBranch() {
 				feedsBranch = use
 			}
@@ -198,8 +196,9 @@ func CheckSyncSegment(p *isa.Program, ctr CounterAddrs) []Finding {
 // inside the loop is a self-increment by a nonzero constant (the backoff
 // counter's AddI -1, or an induction variable). A throttle loop whose
 // only exits compare loop-invariant values never terminates on its own.
-func boundedLoopExit(g *CFG, du *DefUse, loops *LoopForest, li int) bool {
-	l := &loops.Loops[li]
+func boundedLoopExit(pt *Patterns, li int) bool {
+	g := pt.G
+	l := &pt.F.Loops[li]
 	for b := range l.Blocks {
 		tpc := g.Terminator(b)
 		in := &g.Prog.Code[tpc]
@@ -216,7 +215,7 @@ func boundedLoopExit(g *CFG, du *DefUse, loops *LoopForest, li int) bool {
 			continue
 		}
 		for _, r := range []isa.Reg{in.Src1, in.Src2} {
-			for _, d := range du.DefsOfReg(tpc, r) {
+			for _, d := range pt.S.DefsOf(tpc, r) {
 				di := &g.Prog.Code[d]
 				if l.Blocks[g.BlockOf[d]] && di.Op == isa.OpAddI && di.Dst == di.Src1 && di.Imm != 0 {
 					return true

@@ -125,15 +125,10 @@ type Verdict struct {
 	Err       string          `json:"error,omitempty"`     // structural failure, forces UNPROVED
 }
 
-// VerifyHelper validates helper hid of main: one Verdict per reachable
-// spawn site. The main program must contain at least one OpSpawn with
+// VerifyHelperPatterns validates helper hid of main, given the analyses
+// of main (mp) and the helper (gp): one Verdict per reachable spawn
+// site. The main program must contain at least one OpSpawn with
 // Imm == hid; otherwise a single UNPROVED verdict explains the failure.
-func VerifyHelper(main, ghost *isa.Program, hid int) []*Verdict {
-	return VerifyHelperPatterns(AnalyzeAddrPatterns(main), AnalyzeAddrPatterns(ghost), hid)
-}
-
-// VerifyHelperPatterns is VerifyHelper over already-built address-pattern
-// analyses of main (mp) and the helper (gp).
 func VerifyHelperPatterns(mp, gp *Patterns, hid int) []*Verdict {
 	main, ghost := mp.Prog, gp.Prog
 	var out []*Verdict
@@ -576,7 +571,7 @@ func newRewriter(mp, gp *Patterns, mev *SymEval, spawnPC, joinPC int) *rewriter 
 // but carries the potential clobbers as speculation points — the ghost
 // may read a stale value, misdirecting (not corrupting) its prefetches.
 func (rw *rewriter) buildPublished() {
-	idom := rw.mp.G.Dominators()
+	idom := rw.mp.Idom
 	spawnB := rw.mp.G.BlockOf[rw.spawnPC]
 	for pc := range rw.mp.Prog.Code {
 		in := &rw.mp.Prog.Code[pc]

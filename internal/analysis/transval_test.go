@@ -55,7 +55,7 @@ func buildPair(t *testing.T, stride int64, mutate func(b *isa.Builder, addr isa.
 
 func TestVerifyProvedIdenticalStream(t *testing.T) {
 	main, ghost := buildPair(t, 8, func(b *isa.Builder, addr isa.Reg) {})
-	vs := analysis.VerifyHelper(main, ghost, 0)
+	vs := verify(main, ghost, 0)
 	if len(vs) != 1 {
 		t.Fatalf("got %d verdicts, want 1", len(vs))
 	}
@@ -73,7 +73,7 @@ func TestVerifyProvedConstantLead(t *testing.T) {
 	main, ghost := buildPair(t, 8, func(b *isa.Builder, addr isa.Reg) {
 		b.AddI(addr, addr, 16*8)
 	})
-	vs := analysis.VerifyHelper(main, ghost, 0)
+	vs := verify(main, ghost, 0)
 	v := vs[0]
 	if v.Status != analysis.Proved {
 		t.Fatalf("status = %v, want PROVED (targets=%+v)", v.Status, v.Targets)
@@ -89,7 +89,7 @@ func TestVerifyUnprovedWrongStride(t *testing.T) {
 	main, ghost := buildPair(t, 8, func(b *isa.Builder, addr isa.Reg) {
 		b.ShlI(addr, addr, 1) // addr = 16*i instead of 8*i
 	})
-	vs := analysis.VerifyHelper(main, ghost, 0)
+	vs := verify(main, ghost, 0)
 	v := vs[0]
 	if v.Status != analysis.Unproved {
 		t.Fatalf("status = %v, want UNPROVED (targets=%+v)", v.Status, v.Targets)
@@ -108,7 +108,7 @@ func TestVerifyUnprovedWrongStride(t *testing.T) {
 
 func TestVerifyNoSpawn(t *testing.T) {
 	main, ghost := buildPair(t, 8, func(b *isa.Builder, addr isa.Reg) {})
-	vs := analysis.VerifyHelper(main, ghost, 3) // no helper 3
+	vs := verify(main, ghost, 3) // no helper 3
 	if len(vs) != 1 || vs[0].Status != analysis.Unproved || vs[0].Err == "" {
 		t.Fatalf("want structural UNPROVED for missing spawn, got %+v", vs[0])
 	}
@@ -123,7 +123,7 @@ func TestVerifyRegistryGhosts(t *testing.T) {
 			continue
 		}
 		for hid, helper := range inst.Ghost.Helpers {
-			for _, v := range analysis.VerifyHelper(inst.Ghost.Main, helper, hid) {
+			for _, v := range verify(inst.Ghost.Main, helper, hid) {
 				if v.Status == analysis.Unproved {
 					t.Errorf("%s helper %d spawn@%d: UNPROVED (err=%q)", e.Name, hid, v.SpawnPC, v.Err)
 					for _, tv := range v.Targets {
@@ -140,4 +140,9 @@ func TestVerifyRegistryGhosts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// verify validates helper hid of main over fresh analyses of both.
+func verify(main, ghost *isa.Program, hid int) []*analysis.Verdict {
+	return analysis.VerifyHelperPatterns(analysis.AnalyzeAddrPatterns(main), analysis.AnalyzeAddrPatterns(ghost), hid)
 }

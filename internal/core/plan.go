@@ -22,17 +22,27 @@ var ErrUnsafeGhost = errors.New("core: unsafe ghost program")
 // call this, so an unsafe ghost is rejected at construction rather than
 // silently corrupting application state mid-simulation.
 func Plan(helpers []*isa.Program, ctr Counters) (*analysis.Report, error) {
+	pats := make([]*analysis.Patterns, len(helpers))
+	for i, hp := range helpers {
+		if hp != nil {
+			pats[i] = analysis.AnalyzeAddrPatterns(hp)
+		}
+	}
+	return PlanPatterns(pats, ctr)
+}
+
+// PlanPatterns is Plan over the helpers' analyses (nil entries are
+// skipped), for callers that already hold them.
+func PlanPatterns(helpers []*analysis.Patterns, ctr Counters) (*analysis.Report, error) {
 	ca := analysis.CounterAddrs{Main: ctr.MainAddr, Ghost: ctr.GhostAddr}
 	rep := &analysis.Report{}
-	for _, hp := range helpers {
-		if hp == nil {
+	for _, pt := range helpers {
+		if pt == nil {
 			continue
 		}
-		g := analysis.BuildCFG(hp)
-		forest := g.NaturalLoops(g.Dominators())
-		rep.Add(g.CrossCheckLoops(forest)...)
-		rep.Add(analysis.CheckGhostSafety(hp, ca)...)
-		rep.Add(analysis.CheckSyncSegment(hp, ca)...)
+		rep.Add(analysis.CrossCheckLoops(pt)...)
+		rep.Add(analysis.CheckGhostSafety(pt, ca)...)
+		rep.Add(analysis.CheckSyncSegment(pt, ca)...)
 	}
 	rep.Sort()
 	if rep.HasErrors() {

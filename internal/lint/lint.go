@@ -43,6 +43,23 @@ func Workload(name string, opts Options) (*analysis.Report, error) {
 	inst := build(wopts)
 	rep := &analysis.Report{}
 
+	// One analysis per program, shared by every check below (variants
+	// share programs: the Parallel main is often the baseline's).
+	pats := map[*isa.Program]*analysis.Patterns{}
+	analyze := func(progs ...*isa.Program) []*analysis.Patterns {
+		out := make([]*analysis.Patterns, len(progs))
+		for i, p := range progs {
+			if p == nil {
+				continue
+			}
+			if pats[p] == nil {
+				pats[p] = analysis.AnalyzeAddrPatterns(p)
+			}
+			out[i] = pats[p]
+		}
+		return out
+	}
+
 	// Structural checks on every program of every variant: ISA-level
 	// validation plus the loop-annotation cross-check.
 	seen := map[*isa.Program]bool{}
@@ -60,21 +77,21 @@ func Workload(name string, opts Options) (*analysis.Report, error) {
 				})
 				continue
 			}
-			g := analysis.BuildCFG(p)
-			rep.Add(g.CrossCheckLoops(g.NaturalLoops(g.Dominators()))...)
+			rep.Add(analysis.CrossCheckLoops(analyze(p)[0])...)
 		}
 	}
 
 	// Manual ghost helpers: the full safety plan.
 	if inst.Ghost != nil {
-		planRep, _ := core.Plan(inst.Ghost.Helpers, inst.Counters)
+		planRep, _ := core.PlanPatterns(analyze(inst.Ghost.Helpers...), inst.Counters)
 		rep.Add(planRep.Findings...)
 	}
 
 	// Parallel (SMT-OpenMP) variants: the race lint, downgraded to
 	// warnings for relaxed-consistency kernels.
 	if inst.Parallel != nil {
-		rep.Add(analysis.CheckRaces(inst.Parallel.Main, inst.Parallel.Helpers, inst.Relaxed())...)
+		rep.Add(analysis.CheckRaces(analyze(inst.Parallel.Main)[0],
+			analyze(inst.Parallel.Helpers...), inst.Relaxed())...)
 	}
 
 	// Compiler extraction from the annotated baseline. The extractor runs

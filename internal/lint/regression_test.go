@@ -28,9 +28,13 @@ func TestAliasUpgradeOnlyRemovesRaceFindings(t *testing.T) {
 		}
 		swept++
 		relaxed := inst.Relaxed()
-		interval := analysis.CheckRacesOpt(inst.Parallel.Main, inst.Parallel.Helpers, relaxed,
-			analysis.RaceOptions{IntervalOnly: true})
-		aliased := analysis.CheckRaces(inst.Parallel.Main, inst.Parallel.Helpers, relaxed)
+		mp := analysis.AnalyzeAddrPatterns(inst.Parallel.Main)
+		hps := make([]*analysis.Patterns, len(inst.Parallel.Helpers))
+		for i, h := range inst.Parallel.Helpers {
+			hps[i] = analysis.AnalyzeAddrPatterns(h)
+		}
+		interval := analysis.CheckRacesOpt(mp, hps, relaxed, analysis.RaceOptions{IntervalOnly: true})
+		aliased := analysis.CheckRaces(mp, hps, relaxed)
 
 		if len(aliased) > len(interval) {
 			t.Errorf("%s: alias-aware race check grew findings %d -> %d", e.Name, len(interval), len(aliased))
@@ -75,7 +79,7 @@ func TestAliasMinimalityOnlyAddsInfo(t *testing.T) {
 		}
 		swept++
 
-		plain := analysis.ReportMinimality(ext.Ghost)
+		plain := analysis.ReportMinimality(ext.GhostPatterns)
 		vs := analysis.ReportMinimalityVs(ext.GhostPatterns, ext.MainPatterns)
 		if len(vs) < len(plain) {
 			t.Errorf("%s: alias-upgraded minimality dropped base findings: %d -> %d", e.Name, len(plain), len(vs))

@@ -71,9 +71,10 @@ func Verify(name string, opts VerifyOptions) (*WorkloadVerdict, error) {
 		return wv, nil
 	}
 	wv.Variant = "ghost"
+	mp := analysis.AnalyzeAddrPatterns(inst.Ghost.Main)
 	for hid, h := range inst.Ghost.Helpers {
 		hv := HelperVerdicts{Helper: hid, Name: h.Name}
-		hv.Verdicts = analysis.VerifyHelper(inst.Ghost.Main, h, hid)
+		hv.Verdicts = analysis.VerifyHelperPatterns(mp, analysis.AnalyzeAddrPatterns(h), hid)
 		for _, v := range hv.Verdicts {
 			if v.Status > wv.Status {
 				wv.Status = v.Status

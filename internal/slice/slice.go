@@ -106,11 +106,11 @@ type Result struct {
 	PerPhase bool
 
 	// Verdicts holds the translation-validation results for the extracted
-	// pair, one per spawn site (see analysis.VerifyHelper).
+	// pair, one per spawn site (see analysis.VerifyHelperPatterns).
 	Verdicts []*analysis.Verdict
 
-	// MainPatterns and GhostPatterns are the address-pattern analyses of
-	// Main and Ghost the validator built, for callers that analyse the
+	// MainPatterns and GhostPatterns are the analyses of Main and Ghost
+	// the safety plan and the validator used, for callers that analyse the
 	// pair further (analysis.ReportMinimalityVs). They memoize
 	// lazily, so one Result is not safe for concurrent analysis.
 	MainPatterns, GhostPatterns *analysis.Patterns
@@ -182,7 +182,9 @@ func ExtractWith(base *isa.Program, targets []core.Target, params core.SyncParam
 	}
 	// Static safety gate: a ghost that could write application state (or
 	// lost its sync segment) is rejected here, before it can ever run.
-	if _, err := core.Plan([]*isa.Program{ghost}, ctr); err != nil {
+	// The ghost's analysis is built once, for this gate and validation.
+	res.GhostPatterns = analysis.AnalyzeAddrPatterns(ghost)
+	if _, err := core.PlanPatterns([]*analysis.Patterns{res.GhostPatterns}, ctr); err != nil {
 		return nil, fmt.Errorf("slice: extracted ghost for %q rejected: %w", base.Name, err)
 	}
 	main, err := rewriteMain(base, head, end, targetLoop, ctr)
@@ -198,7 +200,6 @@ func ExtractWith(base *isa.Program, targets []core.Target, params core.SyncParam
 	// slices are rejected unless the caller opts out — they still carry
 	// the verdicts for reporting.
 	res.MainPatterns = analysis.AnalyzeAddrPatterns(main)
-	res.GhostPatterns = analysis.AnalyzeAddrPatterns(ghost)
 	res.Verdicts = analysis.VerifyHelperPatterns(res.MainPatterns, res.GhostPatterns, 0)
 	if !opts.AllowUnproved {
 		for _, v := range res.Verdicts {

@@ -219,10 +219,10 @@ func (s *camelSpec) emitFlat(b *isa.Builder, kind camelKind) {
 			// prefetch values[addr(i+D)] over the padded index array
 			pidx := b.Reg()
 			if s.form == CamelOriginal {
-				b.Load(pidx, aReg, s.opts.SWPFDistance)
+				b.Load(pidx, aReg, SWPFDistance)
 			} else {
 				pi := b.Reg()
-				b.AddI(pi, i, s.opts.SWPFDistance)
+				b.AddI(pi, i, SWPFDistance)
 				b.Mov(pidx, pi)
 				emitHash(b, pidx, tmp, 3)
 				b.AndI(pidx, pidx, s.m-1)
@@ -301,7 +301,7 @@ func (s *camelSpec) emitNested(b *isa.Builder, kind camelKind) {
 				// SWPF can only prefetch within the short inner window
 				// (this is exactly the limitation the paper describes).
 				pj := b.Reg()
-				b.AddI(pj, j, s.opts.SWPFDistance)
+				b.AddI(pj, j, SWPFDistance)
 				b.Min(pj, pj, lastJ)
 				pa := b.Reg()
 				b.Add(pa, indexR, pj)

@@ -108,7 +108,7 @@ func NewBC(graphName string, opts Options) *Instance {
 	}
 
 	name := "bc." + graphName
-	dPf := opts.SWPFDistance
+	dPf := SWPFDistance
 
 	// emitForward emits one forward BFS level over queue[lo, hi) at the
 	// given depth register. Claims use atomic increments so the parallel

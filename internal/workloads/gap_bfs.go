@@ -76,7 +76,7 @@ func NewBFS(graphName string, opts Options) *Instance {
 	}
 
 	name := "bfs." + graphName
-	dPf := opts.SWPFDistance
+	dPf := SWPFDistance
 
 	// emitTDStep emits the frontier scan over queue entries [lo, hi)
 	// reading from qBase, appending to nqBase with counter register nq.

@@ -72,7 +72,7 @@ func NewCC(graphName string, opts Options) *Instance {
 	}
 
 	name := "cc." + graphName
-	dPf := opts.SWPFDistance
+	dPf := SWPFDistance
 
 	// emitLink emits one link pass over nodes [lo, hi) in the Afforest
 	// hooking style: per edge, re-read comp[u], compare with comp[v], and

@@ -68,7 +68,7 @@ func NewPR(graphName string, opts Options) *Instance {
 	}
 
 	name := "pr." + graphName
-	dPf := opts.SWPFDistance
+	dPf := SWPFDistance
 
 	// emitContrib emits the per-node contribution pass.
 	emitContrib := func(b *isa.Builder, scoreR, contribR, offsR, zero, nR isa.Reg) {

@@ -82,7 +82,7 @@ func NewSSSP(graphName string, opts Options) *Instance {
 	}
 
 	name := "sssp." + graphName
-	dPf := opts.SWPFDistance
+	dPf := SWPFDistance
 
 	// emitRound emits one frontier scan over queue entries [lo, hi).
 	emitRound := func(b *isa.Builder, kind camelKind, lo, hi, qBase, nqBase, nq isa.Reg,

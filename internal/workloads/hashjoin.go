@@ -94,7 +94,7 @@ func NewHashJoin(hashRounds int, opts Options) *Instance {
 	wantSum, wantMatch := probeRef(0, sN)
 
 	name := fmt.Sprintf("hj%d", hashRounds)
-	d := opts.SWPFDistance
+	d := SWPFDistance
 
 	// emitBuild emits the sequential build phase; withCounter publishes
 	// the per-insert iteration count for the build-phase ghost.

@@ -58,7 +58,7 @@ func NewKangaroo(opts Options) *Instance {
 		want += hashN(bv[a[index[i]]], rounds)
 	}
 
-	d := opts.SWPFDistance
+	d := SWPFDistance
 
 	buildMain := func(kind camelKind) *isa.Program {
 		b := isa.NewBuilder("kangaroo-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])

@@ -186,7 +186,7 @@ func newMultiPR(graphName string, cores int, tech MultiTech, opts Options) *Mult
 		lo, hi int64, withPrefetch bool, ctrA isa.Reg, one isa.Reg, tmp isa.Reg) {
 		loR := b.Imm(lo)
 		hiR := b.Imm(hi)
-		dPf := opts.SWPFDistance
+		dPf := SWPFDistance
 		b.CountedLoop("pr_pull", loR, hiR, func(v isa.Reg) {
 			oa := b.Reg()
 			b.Add(oa, offsR, v)
@@ -402,7 +402,7 @@ func newMultiCC(graphName string, cores int, tech MultiTech, opts Options) *Mult
 	}
 
 	name := fmt.Sprintf("cc.%s@%d-%s", graphName, cores, tech)
-	dPf := opts.SWPFDistance
+	dPf := SWPFDistance
 
 	emitLinkRange := func(b *isa.Builder, compR, offsR, neighR, changedAR, one, tmp isa.Reg,
 		lo, hi int64, withPrefetch bool, ctrA isa.Reg) {

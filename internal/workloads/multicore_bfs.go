@@ -66,7 +66,7 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 	}
 
 	name := fmt.Sprintf("bfs.%s@%d-%s", graphName, cores, tech)
-	dPf := opts.SWPFDistance
+	dPf := SWPFDistance
 
 	// emitLevelChunk scans queue[lo, hi) (register bounds), claiming
 	// unvisited neighbours at depth du+1.

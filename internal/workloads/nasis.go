@@ -61,7 +61,7 @@ func NewNASIS(opts Options) *Instance {
 		want += r ^ int64(i)
 	}
 
-	d := opts.SWPFDistance
+	d := SWPFDistance
 
 	buildMain := func(kind camelKind) *isa.Program {
 		b := isa.NewBuilder("nasis-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])

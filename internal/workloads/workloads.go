@@ -37,18 +37,19 @@ func ParseScale(s string) (Scale, error) {
 	return 0, fmt.Errorf("unknown scale %q (want eval | profile)", s)
 }
 
+// SWPFDistance is the look-ahead distance of the software-prefetch
+// variants, in iterations (the manually tuned value).
+const SWPFDistance int64 = 16
+
 // Options configures workload construction.
 type Options struct {
 	Scale Scale
 	Sync  core.SyncParams
-	// SWPFDistance is the look-ahead distance of the software-prefetch
-	// variants, in iterations (the manually tuned value).
-	SWPFDistance int64
 }
 
 // DefaultOptions returns evaluation-scale options with tuned parameters.
 func DefaultOptions() Options {
-	return Options{Scale: ScaleEval, Sync: core.DefaultSyncParams(), SWPFDistance: 16}
+	return Options{Scale: ScaleEval, Sync: core.DefaultSyncParams()}
 }
 
 // ProfileOptions returns the reduced-input profiling configuration.
