@@ -119,8 +119,7 @@ fault-golden:
 # deterministic, so any drift means window accounting changed behavior —
 # fix it, or review and re-bless with `make metrics-golden`), then
 # gtmon -once must ingest every line of that stream (samples ingested =
-# line count, no bad lines), then bfs.kron's stream must detect at least
-# one phase boundary. Chrome counter-track export is validated by
+# line count, no bad lines). Chrome counter-track export is validated by
 # TestChromeTraceWindowsCounters in tier-1.
 metrics-smoke:
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile \
@@ -132,9 +131,6 @@ metrics-smoke:
 		echo "$$prom" | grep -qx 'ghostsim_bad_lines_total 0' || \
 		{ echo "metrics-smoke: gtmon -once did not ingest all $$n lines of METRICS_camel.ndjson cleanly:" >&2; \
 		  echo "$$prom" | grep -E '^ghostsim_(samples_ingested|bad_lines)_total' >&2; exit 1; }
-	$(GO) run ./cmd/gtrun -workload bfs.kron -variant ghost -scale profile \
-		-window 20000 -window-out METRICS_bfs.ndjson > /dev/null
-	@grep -q '"phase_boundary":true' METRICS_bfs.ndjson
 
 # Re-bless the telemetry golden after a reviewed change to window
 # accounting. Inspect the diff before committing.
@@ -150,7 +146,7 @@ metrics-golden:
 # the governed camel window stream is diffed against a second golden — a
 # silent governor is a pure observer, so any drift means the governor
 # (or window accounting under it) changed behavior. Review the diff,
-# then re-bless both goldens with `make governor-golden`.
+# then re-bless every governor golden with `make governor-golden`.
 governor-smoke:
 	$(GO) run ./cmd/ghostbench -experiment governor -json -quiet > GOV_all.ndjson
 	diff -u testdata/governor_golden.ndjson GOV_all.ndjson
@@ -162,12 +158,14 @@ governor-smoke:
 		{ echo "governor-smoke: governor decided on camel's healthy ghost:" >&2; cat GOVRUN_camel.txt >&2; exit 1; }
 	diff -u testdata/governed_windows_golden.ndjson GOVWIN_camel.ndjson
 
-# Re-bless the governor goldens after a reviewed change. Inspect the
-# diff before committing.
+# Re-bless the governor goldens after a reviewed change: the idle rows
+# and camel window stream above, and the busy-machine rows
+# TestGovernorBusyGolden checks. Inspect the diff before committing.
 governor-golden:
 	$(GO) run ./cmd/ghostbench -experiment governor -json -quiet > testdata/governor_golden.ndjson
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -govern \
 		-window-out testdata/governed_windows_golden.ndjson > /dev/null
+	$(GO) test ./internal/harness -run TestGovernorBusyGolden -count=1 -update
 
 # Figure-9 smoke: the multi-core scaling study on three kernel.graph rows
 # (unrounded geomeans and every run's cycles per core count) diffed

@@ -3,7 +3,6 @@
 // ghostbench -experiment resilience -window-out) and exposes
 //
 //	/metrics  — Prometheus text exposition, latest sample per series
-//	/phases   — JSON history of detected phase boundaries
 //	/healthz  — liveness
 //
 // while the producing run is still going:
@@ -62,7 +61,7 @@ func main() {
 	}
 
 	go func() { tool.Check(http.ListenAndServe(*addr, mon.Handler())) }()
-	fmt.Fprintf(os.Stderr, "gtmon: serving /metrics /phases on %s, tailing %s\n", *addr, *in)
+	fmt.Fprintf(os.Stderr, "gtmon: serving /metrics on %s, tailing %s\n", *addr, *in)
 	tail(mon, *in, *poll)
 }
 

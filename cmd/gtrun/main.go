@@ -24,8 +24,8 @@
 // them on the functional interpreter instead of the simulated machine.
 //
 // -govern runs the variant under the adaptive governor (internal/gov):
-// windowed telemetry feeds the per-core controller, which may kill a
-// ghost that stops earning its keep and respawn it at phase boundaries.
+// windowed telemetry feeds the per-core controller, which kills a ghost
+// that stops earning its keep (gov.Default: a killed ghost stays dead).
 // The decision log is printed after the run (and is bit-identical across
 // stepping modes and replays).
 //
@@ -165,14 +165,7 @@ func main() {
 	fmt.Printf("serializes  %d (stall %d cycles)   spawns %d   dram-lines %d\n",
 		res.Serializes, res.SerializeStall, res.Spawns, res.DRAMTransfers)
 	if *window > 0 {
-		boundaries := 0
-		for _, ws := range res.Windows {
-			if ws.PhaseBoundary {
-				boundaries++
-			}
-		}
-		fmt.Printf("telemetry   %d windows (W=%d cycles), %d phase boundaries\n",
-			len(res.Windows), *window, boundaries)
+		fmt.Printf("telemetry   %d windows (W=%d cycles)\n", len(res.Windows), *window)
 	}
 	if *govern {
 		fmt.Printf("governor    %d decisions (kills %d, respawns %d)\n",

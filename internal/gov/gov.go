@@ -1,5 +1,5 @@
-// Package gov is the online adaptive ghost governor (ROADMAP item 3):
-// a per-core controller that consumes the streaming windowed telemetry
+// Package gov is the online adaptive ghost governor: a per-core
+// controller that consumes the streaming windowed telemetry
 // (obs.WindowSample) at window boundaries and decides — deterministically
 // and replayably — whether each core's ghost thread is still earning its
 // keep.
@@ -21,16 +21,18 @@
 //     via the core's trigger list (cpu.Core.ScheduleGovKill), exactly the
 //     mechanism the fault injector's one-shot kill uses.
 //
-//   - respawn: at an obs.PhaseDetector boundary (or after RevivePeriod
-//     windows of sitting killed), the ghost is re-spawned with the main
-//     context's CURRENT registers (cpu.Core.ScheduleGovRespawn), giving
-//     a stale slice fresh live-ins for the new phase.
+//   - respawn: after RevivePeriod windows of sitting killed, the ghost
+//     is re-spawned with the main context's CURRENT registers
+//     (cpu.Core.ScheduleGovRespawn), giving a stale slice fresh
+//     live-ins.
 //
 //   - retune: when the dynamic sync segment is in play
 //     (core.SyncParams.Dynamic), the TooFar/Close throttle window is
-//     re-published through governor-owned memory words — widened when
-//     prefetches are accurate but late, narrowed when the ghost runs far
-//     ahead fetching garbage.
+//     re-published through governor-owned memory words — narrowed when
+//     the ghost runs far ahead fetching garbage.
+//
+// DESIGN.md §15.1 records what each rule is worth: the governed cycles
+// with it switched off, rule by rule.
 //
 // Decisions are pure functions of the sample stream, which is itself
 // bit-identical across per-cycle, event-skip, serial and parallel
@@ -53,8 +55,8 @@ const (
 	// benefit judgement: a freshly spawned ghost has not yet issued
 	// anything.
 	Warmup = 2
-	// MaxRespawns caps governor-initiated respawns per core, so a
-	// runaway phase detector cannot turn into a spawn storm. The
+	// MaxRespawns caps governor-initiated respawns per core, so an
+	// aggressive RevivePeriod cannot turn into a spawn storm. The
 	// core-side PC-synchronized trigger enforces the same bound on its
 	// autonomous re-seeds.
 	MaxRespawns = 32
@@ -64,8 +66,8 @@ const (
 	// RetuneCooldown is the number of windows between retunes of one
 	// core, so a new throttle window takes effect before it is judged.
 	RetuneCooldown = 4
-	// MaxTooFar and MinTooFar clamp the retuned throttle window.
-	MaxTooFar = 1024
+	// MinTooFar is the floor of the retuned throttle window (a retune
+	// only ever halves it).
 	MinTooFar = 8
 )
 
@@ -79,9 +81,8 @@ type Config struct {
 	Enabled bool
 
 	// RevivePeriod, when > 0, re-spawns a killed ghost after that many
-	// windows even without a phase boundary (a second chance for
-	// workloads whose stall profile shifts too smoothly to trip the
-	// detector). 0 disables phase-blind revival.
+	// windows (a second chance with fresh live-ins). 0 leaves a killed
+	// ghost dead.
 	RevivePeriod int64
 
 	// ResyncPC, when > 0, synchronizes respawns to the main thread's
@@ -112,9 +113,9 @@ type Config struct {
 	MainCounterAddr int64
 }
 
-// Default returns the standard governed configuration (kill + phase
-// respawn, no retune — retuning additionally needs the dynamic sync
-// words, see TooFarAddr).
+// Default returns the standard governed configuration (kill only: no
+// revival unless RevivePeriod is set, and no retune — retuning
+// additionally needs the dynamic sync words, see TooFarAddr).
 func Default() Config {
 	return Config{Enabled: true}
 }
@@ -189,15 +190,12 @@ func New(cfg Config, cores int) *Governor {
 }
 
 // negative is the windowed realized-benefit estimate, inverted: it
-// reports that the ghost demonstrably hurt (or did nothing) this window.
-// Calibrated against the repo's workload suite so that camel's manual
-// ghost (accuracy ≈ 0.22 but perfectly timely), kangaroo's compiler
-// ghost (accuracy ≈ 0.95) and camel's compiler ghost survive, while
-// bfs.kron's and hj's stale compiler ghosts are condemned:
+// reports that the ghost demonstrably hurt this window. Calibrated
+// against the repo's workload suite so that camel's manual ghost
+// (accuracy ≈ 0.22 but perfectly timely), kangaroo's compiler ghost
+// (accuracy ≈ 0.95) and camel's compiler ghost survive, while bfs.kron's
+// and hj's stale compiler ghosts are condemned:
 //
-//   - silent: the ghost ran a whole window without a single sync check
-//     or prefetch — it is wedged (spinning a skip loop, or serialized
-//     forever).
 //   - garbage: a meaningful prefetch sample whose accuracy is under 10%
 //     — the slice's address stream has diverged from the demand stream.
 //   - wasted: most of the ghost's prefetches hit lines already cached or
@@ -207,15 +205,17 @@ func New(cfg Config, cores int) *Governor {
 //     footprint at zero lead. A redundant-heavy but TIMELY window (a
 //     fresh ghost sprinting through a region main has partially warmed)
 //     is exempt.
+//
+// A window with fewer than MinPF prefetches is never negative: too
+// small a sample to judge.
 func (g *Governor) negative(ws *obs.WindowSample) (bool, string) {
-	if ws.GhostLeadCount == 0 && ws.Prefetch.Issued == 0 {
-		return true, "silent"
+	if ws.Prefetch.Issued+ws.Prefetch.Redundant < MinPF {
+		return false, ""
 	}
-	if ws.Prefetch.Issued+ws.Prefetch.Redundant >= MinPF && ws.PFAccuracy < 0.10 {
+	if ws.PFAccuracy < 0.10 {
 		return true, "garbage"
 	}
-	if ws.Prefetch.Issued+ws.Prefetch.Redundant >= MinPF &&
-		ws.Prefetch.Redundant > ws.Prefetch.Issued && ws.PFTimeliness < 0.10 {
+	if ws.Prefetch.Redundant > ws.Prefetch.Issued && ws.PFTimeliness < 0.10 {
 		return true, "wasted"
 	}
 	return false, ""
@@ -258,7 +258,7 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 			// A per-phase slice retires ITSELF at its region tail (it has
 			// no backedge). Under PC-synced respawn that is the expected
 			// end-of-phase signal, not a death: mark it down exactly like
-			// a kill so the revival rules below re-arm it. A short phase
+			// a kill so RevivePeriod below re-arms it. A short phase
 			// can start AND finish inside one window — sync checks or
 			// prefetches in the window are the evidence it lived.
 			lived := cs.windows > 0 || ws.GhostLeadCount > 0 ||
@@ -268,22 +268,15 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 				cs.killedAt = window
 				cs.negStreak = 0
 			}
-			// Nothing to judge. A governor-killed ghost may come back: at
-			// a phase boundary (fresh live-ins for the new phase), or
-			// after RevivePeriod windows of sitting out.
-			if cs.killed && cs.respawns < MaxRespawns {
-				revive := ws.PhaseBoundary
-				reason := "phase-boundary"
-				if !revive && g.cfg.RevivePeriod > 0 && window-cs.killedAt >= g.cfg.RevivePeriod {
-					revive, reason = true, "revive-period"
-				}
-				if revive {
-					cs.killed = false
-					cs.respawns++
-					cs.windows = 0
-					cs.negStreak = 0
-					emit(ws, Decision{Action: ActionRespawn, Reason: reason})
-				}
+			// Nothing to judge. A governor-killed ghost comes back, with
+			// fresh live-ins, after RevivePeriod windows of sitting out.
+			if cs.killed && cs.respawns < MaxRespawns && g.cfg.RevivePeriod > 0 &&
+				window-cs.killedAt >= g.cfg.RevivePeriod {
+				cs.killed = false
+				cs.respawns++
+				cs.windows = 0
+				cs.negStreak = 0
+				emit(ws, Decision{Action: ActionRespawn, Reason: "revive-period"})
 			}
 			continue
 		}
@@ -295,17 +288,6 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 			cs.negStreak++
 		} else if !neg {
 			cs.negStreak = 0
-		}
-
-		// A live but hurting ghost gets fresh live-ins at a phase
-		// boundary instead of a kill: the respawn path deactivates it
-		// first, so this is kill+respawn in one deterministic event.
-		if ws.PhaseBoundary && neg && warm && cs.respawns < MaxRespawns {
-			cs.respawns++
-			cs.windows = 0
-			cs.negStreak = 0
-			emit(ws, Decision{Action: ActionRespawn, Reason: "stale-at-phase"})
-			continue
 		}
 
 		if cs.negStreak >= KillAfter {
@@ -330,36 +312,21 @@ func (g *Governor) Step(window, cycle int64, samples []*obs.WindowSample) []Deci
 	return out
 }
 
-// retune adjusts the dynamic throttle window from one window's prefetch
-// quality: accurate-but-late prefetches mean the ghost is throttled too
-// tightly to hide the latency (double TooFar); inaccurate prefetches
-// from a ghost running far ahead mean the lead itself is the problem
-// (halve it). Close tracks TooFar/2, preserving the static segment's
-// hysteresis ratio.
+// retune narrows the dynamic throttle window from one window's prefetch
+// quality: inaccurate prefetches from a ghost running far ahead mean the
+// lead itself is the problem, so TooFar is halved (down to MinTooFar).
+// Close tracks TooFar/2, preserving the static segment's hysteresis
+// ratio.
 func (g *Governor) retune(cs *coreState, ws *obs.WindowSample) (Decision, bool) {
-	if ws.Prefetch.Issued+ws.Prefetch.Redundant < MinPF {
+	if ws.Prefetch.Issued+ws.Prefetch.Redundant < MinPF ||
+		ws.PFAccuracy >= 0.25 || ws.GhostLeadCount == 0 || ws.GhostLeadP50 <= cs.tooFar/2 {
 		return Decision{}, false
 	}
-	next := cs.tooFar
-	var reason string
-	switch {
-	case ws.PFAccuracy >= 0.5 && ws.PFTimeliness < 0.5 &&
-		ws.GhostLeadCount > 0 && ws.GhostLeadP95 < cs.tooFar:
-		next, reason = cs.tooFar*2, "accurate-late"
-	case ws.PFAccuracy < 0.25 && ws.GhostLeadCount > 0 &&
-		ws.GhostLeadP50 > cs.tooFar/2:
-		next, reason = cs.tooFar/2, "inaccurate-far"
-	}
-	if next > MaxTooFar {
-		next = MaxTooFar
-	}
-	if next < MinTooFar {
-		next = MinTooFar
-	}
+	next := max(cs.tooFar/2, MinTooFar)
 	if next == cs.tooFar {
 		return Decision{}, false
 	}
 	cs.tooFar, cs.close = next, next/2
-	return Decision{Action: ActionRetune, Reason: reason,
+	return Decision{Action: ActionRetune, Reason: "inaccurate-far",
 		TooFar: cs.tooFar, Close: cs.close}, true
 }

@@ -33,10 +33,7 @@ func TestNegativeRules(t *testing.T) {
 		ws   obs.WindowSample
 		why  string
 	}{
-		{"silent", obs.WindowSample{HelperActive: true}, "silent"},
-		{"garbage", obs.WindowSample{HelperActive: true,
-			Prefetch:   cache.PrefetchQuality{Issued: 100, Redundant: 20},
-			PFAccuracy: 0.05, GhostLeadCount: 10, GhostLeadP50: 30}, "garbage"},
+		{"garbage", *garbage(), "garbage"},
 		{"wasted", obs.WindowSample{HelperActive: true,
 			GhostLeadCount: 20, GhostLeadP50: 1,
 			Prefetch:     cache.PrefetchQuality{Issued: 100, Redundant: 250, Timely: 2},
@@ -52,6 +49,13 @@ func TestNegativeRules(t *testing.T) {
 	if neg, why := g.negative(healthy(0)); neg {
 		t.Errorf("healthy sample judged negative (%s)", why)
 	}
+	// A window without a meaningful prefetch sample is never judged,
+	// however bad its ratios look.
+	small := garbage()
+	small.Prefetch = cache.PrefetchQuality{Issued: MinPF - 1}
+	if neg, why := g.negative(small); neg {
+		t.Errorf("sub-MinPF sample judged negative (%s)", why)
+	}
 	// Redundant-heavy but timely: a fresh ghost sprinting through a
 	// half-warm region must not be condemned as wasted.
 	warm := healthy(0)
@@ -62,15 +66,20 @@ func TestNegativeRules(t *testing.T) {
 	}
 }
 
-// silent is a window the negative-benefit rules condemn.
-func silent() *obs.WindowSample { return &obs.WindowSample{HelperActive: true} }
+// garbage is a window the negative-benefit rules condemn: a meaningful
+// prefetch sample of which almost nothing was useful.
+func garbage() *obs.WindowSample {
+	return &obs.WindowSample{HelperActive: true,
+		Prefetch:   cache.PrefetchQuality{Issued: 100, Redundant: 20},
+		PFAccuracy: 0.05, GhostLeadCount: 10, GhostLeadP50: 30}
+}
 
-// killAt feeds silent windows from w until the governor kills the ghost
+// killAt feeds garbage windows from w until the governor kills the ghost
 // and returns the kill's window; a fresh ghost dies at w+Warmup+KillAfter-1.
 func killAt(t *testing.T, g *Governor, w int64) int64 {
 	t.Helper()
 	for end := w + Warmup + KillAfter; w < end; w++ {
-		for _, d := range step(g, w, silent()) {
+		for _, d := range step(g, w, garbage()) {
 			if d.Action == ActionKill {
 				return w
 			}
@@ -87,7 +96,7 @@ func TestKillAfterConsecutiveNegatives(t *testing.T) {
 	var kills []Decision
 	w := int64(0)
 	for ; w < 10 && len(kills) == 0; w++ {
-		for _, d := range step(g, w, silent()) {
+		for _, d := range step(g, w, garbage()) {
 			if d.Action == ActionKill {
 				kills = append(kills, d)
 			}
@@ -102,8 +111,8 @@ func TestKillAfterConsecutiveNegatives(t *testing.T) {
 		t.Errorf("kill at window %d, want %d (%d warmup windows + streak of %d)",
 			kills[0].Window, want, Warmup, KillAfter)
 	}
-	if kills[0].Reason != "silent" {
-		t.Errorf("kill reason %q, want silent", kills[0].Reason)
+	if kills[0].Reason != "garbage" {
+		t.Errorf("kill reason %q, want garbage", kills[0].Reason)
 	}
 	// The kill deactivates the helper; with no revival configured the
 	// governor stays silent for the rest of the run.
@@ -119,7 +128,7 @@ func TestKillAfterConsecutiveNegatives(t *testing.T) {
 func TestHealthyInterruptsStreak(t *testing.T) {
 	g := New(Config{Enabled: true}, 1)
 	for w := int64(0); w < 20; w++ {
-		ws := silent()
+		ws := garbage()
 		if w%KillAfter == KillAfter-1 {
 			ws = healthy(0)
 		}
@@ -131,33 +140,8 @@ func TestHealthyInterruptsStreak(t *testing.T) {
 	}
 }
 
-// TestReviveAtPhaseBoundary: a killed ghost comes back at the next
-// phase boundary, and MaxRespawns caps revivals.
-func TestReviveAtPhaseBoundary(t *testing.T) {
-	g := New(Config{Enabled: true}, 1)
-	w := int64(0)
-	for i := 0; i < MaxRespawns; i++ {
-		w = killAt(t, g, w) + 1
-		// Dead, no boundary: nothing.
-		if ds := step(g, w, &obs.WindowSample{}); len(ds) != 0 {
-			t.Fatalf("window %d decisions %+v, want none", w, ds)
-		}
-		w++
-		ds := step(g, w, &obs.WindowSample{PhaseBoundary: true})
-		if len(ds) != 1 || ds[0].Action != ActionRespawn || ds[0].Reason != "phase-boundary" {
-			t.Fatalf("window %d decisions %+v, want one phase-boundary respawn", w, ds)
-		}
-		w++
-	}
-	// Killed again, but all MaxRespawns are spent: no more revivals.
-	w = killAt(t, g, w) + 1
-	if ds := step(g, w, &obs.WindowSample{PhaseBoundary: true}); len(ds) != 0 {
-		t.Fatalf("window %d decisions %+v, want none (respawn cap spent)", w, ds)
-	}
-}
-
 // TestRevivePeriod: with RevivePeriod set, a killed ghost comes back
-// after the period even without a phase boundary.
+// after the period, and MaxRespawns caps revivals.
 func TestRevivePeriod(t *testing.T) {
 	g := New(Config{Enabled: true, RevivePeriod: 3}, 1)
 	killed := killAt(t, g, 0)
@@ -170,6 +154,21 @@ func TestRevivePeriod(t *testing.T) {
 	if len(ds) != 1 || ds[0].Action != ActionRespawn || ds[0].Reason != "revive-period" {
 		t.Fatalf("window %d decisions %+v, want one revive-period respawn", killed+3, ds)
 	}
+	w := killed + 4
+	for i := 1; i < MaxRespawns; i++ {
+		w = killAt(t, g, w) + 3
+		if ds := step(g, w, &obs.WindowSample{}); len(ds) != 1 || ds[0].Action != ActionRespawn {
+			t.Fatalf("window %d decisions %+v, want respawn %d", w, ds, i+1)
+		}
+		w++
+	}
+	// Killed again, but all MaxRespawns are spent: no more revivals.
+	killed = killAt(t, g, w)
+	for w = killed + 1; w <= killed+10; w++ {
+		if ds := step(g, w, &obs.WindowSample{}); len(ds) != 0 {
+			t.Fatalf("window %d decisions %+v, want none (respawn cap spent)", w, ds)
+		}
+	}
 }
 
 // TestGovRespawnedResetsWarmup: a core-side PC-synced re-seed restarts
@@ -180,7 +179,7 @@ func TestGovRespawnedResetsWarmup(t *testing.T) {
 	// Warmup windows, then negative windows up to one short of a kill.
 	w := int64(0)
 	for ; w < Warmup+KillAfter-1; w++ {
-		if ds := step(g, w, silent()); len(ds) != 0 {
+		if ds := step(g, w, garbage()); len(ds) != 0 {
 			t.Fatalf("window %d decisions %+v before the re-seed, want none", w, ds)
 		}
 	}
@@ -192,11 +191,11 @@ func TestGovRespawnedResetsWarmup(t *testing.T) {
 	}
 	seed := w
 	for w = seed + 1; w < seed+Warmup+KillAfter-1; w++ {
-		if ds := step(g, w, silent()); len(ds) != 0 {
+		if ds := step(g, w, garbage()); len(ds) != 0 {
 			t.Fatalf("window %d decisions %+v during renewed warmup, want none", w, ds)
 		}
 	}
-	if ds := step(g, w, silent()); len(ds) != 1 || ds[0].Action != ActionKill {
+	if ds := step(g, w, garbage()); len(ds) != 1 || ds[0].Action != ActionKill {
 		t.Fatalf("window %d decisions %+v, want the fresh ghost's kill", w, ds)
 	}
 }
@@ -205,66 +204,76 @@ func TestGovRespawnedResetsWarmup(t *testing.T) {
 // per-phase ghost that retired itself (inactive, but with evidence it
 // lived) is marked down like a kill so the revival rules re-arm it.
 func TestSelfRetireMarksKilledUnderResync(t *testing.T) {
-	g := New(Config{Enabled: true, ResyncPC: 19}, 1)
+	g := New(Config{Enabled: true, ResyncPC: 19, RevivePeriod: 1}, 1)
 	// Ghost started and finished inside one window: inactive at the
 	// flush, but it prefetched — evidence of a completed phase.
 	ws := &obs.WindowSample{Prefetch: cache.PrefetchQuality{Issued: 40}}
 	step(g, 0, ws)
-	ds := step(g, 1, &obs.WindowSample{PhaseBoundary: true})
-	if len(ds) != 1 || ds[0].Action != ActionRespawn {
-		t.Fatalf("decisions %+v, want one respawn after self-retire", ds)
+	ds := step(g, 1, &obs.WindowSample{})
+	if len(ds) != 1 || ds[0].Action != ActionRespawn || ds[0].Reason != "revive-period" {
+		t.Fatalf("decisions %+v, want one revive-period respawn after self-retire", ds)
 	}
 	// Without ResyncPC the same stream is just a dead helper: no respawn
 	// (it was never governor-killed).
-	g2 := New(Config{Enabled: true}, 1)
+	g2 := New(Config{Enabled: true, RevivePeriod: 1}, 1)
 	step(g2, 0, ws)
-	if ds := step(g2, 1, &obs.WindowSample{PhaseBoundary: true}); len(ds) != 0 {
+	if ds := step(g2, 1, &obs.WindowSample{}); len(ds) != 0 {
 		t.Fatalf("decisions %+v without ResyncPC, want none", ds)
 	}
 }
 
-// TestRetuneDirectionsAndClamps: accurate-but-late doubles the window,
-// inaccurate-and-far halves it, both respecting the clamps and the
-// cooldown.
+// retuner returns a retuning governor whose throttle window starts at
+// tooFar/tooFar/2.
+func retuner(tooFar int64) *Governor {
+	return New(Config{Enabled: true, Retune: true, TooFarAddr: 1, CloseAddr: 2,
+		TooFarInit: tooFar, CloseInit: tooFar / 2}, 1)
+}
+
+// TestRetuneDirectionsAndClamps: inaccurate-and-far halves the window,
+// down to the MinTooFar clamp, with a cooldown between retunes.
 func TestRetuneDirectionsAndClamps(t *testing.T) {
-	retune := func(tooFar int64) *Governor {
-		return New(Config{Enabled: true, Retune: true, TooFarAddr: 1, CloseAddr: 2,
-			TooFarInit: tooFar, CloseInit: tooFar / 2}, 1)
-	}
-	g := retune(MaxTooFar * 3 / 8)
-
-	late := healthy(0)
-	late.PFAccuracy, late.PFTimeliness = 0.8, 0.2
-	late.GhostLeadP95 = 50 // under TooFar: the throttle is the limiter
-	ds := step(g, 0, late)
-	if want := int64(MaxTooFar * 3 / 4); len(ds) != 1 || ds[0].Action != ActionRetune ||
-		ds[0].TooFar != want || ds[0].Close != want/2 {
-		t.Fatalf("decisions %+v, want accurate-late retune to %d/%d", ds, want, want/2)
-	}
-	// Cooldown: identical windows produce no decision.
-	for w := int64(1); w <= RetuneCooldown; w++ {
-		if ds := step(g, w, late); len(ds) != 0 {
-			t.Fatalf("window %d decisions %+v during cooldown, want none", w, ds)
-		}
-	}
-	// Next accurate-late doubling clamps at MaxTooFar.
-	ds = step(g, RetuneCooldown+1, late)
-	if len(ds) != 1 || ds[0].TooFar != MaxTooFar {
-		t.Fatalf("decisions %+v, want clamp at %d", ds, MaxTooFar)
-	}
-
 	far := healthy(0)
 	far.PFAccuracy = 0.1
 	far.Prefetch = cache.PrefetchQuality{Issued: 200, Redundant: 20, Timely: 30}
 	far.GhostLeadP50 = 90 // way past TooFar/2: the lead is the problem
-	ds = step(retune(96), 0, far)
-	if len(ds) != 1 || ds[0].Action != ActionRetune || ds[0].Reason != "inaccurate-far" || ds[0].TooFar != 48 {
-		t.Fatalf("decisions %+v, want inaccurate-far retune to 48", ds)
+	g := retuner(96)
+	ds := step(g, 0, far)
+	if len(ds) != 1 || ds[0].Action != ActionRetune || ds[0].Reason != "inaccurate-far" ||
+		ds[0].TooFar != 48 || ds[0].Close != 24 {
+		t.Fatalf("decisions %+v, want inaccurate-far retune to 48/24", ds)
+	}
+	// Cooldown: identical windows produce no decision.
+	for w := int64(1); w <= RetuneCooldown; w++ {
+		if ds := step(g, w, far); len(ds) != 0 {
+			t.Fatalf("window %d decisions %+v during cooldown, want none", w, ds)
+		}
+	}
+	if ds := step(g, RetuneCooldown+1, far); len(ds) != 1 || ds[0].TooFar != 24 {
+		t.Fatalf("decisions %+v after cooldown, want retune to 24", ds)
 	}
 	// Halving clamps at MinTooFar.
-	ds = step(retune(MinTooFar*3/2), 0, far)
+	ds = step(retuner(MinTooFar*3/2), 0, far)
 	if len(ds) != 1 || ds[0].TooFar != MinTooFar {
 		t.Fatalf("decisions %+v, want clamp at %d", ds, MinTooFar)
+	}
+}
+
+// TestRetuneNeverWidens: accurate prefetches that land late, from a
+// ghost held well inside its throttle window, leave TooFar alone — a
+// retune only narrows the window.
+func TestRetuneNeverWidens(t *testing.T) {
+	late := healthy(0)
+	late.PFAccuracy, late.PFTimeliness = 0.8, 0.2
+	late.GhostLeadP95 = 50 // under TooFar: the throttle is the limiter
+	g := retuner(96)
+	for w := int64(0); w < 5*RetuneCooldown; w++ {
+		if ds := step(g, w, late); len(ds) != 0 {
+			t.Fatalf("window %d decisions %+v on accurate-late windows, want none", w, ds)
+		}
+	}
+	if g.cores[0].tooFar != 96 || g.cores[0].close != 48 {
+		t.Errorf("throttle window %d/%d, want TooFarInit/CloseInit 96/48",
+			g.cores[0].tooFar, g.cores[0].close)
 	}
 }
 

@@ -42,8 +42,8 @@ type GovRow struct {
 
 // GovernedConfig returns cfg prepared for a governed run of a workload
 // whose sync words are counters: windowed telemetry attached (the
-// governor's input) and the default governor (kill + phase respawn)
-// enabled, with respawns re-aligning the main iteration counter.
+// governor's input) and the default governor (kill only) enabled, with
+// respawns re-aligning the main iteration counter.
 func GovernedConfig(cfg sim.Config, window int64, counters core.Counters) sim.Config {
 	cfg.Telemetry.WindowCycles = window
 	cfg.Telemetry.GhostCounterAddr = counters.GhostAddr
@@ -223,12 +223,10 @@ func governedCompiler(row *GovRow, inst *workloads.Instance, snap []int64, opts 
 	gcfg.Governor.CloseInit = opts.Sync.Close
 	// Compiler slices carry loop-carried live-ins, so respawns must wait
 	// for the region-loop header (the only point where main's registers
-	// are valid ghost entry state). With PC-synced re-seeds, phase-blind
-	// revival is safe to turn on aggressively: the decision only ARMS the
-	// trigger, and the trigger fires at the next phase boundary by
-	// construction — so workloads whose stall profile is too smooth to
-	// trip the phase detector (bfs.kron's uniform per-level shape) still
-	// get their per-phase refresh.
+	// are valid ghost entry state). With PC-synced re-seeds, revival is
+	// safe to turn on aggressively: the decision only ARMS the trigger,
+	// and the trigger fires at the next region iteration by construction,
+	// so every per-phase slice gets its per-iteration refresh.
 	gcfg.Governor.ResyncPC = int64(dext.ResyncPC)
 	gcfg.Governor.RevivePeriod = 1
 	governed, err := runChecked(inst, snap, gcfg, dext.Main, []*isa.Program{dext.Ghost}, inst.Check)

@@ -55,26 +55,19 @@ type chromeTrace struct {
 	OtherData       map[string]string
 }
 
-// ChromeTrace converts recorded events into Chrome trace-event JSON.
-// Each core becomes a process (pid = core id) with three named tracks:
-// "main" (context 0), "ghost" (context 1), and "mem" (in-flight fills).
-// Events within a track are sorted by start cycle, so ts is monotonic
-// per track — ValidateChrome relies on that. label names the trace in
-// the viewer (typically "workload/variant").
-func ChromeTrace(events []Event, label string) ([]byte, error) {
-	return marshalChrome(chromeEvents(events, nil, label))
-}
-
-// ChromeTraceWindows is ChromeTrace plus Perfetto counter tracks built
-// from windowed telemetry samples: per core, one "C" counter event per
-// window for ghost lead, IPC, serialize-stall fraction, MSHR occupancy,
-// prefetch accuracy, and phase id, timestamped at the window start so the
-// counter steps render aligned with the span tracks of the same cycles.
+// ChromeTraceWindows converts recorded events into Chrome trace-event
+// JSON. Each core becomes a process (pid = core id) with three named
+// tracks: "main" (context 0), "ghost" (context 1), and "mem" (in-flight
+// fills). Events within a track are sorted by start cycle, so ts is
+// monotonic per track — ValidateChrome relies on that. label names the
+// trace in the viewer (typically "workload/variant").
+//
+// windows (nil for none) adds Perfetto counter tracks built from
+// windowed telemetry samples: per core, one "C" counter event per window
+// for ghost lead, IPC, serialize-stall fraction, MSHR occupancy, and
+// prefetch accuracy, timestamped at the window start so the counter
+// steps render aligned with the span tracks of the same cycles.
 func ChromeTraceWindows(events []Event, windows []WindowSample, label string) ([]byte, error) {
-	return marshalChrome(chromeEvents(events, windows, label))
-}
-
-func chromeEvents(events []Event, windows []WindowSample, label string) []chromeEvent {
 	var out []chromeEvent
 
 	cores := map[uint8]bool{}
@@ -145,7 +138,6 @@ func chromeEvents(events []Event, windows []WindowSample, label string) []chrome
 			{"serialize-stall", map[string]any{"frac": w.SerializeStallFrac}},
 			{"mshr", map[string]any{"avg": w.MSHRAvg, "peak": w.MSHRPeak}},
 			{"pf-accuracy", map[string]any{"accuracy": w.PFAccuracy, "coverage": w.PFCoverage}},
-			{"phase", map[string]any{"phase": w.Phase}},
 		}
 		for _, c := range counters {
 			out = append(out, chromeEvent{
@@ -175,10 +167,6 @@ func chromeEvents(events []Event, windows []WindowSample, label string) []chrome
 		}
 		return a.TS < b.TS
 	})
-	return out
-}
-
-func marshalChrome(out []chromeEvent) ([]byte, error) {
 	return json.MarshalIndent(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"}, "", " ")
 }
 

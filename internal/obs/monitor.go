@@ -25,20 +25,14 @@ type monKey struct {
 	core                     int
 }
 
-// maxPhaseEvents bounds the retained phase-boundary history so a long
-// sweep cannot grow the monitor without bound (oldest dropped first).
-const maxPhaseEvents = 4096
-
-// Monitor aggregates a windowed-telemetry NDJSON stream into live HTTP
-// surfaces: Prometheus text exposition on /metrics (latest sample per
-// series, as gauges) and the phase-boundary history on /phases (JSON).
-// It is the engine of cmd/gtmon; Ingest is safe to call concurrently
-// with the handlers.
+// Monitor aggregates a windowed-telemetry NDJSON stream into a live
+// HTTP surface: Prometheus text exposition on /metrics (latest sample
+// per series, as gauges). It is the engine of cmd/gtmon; Ingest is safe
+// to call concurrently with the handlers.
 type Monitor struct {
 	mu       sync.Mutex
 	latest   map[monKey]MonitorRow
 	order    []monKey // insertion order of first sight, for stable output
-	phases   []MonitorRow
 	ingested int64
 	badLines int64
 }
@@ -71,20 +65,7 @@ func (m *Monitor) Ingest(line []byte) error {
 	}
 	m.latest[k] = row
 	m.ingested++
-	if row.PhaseBoundary {
-		m.phases = append(m.phases, row)
-		if len(m.phases) > maxPhaseEvents {
-			m.phases = m.phases[len(m.phases)-maxPhaseEvents:]
-		}
-	}
 	return nil
-}
-
-// Ingested returns how many samples have been folded in.
-func (m *Monitor) Ingested() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ingested
 }
 
 // PrometheusText renders the latest sample of every series in the
@@ -108,7 +89,6 @@ func (m *Monitor) PrometheusText() string {
 		{"ghostsim_pf_coverage", "Prefetch coverage over the latest window.", func(r MonitorRow) float64 { return r.PFCoverage }},
 		{"ghostsim_pf_timeliness", "Prefetch timeliness over the latest window.", func(r MonitorRow) float64 { return r.PFTimeliness }},
 		{"ghostsim_mshr_avg", "Mean MSHR occupancy at miss allocation over the latest window.", func(r MonitorRow) float64 { return r.MSHRAvg }},
-		{"ghostsim_phase", "Current phase id.", func(r MonitorRow) float64 { return float64(r.Phase) }},
 	}
 	for _, met := range metrics {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", met.name, met.help, met.name)
@@ -139,37 +119,13 @@ func labels(k monKey) string {
 	return strings.Join(parts, ",")
 }
 
-// PhasesJSON renders the retained phase-boundary history as a JSON
-// array (oldest first).
-func (m *Monitor) PhasesJSON() ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.phases) == 0 {
-		return []byte("[]\n"), nil
-	}
-	b, err := json.MarshalIndent(m.phases, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Handler serves the live surfaces: /metrics (Prometheus text),
-// /phases (JSON boundary history), /healthz.
+// Handler serves the live surfaces: /metrics (Prometheus text) and
+// /healthz.
 func (m *Monitor) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprint(w, m.PrometheusText())
-	})
-	mux.HandleFunc("/phases", func(w http.ResponseWriter, _ *http.Request) {
-		data, err := m.PhasesJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")

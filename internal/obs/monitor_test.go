@@ -23,13 +23,13 @@ func TestMonitorIngestAndPrometheus(t *testing.T) {
 	// latest; plus one untagged (bare gtrun) series.
 	if err := m.Ingest(monLine(t, MonitorRow{
 		Workload: "camel", Variant: "ghost", Level: "light",
-		WindowSample: WindowSample{Window: 0, Core: 0, IPC: 0.5, Phase: 0},
+		WindowSample: WindowSample{Window: 0, Core: 0, IPC: 0.5},
 	})); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Ingest(monLine(t, MonitorRow{
 		Workload: "camel", Variant: "ghost", Level: "light",
-		WindowSample: WindowSample{Window: 1, Core: 0, IPC: 0.75, Phase: 1, PhaseBoundary: true},
+		WindowSample: WindowSample{Window: 1, Core: 0, IPC: 0.75},
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +44,10 @@ func TestMonitorIngestAndPrometheus(t *testing.T) {
 	if err := m.Ingest([]byte(`{"window": tru`)); err == nil {
 		t.Error("truncated line must report an error")
 	}
-	if got := m.Ingested(); got != 3 {
-		t.Fatalf("ingested = %d, want 3", got)
-	}
-
 	text := m.PrometheusText()
 	for _, want := range []string{
 		`ghostsim_ipc{core="0",level="light",variant="ghost",workload="camel"} 0.75`,
 		`ghostsim_window{core="0",level="light",variant="ghost",workload="camel"} 1`,
-		`ghostsim_phase{core="0",level="light",variant="ghost",workload="camel"} 1`,
 		`ghostsim_ipc{core="2"} 1.25`, // untagged series keeps only the core label
 		"# TYPE ghostsim_ipc gauge",
 		"ghostsim_samples_ingested_total 3",
@@ -67,33 +62,21 @@ func TestMonitorIngestAndPrometheus(t *testing.T) {
 	}
 }
 
-func TestMonitorPhasesAndHandler(t *testing.T) {
+func TestMonitorHandler(t *testing.T) {
 	m := NewMonitor()
-	for i, boundary := range []bool{false, true, false, true} {
+	for i := 0; i < 4; i++ {
 		if err := m.Ingest(monLine(t, MonitorRow{
 			Workload:     "bfs.kron",
-			WindowSample: WindowSample{Window: int64(i), Phase: i / 2, PhaseBoundary: boundary},
+			WindowSample: WindowSample{Window: int64(i)},
 		})); err != nil {
 			t.Fatal(err)
 		}
-	}
-	data, err := m.PhasesJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var phases []MonitorRow
-	if err := json.Unmarshal(data, &phases); err != nil {
-		t.Fatal(err)
-	}
-	if len(phases) != 2 || phases[0].Window != 1 || phases[1].Window != 3 {
-		t.Fatalf("phase history = %+v, want windows 1 and 3", phases)
 	}
 
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
 	for path, wantBody := range map[string]string{
 		"/metrics": "ghostsim_samples_ingested_total 4",
-		"/phases":  `"phase_boundary": true`,
 		"/healthz": "ok",
 	} {
 		resp, err := srv.Client().Get(srv.URL + path)
@@ -119,31 +102,5 @@ func TestMonitorPhasesAndHandler(t *testing.T) {
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Errorf("/metrics content-type = %q", ct)
-	}
-}
-
-func TestMonitorPhaseHistoryBounded(t *testing.T) {
-	m := NewMonitor()
-	for i := 0; i < maxPhaseEvents+100; i++ {
-		if err := m.Ingest(monLine(t, MonitorRow{
-			WindowSample: WindowSample{Window: int64(i), PhaseBoundary: true},
-		})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := m.PhasesJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var phases []MonitorRow
-	if err := json.Unmarshal(data, &phases); err != nil {
-		t.Fatal(err)
-	}
-	if len(phases) != maxPhaseEvents {
-		t.Fatalf("phase history holds %d, want cap %d", len(phases), maxPhaseEvents)
-	}
-	if phases[len(phases)-1].Window != int64(maxPhaseEvents+99) {
-		t.Errorf("newest retained window = %d, want %d",
-			phases[len(phases)-1].Window, maxPhaseEvents+99)
 	}
 }

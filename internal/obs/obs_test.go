@@ -65,7 +65,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		{Cycle: 60, Kind: KindGhostJoin},
 		{Cycle: 10, Dur: 50, Kind: KindGhostLife, Ctx: 1},
 	}
-	data, err := ChromeTrace(events, "camel/ghost")
+	data, err := ChromeTraceWindows(events, nil, "camel/ghost")
 	if err != nil {
 		t.Fatal(err)
 	}

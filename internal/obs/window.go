@@ -6,8 +6,8 @@ import "ghostthread/internal/cache"
 // time-series: the activity deltas of one W-cycle window, emitted at the
 // window's closing flush. All counter fields are deltas over the window
 // (not cumulative), so a sample stream can be consumed incrementally —
-// the adaptive-governor contract (ROADMAP item 3) and the NDJSON/gtmon
-// surfaces both read samples one at a time.
+// the adaptive governor (internal/gov) and the NDJSON/gtmon surfaces
+// both read samples one at a time.
 //
 // Samples are produced only at deterministic points — window boundaries
 // the skipper never jumps over — so the stream is bit-identical across
@@ -64,13 +64,6 @@ type WindowSample struct {
 	MSHRPeak int64   `json:"mshr_peak"`
 	LQ       int     `json:"lq"`
 
-	// Phase is the detector's current phase id for this core; Boundary is
-	// true on the first window of a new phase, and PhaseDelta the
-	// total-variation distance that triggered (or didn't trigger) it.
-	Phase         int     `json:"phase"`
-	PhaseBoundary bool    `json:"phase_boundary"`
-	PhaseDelta    float64 `json:"phase_delta"`
-
 	// HelperActive reports whether the core's ghost context was live at
 	// the window's closing flush — the adaptive governor's precondition
 	// for a kill and its cue for a re-spawn.
@@ -84,9 +77,10 @@ type WindowSample struct {
 	GovRespawned bool `json:"gov_respawned,omitempty"`
 
 	// GovAction names the governor decision taken at this window's
-	// boundary for this core ("kill", "respawn", "retune", "defer";
-	// empty when the governor is off or made no decision), with GovArg
-	// the decision's argument (the new TooFar for a retune).
+	// boundary for this core ("kill", "respawn", "retune"; empty when the
+	// governor is off or made no decision), with GovArg the decision's
+	// argument (the new TooFar for a retune, the respawn count for a
+	// respawn).
 	GovAction string `json:"gov_action,omitempty"`
 	GovArg    int64  `json:"gov_arg,omitempty"`
 }
@@ -150,84 +144,4 @@ func (w *WindowRecorder) Drain(s *WindowSample) {
 	w.lead.Reset()
 	w.leadSum, w.leadMin, w.leadMax = 0, 0, 0
 	w.mshrSum, w.mshrN, w.mshrPeak = 0, 0, 0
-}
-
-// DefaultPhaseThreshold is the total-variation distance between
-// consecutive windows' stall distributions above which the detector
-// declares a phase boundary. 0.35 means at least 35% of the stall mass
-// moved to different static instructions — comfortably above the
-// window-to-window jitter of a steady loop, comfortably below the
-// near-total shift of a kernel transition (e.g. bfs.kron moving between
-// frontier shapes).
-const DefaultPhaseThreshold = 0.35
-
-// PhaseDetector is the online phase-change detector: it watches the
-// per-window delta of the main context's per-PC stall attribution, and
-// stamps a boundary whenever the normalised stall distribution moves —
-// in total-variation distance — more than the threshold from the
-// previous window's. Stall attribution is the right signal for a
-// prefetching governor: a phase is precisely a period during which the
-// same static loads dominate the stall profile, which is what a p-slice
-// is tuned against (the phase-sensitivity Semantic Prefetching exploits).
-//
-// Windows with no stall at all are skipped (the reference distribution
-// is kept), so an idle gap does not manufacture two boundaries.
-type PhaseDetector struct {
-	threshold float64
-	prev      []float64
-	havePrev  bool
-	phase     int
-}
-
-// NewPhaseDetector returns a detector with the given TV-distance
-// threshold (the simulator uses DefaultPhaseThreshold).
-func NewPhaseDetector(threshold float64) *PhaseDetector {
-	return &PhaseDetector{threshold: threshold}
-}
-
-// Step consumes one window's per-PC stall-cycle deltas and returns the
-// phase id the window belongs to, whether it opens a new phase, and the
-// TV distance from the previous window's distribution (0 when either
-// window was empty). The delta slice is not retained.
-func (d *PhaseDetector) Step(stallDelta []int64) (phase int, boundary bool, dist float64) {
-	var total int64
-	for _, v := range stallDelta {
-		total += v
-	}
-	if total == 0 {
-		return d.phase, false, 0
-	}
-	cur := make([]float64, len(stallDelta))
-	for i, v := range stallDelta {
-		cur[i] = float64(v) / float64(total)
-	}
-	if d.havePrev {
-		n := len(cur)
-		if len(d.prev) > n {
-			n = len(d.prev)
-		}
-		var l1 float64
-		for i := 0; i < n; i++ {
-			var a, b float64
-			if i < len(cur) {
-				a = cur[i]
-			}
-			if i < len(d.prev) {
-				b = d.prev[i]
-			}
-			if a > b {
-				l1 += a - b
-			} else {
-				l1 += b - a
-			}
-		}
-		dist = l1 / 2
-		if dist > d.threshold {
-			d.phase++
-			boundary = true
-		}
-	}
-	d.prev = cur
-	d.havePrev = true
-	return d.phase, boundary, dist
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -38,51 +37,18 @@ func TestWindowRecorderDrain(t *testing.T) {
 	}
 }
 
-// TestPhaseDetector: a stable stall distribution holds the phase; moving
-// the stall mass to different PCs crosses the TV threshold and stamps a
-// boundary; empty windows are skipped without manufacturing boundaries.
-func TestPhaseDetector(t *testing.T) {
-	d := NewPhaseDetector(0.35)
-	phaseA := []int64{100, 50, 0, 0}
-	phaseB := []int64{0, 0, 80, 120}
-	if _, b, _ := d.Step(phaseA); b {
-		t.Fatal("first window stamped a boundary with no reference")
-	}
-	if _, b, dist := d.Step(phaseA); b || dist != 0 {
-		t.Fatalf("identical window: boundary=%v dist=%v", b, dist)
-	}
-	if _, b, _ := d.Step([]int64{0, 0, 0, 0}); b {
-		t.Fatal("empty window stamped a boundary")
-	}
-	p, b, dist := d.Step(phaseB)
-	if !b || p != 1 {
-		t.Fatalf("full shift: boundary=%v phase=%d dist=%v", b, p, dist)
-	}
-	if dist != 1 {
-		t.Errorf("disjoint distributions: TV dist = %v, want 1", dist)
-	}
-	// Small jitter within a phase must not trigger.
-	if _, b, _ := d.Step([]int64{0, 0, 85, 115}); b {
-		t.Fatal("within-phase jitter stamped a boundary")
-	}
-}
-
 // TestWindowSampleJSONRoundTrip: samples are the NDJSON wire format of
 // gtrun/ghostbench and gtmon's input; field names must survive a round
-// trip and include the phase-boundary marker metrics-smoke greps for.
+// trip.
 func TestWindowSampleJSONRoundTrip(t *testing.T) {
 	in := WindowSample{
 		Window: 3, Core: 1, Start: 60_000, End: 80_000,
 		Committed: 1234, IPC: 0.0617,
 		GhostLeadCount: 9, GhostLeadP95: 42,
-		Phase: 2, PhaseBoundary: true, PhaseDelta: 0.51,
 	}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"phase_boundary":true`) {
-		t.Fatalf("phase boundary marker missing from %s", data)
 	}
 	var out WindowSample
 	if err := json.Unmarshal(data, &out); err != nil {
@@ -103,7 +69,7 @@ func TestChromeTraceWindowsCounters(t *testing.T) {
 	}
 	windows := []WindowSample{
 		{Window: 0, Core: 0, Start: 0, End: 100, IPC: 1.5, GhostLeadMean: 12},
-		{Window: 1, Core: 0, Start: 100, End: 200, IPC: 0.5, Phase: 1, PhaseBoundary: true},
+		{Window: 1, Core: 0, Start: 100, End: 200, IPC: 0.5},
 	}
 	data, err := ChromeTraceWindows(events, windows, "test")
 	if err != nil {

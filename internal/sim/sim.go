@@ -161,15 +161,12 @@ type System struct {
 }
 
 // telemetry is the per-run windowed-aggregation state: per-core
-// snapshots of the previous flush, the per-core window recorders the
-// cores feed, and the phase detectors. All of it is read and written
-// only at window-boundary flushes, between stepped cycles.
+// snapshots of the previous flush and the per-core window recorders the
+// cores feed. All of it is read and written only at window-boundary
+// flushes, between stepped cycles.
 type telemetry struct {
 	wrec      []*obs.WindowRecorder
-	det       []*obs.PhaseDetector
 	prev      []cpu.Stats        // per-core counter snapshot at the last flush
-	prevStall [][]int64          // per-core main-context stallPC copy at the last flush
-	stallBuf  []int64            // scratch delta vector, reused across flushes
 	flushBuf  []obs.WindowSample // current window's samples (governor input)
 	windows   []obs.WindowSample
 	lastFlush int64
@@ -209,14 +206,11 @@ func New(cfg Config, m *mem.Memory) *System {
 	}
 	if cfg.Telemetry.Enabled() {
 		s.tele = &telemetry{
-			wrec:      make([]*obs.WindowRecorder, cfg.Cores),
-			det:       make([]*obs.PhaseDetector, cfg.Cores),
-			prev:      make([]cpu.Stats, cfg.Cores),
-			prevStall: make([][]int64, cfg.Cores),
+			wrec: make([]*obs.WindowRecorder, cfg.Cores),
+			prev: make([]cpu.Stats, cfg.Cores),
 		}
 		for i, c := range s.cores {
 			s.tele.wrec[i] = obs.NewWindowRecorder()
-			s.tele.det[i] = obs.NewPhaseDetector(obs.DefaultPhaseThreshold)
 			c.SetWindowRecorder(s.tele.wrec[i], cfg.Telemetry.GhostCounterAddr)
 		}
 	}
@@ -503,8 +497,7 @@ func (s *System) ParkedCycles() int64 { return s.parkedCycles }
 
 // flushWindows closes the telemetry window ending at the current cycle:
 // for each core, in index order, it diffs the core's counters against
-// the previous flush's snapshot, drains the core's WindowRecorder, runs
-// the phase detector over the window's stall-attribution delta, and
+// the previous flush's snapshot, drains the core's WindowRecorder, and
 // emits one WindowSample. It runs only at window boundaries, which the
 // skipper is capped below, and only once every unfinished core has been
 // caught up to the boundary (catchUp), so the sample stream is
@@ -559,27 +552,6 @@ func (s *System) flushWindows() {
 		// PC-synchronized re-seeds fire between decision points; surface
 		// them so the governor re-judges the fresh ghost from scratch.
 		ws.GovRespawned = st.GovRespawns > prev.GovRespawns
-
-		// Phase detection over the main context's stall-attribution delta.
-		stall, _ := c.PCProfile(0)
-		if cap(t.stallBuf) < len(stall) {
-			t.stallBuf = make([]int64, len(stall))
-		}
-		delta := t.stallBuf[:len(stall)]
-		ps := t.prevStall[i]
-		for pc, v := range stall {
-			var p int64
-			if pc < len(ps) {
-				p = ps[pc]
-			}
-			delta[pc] = v - p
-		}
-		ws.Phase, ws.PhaseBoundary, ws.PhaseDelta = t.det[i].Step(delta)
-		if cap(ps) < len(stall) {
-			ps = make([]int64, len(stall))
-		}
-		t.prevStall[i] = ps[:len(stall)]
-		copy(t.prevStall[i], stall)
 
 		*prev = st
 		t.flushBuf = append(t.flushBuf, ws)

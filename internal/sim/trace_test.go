@@ -182,7 +182,7 @@ func TestGhostLeadWindowsPopulate(t *testing.T) {
 // trace-smoke`).
 func TestChromeExportFromRun(t *testing.T) {
 	_, _, events := traceRun(t, "camel", "ghost", false, true)
-	data, err := obs.ChromeTrace(events, "camel/ghost")
+	data, err := obs.ChromeTraceWindows(events, nil, "camel/ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
