@@ -203,9 +203,9 @@ func governedCompiler(row *GovRow, inst *workloads.Instance, snap []int64, opts 
 	// kill/respawn. The per-phase slice is the aggressive variant only a
 	// governed run can use: it halts at its region tail and counts on the
 	// governor's PC-synced respawn to re-seed it each region iteration —
-	// in exchange its target loads are true prefetches instead of the
-	// rematerialized demand loads that chain a whole-region slice to the
-	// main thread's pace.
+	// in exchange it drops the tail that recomputes region-carried state,
+	// and each region iteration starts from main's current registers
+	// instead of spawn-time copies that go stale.
 	dopts := opts
 	dopts.Sync.TooFarAddr = tfAddr
 	dopts.Sync.CloseAddr = clAddr

@@ -20,13 +20,14 @@
 // copy. Exactly like the paper's LLVM pass, the result keeps
 // "difficult-to-remove, unnecessary control flow" and the irrelevant
 // instructions it depends on — compiler ghosts run more instructions than
-// manual ones. One class of staleness IS repaired: a target load whose
-// value feeds the slice itself (a loop-carried pointer-chase hop, a
-// frontier-advance branch) is kept as a demand load instead of a bare
-// prefetch, so the ghost's own dataflow stays live (see
-// Result.Rematerialized). Live-ins that main recomputes after spawn
-// (per-level loop bounds, frontier pointers) still go stale — catching
-// that at runtime is the adaptive governor's job (internal/gov).
+// manual ones. A branch that reads a target's value stays, reading the
+// stale register the prefetch leaves behind (bfs's visited check, hj's
+// key compare); only a target whose value a kept data instruction reads
+// (a loop-carried pointer-chase hop) is kept as a demand load, so the
+// ghost's own address stream stays live (see Result.Rematerialized).
+// Live-ins that main recomputes after spawn (per-level loop bounds,
+// frontier pointers) still go stale — catching that at runtime is the
+// adaptive governor's job (internal/gov).
 package slice
 
 import (
@@ -63,13 +64,11 @@ type Options struct {
 	// partition) and then halts, relying on the adaptive governor's
 	// PC-synchronized respawn (gov.Config.ResyncPC) to re-seed it with
 	// fresh live-ins at every region-header crossing. Dropping the
-	// region-carried state has a compounding payoff: the tail that
-	// recomputes next-iteration state goes away, the now-dead guards
-	// around it are elided, and target loads whose values only fed that
-	// chain (bfs's frontier-advance count) become true prefetches
-	// instead of rematerialized demand loads — the difference between a
-	// lockstep shadow that can never lead and a helper that actually
-	// covers misses. A no-op when the region loop has no inner loops
+	// region-carried state shrinks the slice: the tail that recomputes
+	// next-iteration state goes away, the now-dead guards around it are
+	// elided with it, and every region iteration starts from main's
+	// current registers instead of spawn-time copies that go stale.
+	// A no-op when the region loop has no inner loops
 	// (nothing outer to re-seed per-iteration). Only meaningful under a
 	// governed run; an unmanaged per-phase ghost dies after one region
 	// iteration and never comes back.
@@ -87,10 +86,10 @@ type Result struct {
 	Dropped    int // region instructions dropped (stores, dead value code)
 
 	// Rematerialized counts target loads kept as demand loads instead of
-	// prefetches because their value feeds the slice itself (loop-carried
-	// pointer-chase hops, frontier-advance branches). A bare prefetch
-	// there would leave the destination register stale and derail the
-	// ghost's own control flow / address stream.
+	// prefetches because a kept non-branch instruction reads their value
+	// (loop-carried pointer-chase hops). A bare prefetch there would leave
+	// the destination register stale and derail the ghost's own address
+	// stream. A target only branches read is still a prefetch.
 	Rematerialized int
 
 	// ResyncPC is the rewritten main's PC of the region loop's header:
@@ -227,7 +226,8 @@ func ExtractWith(base *isa.Program, targets []core.Target, params core.SyncParam
 func buildGhost(base *isa.Program, head, end, cut int, targetPCs map[int]bool, syncAfter int,
 	params core.SyncParams, ctr core.Counters, res *Result) (*isa.Program, error) {
 
-	include, needed := computeSlice(base, head, end, cut, targetPCs)
+	include := computeSlice(base, head, end, cut, targetPCs)
+	remat := dataConsumed(analysis.AnalyzeAddrPatterns(base).S, head, include, targetPCs)
 
 	maxReg := MaxRegUsed(base)
 	syncRegs := core.SyncRegs
@@ -282,14 +282,14 @@ func buildGhost(base *isa.Program, head, end, cut int, targetPCs map[int]bool, s
 			res.Dropped++
 			continue
 		case targetPCs[pc]:
-			if needed[in.Dst] {
-				// The target's value feeds kept code downstream (a
-				// pointer-chase hop register, a frontier branch): a bare
-				// prefetch would leave the register stale and derail the
-				// slice's own dataflow. Re-materialize it as a demand load —
-				// it warms the shared cache exactly like the prefetch would,
-				// and keeps the loop-carried chain live (this is what
-				// hand-built chase ghosts do).
+			if remat[pc] {
+				// The target's value feeds kept data code downstream (a
+				// pointer-chase hop): a bare prefetch would leave the
+				// register stale and derail the slice's own address stream.
+				// Re-materialize it as a demand load — it warms the shared
+				// cache exactly like the prefetch would, and keeps the
+				// loop-carried chain live (this is what hand-built chase
+				// ghosts do).
 				b.Load(in.Dst, in.Src1, in.Imm)
 				res.Rematerialized++
 			} else {
@@ -313,20 +313,44 @@ func buildGhost(base *isa.Program, head, end, cut int, targetPCs map[int]bool, s
 	return b.Build()
 }
 
+// dataConsumed returns the target loads that must stay demand loads:
+// those whose value a kept non-branch instruction reads (a pointer-chase
+// hop's next address). A target that only branches read becomes a
+// prefetch, and the branch reads the stale register — the "unremovable
+// control flow" the paper's pass leaves in place (§6.1). The readers come
+// off the base program's def-use chains, which follow phis, so a kept
+// instruction that reads only another definition of the same register
+// does not count.
+func dataConsumed(s *analysis.SSA, head int, include []bool, targetPCs map[int]bool) map[int]bool {
+	code := s.G.Prog.Code
+	remat := map[int]bool{}
+	for pc := range targetPCs {
+		if !include[pc-head] {
+			continue
+		}
+		for _, u := range s.Uses(pc) {
+			if u >= head && u-head < len(include) && include[u-head] && !code[u].Op.IsBranch() {
+				remat[pc] = true
+				break
+			}
+		}
+	}
+	return remat
+}
+
 // computeSlice returns, per region offset, whether the instruction is
 // kept: all control flow, the backward closure of branch operands and
 // target addresses; stores and atomics are always dropped (the ghost must
-// not modify application state). The needed set (registers some kept
-// instruction reads) is also returned so the builder can detect target
-// loads whose value the slice itself consumes.
+// not modify application state). Forward branches guarding nothing that
+// survived (cc's guard around a label store and an AtomicAdd, a
+// frontier-count increment whose sum only fed a dropped tail) are then
+// elided and the closure re-derived: such a branch is a no-op in the
+// ghost, and eliding it frees its operands' producers — often a target
+// load, which can then become a true prefetch.
 //
 // cut < end selects the per-phase mode: instructions in [cut, end) are
-// never kept, and forward branches guarding nothing that survived (a
-// frontier-count increment whose sum only fed the dropped tail) are
-// elided and the closure re-derived — it is this elision that frees
-// target loads from phantom consumers and lets them become true
-// prefetches.
-func computeSlice(base *isa.Program, head, end, cut int, targetPCs map[int]bool) ([]bool, map[isa.Reg]bool) {
+// never kept.
+func computeSlice(base *isa.Program, head, end, cut int, targetPCs map[int]bool) []bool {
 	n := end - head
 	include := make([]bool, n)
 	elided := make([]bool, n)
@@ -379,7 +403,7 @@ func computeSlice(base *isa.Program, head, end, cut int, targetPCs map[int]bool)
 	}
 
 	derive()
-	for cut < end {
+	for {
 		// Elide kept forward branches whose span holds no surviving
 		// instruction: with the guarded code dead, the guard is dead too,
 		// and so are its operands' producers. Each elision can expose
@@ -418,7 +442,7 @@ func computeSlice(base *isa.Program, head, end, cut int, targetPCs map[int]bool)
 		clear(needed)
 		derive()
 	}
-	return include, needed
+	return include
 }
 
 // rewriteMain inserts the counter prologue, the per-iteration counter

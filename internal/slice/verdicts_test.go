@@ -97,12 +97,13 @@ func firstDiff(want, got []byte) string {
 // extraction. hj8's hash rounds make its address expressions DAGs that
 // unroll to exponential size as trees; the ghost-to-main rewrite must
 // visit each shared node once, not walk the tree (18M allocations). The
-// extraction also analyses each program once: the safety plan and the
-// validator share the ghost's analysis, and def-use comes off its SSA
-// (about 6.3k allocations in all; a second analysis framework, such as
-// an iterative reaching-definitions pass, doubles that). Allocation
-// counts are deterministic where wall time is not, so the bound catches
-// a lost memo or a duplicated analysis on any host.
+// extraction also analyses each program once: the slicer reads the base
+// program's def-use off its SSA, and the safety plan and the validator
+// share the ghost's analysis (about 7.0k allocations in all; a second
+// analysis framework, such as an iterative reaching-definitions pass,
+// doubles that). Allocation counts are deterministic where wall time is
+// not, so the bound catches a lost memo or a duplicated analysis on any
+// host.
 func TestHJ8ExtractionAllocs(t *testing.T) {
 	build, err := workloads.Lookup("hj8")
 	if err != nil {
@@ -120,6 +121,7 @@ func TestHJ8ExtractionAllocs(t *testing.T) {
 	if extErr != nil {
 		t.Fatal(extErr)
 	}
+	t.Logf("hj8 compiler extraction: %.0f allocations", allocs)
 	const bound = 10_000
 	if allocs > bound {
 		t.Fatalf("hj8 compiler extraction made %.0f allocations, bound %d", allocs, bound)
