@@ -2,6 +2,7 @@ package ghostthread_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"regexp"
@@ -140,5 +141,94 @@ func TestClaimsFigure9(t *testing.T) {
 			t.Errorf("ghost gain grows from %s to %s cores (%.3f -> %.3f): want it to shrink",
 				cores[i-1], c, ghost[cores[i-1]], ghost[c])
 		}
+	}
+}
+
+// experimentsSection returns the lines of EXPERIMENTS.md from the heading
+// through the line before the next "## " heading.
+func experimentsSection(t *testing.T, heading string) []string {
+	t.Helper()
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(raw), "\n"+heading+"\n")
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no %q section", heading)
+	}
+	if i := strings.Index(rest, "\n## "); i >= 0 {
+		rest = rest[:i]
+	}
+	return strings.Split(rest, "\n")
+}
+
+// tableCells splits a markdown table row into trimmed cells with the
+// bold markers removed.
+func tableCells(line string) []string {
+	cells := strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|")
+	for i, c := range cells {
+		cells[i] = strings.Trim(strings.TrimSpace(c), "*")
+	}
+	return cells
+}
+
+// TestClaimsFigure3Table checks that EXPERIMENTS.md's figure-3 table
+// quotes the nine speedups testdata/fig3_golden.txt pins, in the same
+// rounding.
+func TestClaimsFigure3Table(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fig3_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && strings.HasPrefix(f[0], "camel") {
+			want[f[0]] = f[1:]
+		}
+	}
+	if len(want) != 3 {
+		t.Fatalf("fig3 golden has %d camel rows, want 3", len(want))
+	}
+	seen := 0
+	for _, line := range experimentsSection(t, "## Figure 3 — motivation (three Camel forms)") {
+		c := tableCells(line)
+		w, ok := want[c[0]]
+		if !ok || len(c) < 4 {
+			continue
+		}
+		seen++
+		for i, col := range []string{"swpf", "smt-openmp", "ghost"} {
+			if c[i+1] != w[i] {
+				t.Errorf("figure-3 table: %s %s is %s, golden says %s", c[0], col, c[i+1], w[i])
+			}
+		}
+	}
+	if seen != 3 {
+		t.Errorf("figure-3 table has %d of the golden's 3 rows", seen)
+	}
+}
+
+// TestClaimsIdleHeadlineRatios checks the idle rows of the headline
+// ratio table against the ratios of the figure-6 golden's geomeans.
+func TestClaimsIdleHeadlineRatios(t *testing.T) {
+	gm := loadFig6Golden(t).Geomean
+	want := map[string]float64{
+		"Ghost vs SWPF (idle)":       gm["ghost-threading"] / gm["swpf"],
+		"Ghost vs SMT OpenMP (idle)": gm["ghost-threading"] / gm["smt-openmp"],
+	}
+	seen := 0
+	for _, line := range experimentsSection(t, "## Headline §6.1 / §6.3 ratios") {
+		c := tableCells(line)
+		r, ok := want[c[0]]
+		if !ok || len(c) < 3 {
+			continue
+		}
+		seen++
+		if got := fmt.Sprintf("%.2f×", r); c[2] != got {
+			t.Errorf("headline %s: table says %s, golden geomeans give %s", c[0], c[2], got)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("headline table has %d of the %d idle ratio rows", seen, len(want))
 	}
 }

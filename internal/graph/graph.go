@@ -16,7 +16,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RNG is a small xorshift64* generator; deterministic and fast, so graph
@@ -97,34 +97,45 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// fromAdj builds a CSR from per-node target lists, sorting, de-duplicating
-// and dropping self-loops.
-func fromAdj(n int64, adj [][]int64) *CSR {
+// sized returns a CSR of n rows with room for deg[u] edges in row u,
+// and turns deg into each row's fill cursor: a counting sort's first two
+// steps (count, prefix-sum). The caller then writes row u's edges at
+// Neigh[deg[u]], bumping deg[u].
+func sized(n int64, deg []int64) *CSR {
 	g := &CSR{N: n, Offsets: make([]int64, n+1)}
-	total := 0
-	for u := int64(0); u < n; u++ {
-		ns := adj[u]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		w := 0
-		for i, v := range ns {
-			if v == u {
+	for u, d := range deg {
+		g.Offsets[u+1] = g.Offsets[u] + d
+		deg[u] = g.Offsets[u]
+	}
+	g.Neigh = make([]int64, g.Offsets[n])
+	return g
+}
+
+// compact finishes every generator: it sorts each row, drops self-loops
+// and duplicate targets, and closes the gaps in place, so row u ends up
+// as the sorted set of u's distinct non-self targets whatever order they
+// were filled in.
+func (g *CSR) compact() *CSR {
+	var w, start int64
+	for u := int64(0); u < g.N; u++ {
+		end := g.Offsets[u+1]
+		row := g.Neigh[start:end]
+		slices.Sort(row)
+		g.Offsets[u] = w
+		for i, v := range row {
+			// w <= start+i: a write lands before row[i], or on row[i]
+			// with its own value, so row[i] is intact when the next
+			// element compares with it.
+			if v == u || (i > 0 && row[i-1] == v) {
 				continue
 			}
-			if i > 0 && w > 0 && ns[w-1] == v {
-				continue
-			}
-			ns[w] = v
+			g.Neigh[w] = v
 			w++
 		}
-		adj[u] = ns[:w]
-		total += w
+		start = end
 	}
-	g.Neigh = make([]int64, 0, total)
-	for u := int64(0); u < n; u++ {
-		g.Offsets[u] = int64(len(g.Neigh))
-		g.Neigh = append(g.Neigh, adj[u]...)
-	}
-	g.Offsets[n] = int64(len(g.Neigh))
+	g.Offsets[g.N] = w
+	g.Neigh = g.Neigh[:w]
 	return g
 }
 
@@ -132,44 +143,57 @@ func fromAdj(n int64, adj [][]int64) *CSR {
 // uniformly random targets (GAP's -u generator).
 func URand(n, deg int64, seed uint64) *CSR {
 	r := NewRNG(seed)
-	adj := make([][]int64, n)
-	for u := int64(0); u < n; u++ {
-		ns := make([]int64, deg)
-		for i := range ns {
-			ns[i] = r.Intn(n)
-		}
-		adj[u] = ns
+	g := &CSR{N: n, Offsets: make([]int64, n+1), Neigh: make([]int64, n*deg)}
+	for i := range g.Neigh {
+		g.Neigh[i] = r.Intn(n)
 	}
-	return fromAdj(n, adj)
+	for u := int64(1); u <= n; u++ {
+		g.Offsets[u] = u * deg
+	}
+	return g.compact()
 }
 
 // Kron generates an RMAT/Kronecker graph with 2^scale nodes and about
 // deg edges per node, using the Graph500 partition probabilities
 // (a=0.57, b=0.19, c=0.19, d=0.05) that produce heavy-tailed degrees.
+// Edges come in random source order, so they are buffered as (u, v)
+// pairs and counting-sorted into rows.
 func Kron(scale int, deg int64, seed uint64) *CSR {
 	n := int64(1) << scale
 	r := NewRNG(seed)
-	adj := make([][]int64, n)
 	edges := n * deg
+	pairs := make([]int64, 0, 2*edges)
+	degs := make([]int64, n)
 	for e := int64(0); e < edges; e++ {
 		var u, v int64
 		for b := 0; b < scale; b++ {
+			// Quadrant a (p < 0.57) sets no bit, b sets v's, c (p >= 0.76)
+			// sets u's and d (p >= 0.95) both. The quadrant is random, so
+			// the bits are computed without branches: a mispredicted
+			// switch cost more than the draw itself.
 			p := r.Float()
-			switch {
-			case p < 0.57:
-				// quadrant a: no bits set
-			case p < 0.76:
-				v |= 1 << b
-			case p < 0.95:
-				u |= 1 << b
-			default:
-				u |= 1 << b
-				v |= 1 << b
-			}
+			ub := bit(p >= 0.76)
+			u |= ub << b
+			v |= (bit(p >= 0.57) ^ ub ^ bit(p >= 0.95)) << b
 		}
-		adj[u] = append(adj[u], v)
+		pairs = append(pairs, u, v)
+		degs[u]++
 	}
-	return fromAdj(n, adj)
+	g := sized(n, degs)
+	for i := 0; i < len(pairs); i += 2 {
+		u := pairs[i]
+		g.Neigh[degs[u]] = pairs[i+1]
+		degs[u]++
+	}
+	return g.compact()
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Road generates a grid road network: side×side intersections with
@@ -178,30 +202,32 @@ func Kron(scale int, deg int64, seed uint64) *CSR {
 func Road(side int64, seed uint64) *CSR {
 	n := side * side
 	r := NewRNG(seed)
-	adj := make([][]int64, n)
+	g := &CSR{N: n, Offsets: make([]int64, n+1)}
 	id := func(x, y int64) int64 { return y*side + x }
+	// Rows are filled in node order (u = id(x, y) counts up), so each
+	// row's end offset is the fill length after it.
 	for y := int64(0); y < side; y++ {
 		for x := int64(0); x < side; x++ {
-			u := id(x, y)
 			if x+1 < side {
-				adj[u] = append(adj[u], id(x+1, y))
+				g.Neigh = append(g.Neigh, id(x+1, y))
 			}
 			if x > 0 {
-				adj[u] = append(adj[u], id(x-1, y))
+				g.Neigh = append(g.Neigh, id(x-1, y))
 			}
 			if y+1 < side {
-				adj[u] = append(adj[u], id(x, y+1))
+				g.Neigh = append(g.Neigh, id(x, y+1))
 			}
 			if y > 0 {
-				adj[u] = append(adj[u], id(x, y-1))
+				g.Neigh = append(g.Neigh, id(x, y-1))
 			}
 			// ~1% highway ramps to a distant intersection.
 			if r.Intn(100) == 0 {
-				adj[u] = append(adj[u], r.Intn(n))
+				g.Neigh = append(g.Neigh, r.Intn(n))
 			}
+			g.Offsets[id(x, y)+1] = int64(len(g.Neigh))
 		}
 	}
-	return fromAdj(n, adj)
+	return g.compact()
 }
 
 // Web generates a power-law web crawl: out-degrees follow a Zipf-like
@@ -210,24 +236,23 @@ func Road(side int64, seed uint64) *CSR {
 func Web(n int64, seed uint64) *CSR {
 	r := NewRNG(seed)
 	const hostSize = 64
-	adj := make([][]int64, n)
+	g := &CSR{N: n, Offsets: make([]int64, n+1)}
 	for u := int64(0); u < n; u++ {
 		// Zipf-ish out-degree in [1, 64].
 		deg := int64(1) + int64(float64(63)/(1.0+15.0*r.Float()))
 		host := u / hostSize * hostSize
-		ns := make([]int64, 0, deg)
 		for i := int64(0); i < deg; i++ {
 			if r.Float() < 0.7 {
-				ns = append(ns, min(host+r.Intn(hostSize), n-1))
+				g.Neigh = append(g.Neigh, min(host+r.Intn(hostSize), n-1))
 			} else {
 				// Popular pages: squared skew towards low IDs.
 				f := r.Float()
-				ns = append(ns, int64(f*f*float64(n)))
+				g.Neigh = append(g.Neigh, int64(f*f*float64(n)))
 			}
 		}
-		adj[u] = ns
+		g.Offsets[u+1] = int64(len(g.Neigh))
 	}
-	return fromAdj(n, adj)
+	return g.compact()
 }
 
 // Twitter generates a social-network graph: uniform-ish out-degrees but
@@ -235,35 +260,61 @@ func Web(n int64, seed uint64) *CSR {
 // small celebrity set), like the twitter follower graph.
 func Twitter(n, deg int64, seed uint64) *CSR {
 	r := NewRNG(seed)
-	adj := make([][]int64, n)
+	g := &CSR{N: n, Offsets: make([]int64, n+1)}
 	for u := int64(0); u < n; u++ {
 		d := deg/2 + r.Intn(deg)
-		ns := make([]int64, 0, d)
 		for i := int64(0); i < d; i++ {
 			if r.Float() < 0.5 {
 				// Celebrity follow: strong skew to low IDs.
 				f := r.Float()
-				ns = append(ns, int64(f*f*f*float64(n)))
+				g.Neigh = append(g.Neigh, int64(f*f*f*float64(n)))
 			} else {
-				ns = append(ns, r.Intn(n))
+				g.Neigh = append(g.Neigh, r.Intn(n))
 			}
 		}
-		adj[u] = ns
+		g.Offsets[u+1] = int64(len(g.Neigh))
 	}
-	return fromAdj(n, adj)
+	return g.compact()
 }
 
 // Undirected returns the symmetric closure of g (u→v and v→u), used by
-// the undirected kernels (bfs, cc, bc, tc).
+// the undirected kernels (bfs, cc, bc, tc). g's rows must be sorted and
+// distinct, as every generator leaves them. Row u of the closure is the
+// union of u's out-row and in-row; the in-rows come from counting-sorting
+// g's edges by target, and since sources are visited in ascending order
+// each in-row comes out sorted, so a linear merge replaces a sort.
 func Undirected(g *CSR) *CSR {
-	adj := make([][]int64, g.N)
+	deg := make([]int64, g.N)
+	for _, v := range g.Neigh {
+		deg[v]++
+	}
+	in := sized(g.N, deg)
 	for u := int64(0); u < g.N; u++ {
 		for _, v := range g.Neighbors(u) {
-			adj[u] = append(adj[u], v)
-			adj[v] = append(adj[v], u)
+			in.Neigh[deg[v]] = u
+			deg[v]++
 		}
 	}
-	return fromAdj(g.N, adj)
+	s := &CSR{N: g.N, Offsets: make([]int64, g.N+1), Neigh: make([]int64, 0, 2*len(g.Neigh))}
+	for u := int64(0); u < g.N; u++ {
+		a, b := g.Neighbors(u), in.Neighbors(u)
+		for len(a) > 0 || len(b) > 0 {
+			var v int64
+			switch {
+			case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+				v, a = a[0], a[1:]
+			case len(a) == 0 || b[0] < a[0]:
+				v, b = b[0], b[1:]
+			default: // u→v and v→u are both in g
+				v, a, b = a[0], a[1:], b[1:]
+			}
+			if v != u {
+				s.Neigh = append(s.Neigh, v)
+			}
+		}
+		s.Offsets[u+1] = int64(len(s.Neigh))
+	}
+	return s
 }
 
 // EdgeWeight returns the deterministic weight of edge index e in [1, 64],

@@ -133,13 +133,17 @@ func TestUndirectedSymmetry(t *testing.T) {
 	}
 }
 
-func TestFromAdjDropsSelfLoopsAndDuplicates(t *testing.T) {
-	adj := [][]int64{
+func TestCompactDropsSelfLoopsAndDuplicates(t *testing.T) {
+	g := sized(3, []int64{6, 1, 0})
+	rows := [][]int64{
 		{1, 1, 0, 2, 2, 2}, // self-loop 0 and duplicates
 		{0},
 		{},
 	}
-	g := fromAdj(3, adj)
+	for u, ns := range rows {
+		copy(g.Neigh[g.Offsets[u]:], ns)
+	}
+	g.compact()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,5 +255,14 @@ func TestUndirectedDoublesEdgesAtMost(t *testing.T) {
 	u := Undirected(g)
 	if u.Edges() < g.Edges() || u.Edges() > 2*g.Edges() {
 		t.Errorf("undirected edges %d out of [%d, %d]", u.Edges(), g.Edges(), 2*g.Edges())
+	}
+}
+
+func TestUndirectedAllocs(t *testing.T) {
+	g := Kron(12, 12, 26)
+	// Undirected allocates a fixed handful of flat arrays whatever the
+	// graph's size, never one slice per node.
+	if n := testing.AllocsPerRun(3, func() { Undirected(g) }); n > 8 {
+		t.Errorf("Undirected(Kron(12,12,26)) made %.0f allocations, want <= 8", n)
 	}
 }

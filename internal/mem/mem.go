@@ -53,9 +53,10 @@ func (m *Memory) Fill(addr, n, v int64) {
 
 // CopyIn writes the slice vs starting at addr.
 func (m *Memory) CopyIn(addr int64, vs []int64) {
-	for i, v := range vs {
-		m.StoreWord(addr+int64(i), v)
+	if addr < 0 || addr+int64(len(vs)) > int64(len(m.words)) {
+		panic(fmt.Sprintf("mem: copy out of range: [%d,%d) size %d", addr, addr+int64(len(vs)), len(m.words)))
 	}
+	copy(m.words[addr:], vs)
 }
 
 // Grow appends n zeroed words to the top of the address space and

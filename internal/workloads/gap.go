@@ -65,12 +65,13 @@ type gapData struct {
 const swpfPad = 64
 
 // loadGraph copies g into the heap and allocates the bookkeeping words.
-// The adjacency array is padded by swpfPad words (zeros: node 0) so SWPF
-// lookahead needs no clamping.
+// The adjacency array is padded by swpfPad words so SWPF lookahead needs
+// no clamping; the pad is left as the heap's fresh zeros (node 0).
 func loadGraph(h *mem.Heap, g *graph.CSR) *gapData {
 	d := &gapData{g: g}
 	d.offsets = h.AllocSlice(g.Offsets)
-	d.neigh = h.AllocSlice(append(append([]int64(nil), g.Neigh...), make([]int64, swpfPad)...))
+	d.neigh = h.Alloc(g.Edges() + swpfPad)
+	h.Mem().CopyIn(d.neigh, g.Neigh)
 	d.out = h.Alloc(1)
 	d.partial = h.Alloc(1)
 	d.partial2 = h.Alloc(1)
