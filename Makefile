@@ -1,7 +1,7 @@
 GO ?= go
 TRACE_OUT ?= TRACE_camel_ghost.json
 
-.PHONY: build vet test race lint lint-golden detlint verify-smoke verify-golden results-smoke results-golden profile-fig6 trace-smoke fault-smoke fault-golden metrics-smoke metrics-golden governor-smoke governor-golden fig9-smoke fig9-golden fig10-smoke fig10-golden cli-smoke cli-golden ci
+.PHONY: build vet test race lint lint-golden detlint verify-smoke verify-golden results-smoke results-golden profile-fig6 trace-smoke fault-smoke fault-golden metrics-smoke metrics-golden governor-smoke governor-golden fig9-smoke fig9-golden fig10-smoke fig10-golden cli-smoke cli-golden traffic-cover ci
 
 build:
 	$(GO) build ./...
@@ -225,5 +225,43 @@ cli-smoke:
 cli-golden:
 	$(GO) run ./cmd/gtrun -workload bfs.kron -scale profile -profile > testdata/gtrun_profile_golden.txt
 	$(GO) run ./cmd/gtrun -workload camel -variant ghost -scale profile -dump > testdata/gtrun_dump_golden.txt
+
+# Traffic audit (not part of ci): build every command with coverage,
+# run the smoke targets' commands plus the fig8 and sweep experiments,
+# and list the functions that traffic never entered (0.0%). Each listed
+# function must be error handling, a safety check, a test oracle, an
+# accessor tests call, or a user-selected output; anything else is dead
+# model, pass or option code. -coverpkg must include the main packages
+# themselves: a binary built with a -coverpkg list that leaves them out
+# writes no counters at all. Takes about 10 min on 2 vCPUs.
+COVER_DIR ?= .cover
+traffic-cover:
+	rm -rf $(COVER_DIR) && mkdir -p $(COVER_DIR)/bin $(COVER_DIR)/data $(COVER_DIR)/out
+	$(GO) build -cover -coverpkg=ghostthread/... -o $(COVER_DIR)/bin/ ./cmd/...
+	@set -e; b=$(COVER_DIR)/bin; o=$(COVER_DIR)/out; export GOCOVERDIR=$(COVER_DIR)/data; \
+	run() { echo "+ $$*" >&2; "$$@"; }; \
+	run $$b/gtlint -all -v -json > $$o/lint.json || true; \
+	run $$b/detlint > $$o/detlint.txt; \
+	run $$b/gtverify -all -json > $$o/verify.json; \
+	run $$b/ghostbench -experiment fig6 -json -quiet > $$o/fig6.json; \
+	run $$b/ghostbench -experiment fig3 > $$o/fig3.txt; \
+	run $$b/ghostbench -experiment fig8 -json -quiet > $$o/fig8.json; \
+	run $$b/ghostbench -experiment sweep > $$o/sweep.txt; \
+	run $$b/ghostbench -experiment fig9 -workloads $(FIG9_ROWS) -json -quiet > $$o/fig9.json; \
+	run $$b/ghostbench -experiment fig10a -csv > $$o/fig10.txt; \
+	run $$b/ghostbench -experiment fig10b -csv >> $$o/fig10.txt; \
+	run $$b/ghostbench -experiment resilience -scale profile -j 1 -json -quiet > $$o/resilience.ndjson; \
+	run $$b/ghostbench -experiment governor -json -quiet > $$o/gov.ndjson; \
+	run $$b/gttrace -workload camel -variant ghost -chrome $$o/trace.json; \
+	run $$b/gttrace -validate $$o/trace.json; \
+	run $$b/gtrun -workload camel -variant ghost -scale profile -window 20000 -window-out $$o/metrics.ndjson > /dev/null; \
+	run $$b/gtmon -in $$o/metrics.ndjson -once > /dev/null; \
+	run $$b/gtrun -workload camel -variant ghost -scale profile -govern -window-out $$o/govwin.ndjson > /dev/null; \
+	run $$b/gtrun -workload bfs.kron -scale profile -profile > /dev/null; \
+	run $$b/gtrun -workload camel -variant ghost -scale profile -dump > $$o/dump.s; \
+	run $$b/gtrun -asm $$o/dump.s -interp > /dev/null; \
+	for cmd in "gtrun -scale bogus" "gttrace -rows 0" "ghostbench -experiment fig9 -workloads camel"; do \
+		run $$b/$$cmd > /dev/null 2>&1 || true; done
+	$(GO) tool covdata func -i=$(COVER_DIR)/data | grep -E '[[:space:]]0\.0%$$'
 
 ci: vet build race lint detlint verify-smoke results-smoke trace-smoke fault-smoke metrics-smoke governor-smoke fig9-smoke fig10-smoke cli-smoke
