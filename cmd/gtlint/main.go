@@ -23,7 +23,6 @@ import (
 	"ghostthread/internal/analysis"
 	"ghostthread/internal/cli"
 	"ghostthread/internal/lint"
-	"ghostthread/internal/workloads"
 )
 
 // jsonReport is the -json document: findings across all linted
@@ -43,14 +42,13 @@ func main() {
 		all      = flag.Bool("all", false, "lint every registered workload")
 		workload = flag.String("workload", "", "lint a comma-separated list of workloads (see gtrun -list)")
 		verbose  = flag.Bool("v", false, "also print info-severity findings (minimality report)")
-		scale    = cli.Scale(flag.CommandLine, workloads.ScaleProfile, "workload input scale: eval | profile")
 		asJSON   = flag.Bool("json", false, "emit one JSON report on stdout instead of text")
 	)
 	tool.Parse()
 	names, err := cli.Workloads(*all, *workload)
 	tool.Check(err)
 
-	opts := lint.Options{Minimality: *verbose, Scale: *scale}
+	opts := lint.Options{Minimality: *verbose}
 	merged := &analysis.Report{}
 	for _, name := range names {
 		rep, err := lint.Workload(name, opts)

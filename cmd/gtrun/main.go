@@ -129,12 +129,16 @@ func main() {
 		return
 	}
 
+	var samples int
 	if *window > 0 {
 		emit, done := tool.NDJSON(*windowOut)
 		defer done()
 		cfg.Telemetry.WindowCycles = *window
 		cfg.Telemetry.GhostCounterAddr = inst.Counters.GhostAddr
-		cfg.Telemetry.Sink = func(ws obs.WindowSample) { emit(ws) }
+		cfg.Telemetry.Sink = func(ws obs.WindowSample) {
+			samples++
+			emit(ws)
+		}
 	}
 	if *govern {
 		g := gov.Default()
@@ -165,7 +169,7 @@ func main() {
 	fmt.Printf("serializes  %d (stall %d cycles)   spawns %d   dram-lines %d\n",
 		res.Serializes, res.SerializeStall, res.Spawns, res.DRAMTransfers)
 	if *window > 0 {
-		fmt.Printf("telemetry   %d windows (W=%d cycles)\n", len(res.Windows), *window)
+		fmt.Printf("telemetry   %d windows (W=%d cycles)\n", samples, *window)
 	}
 	if *govern {
 		fmt.Printf("governor    %d decisions (kills %d, respawns %d)\n",

@@ -76,8 +76,10 @@ func main() {
 		cfg.Telemetry.GhostCounterAddr = inst.Counters.GhostAddr
 	}
 	var samples []cpu.PipelineSample
+	var windows []obs.WindowSample
 	var core0 *cpu.Core
 	cfg.Telemetry.Sink = func(ws obs.WindowSample) {
+		windows = append(windows, ws)
 		if ws.End%*window == 0 {
 			samples = append(samples, core0.Sample())
 		}
@@ -91,14 +93,14 @@ func main() {
 		rec = obs.NewRecorder(int(*bufSize))
 		s.SetTrace(0, rec)
 	}
-	res, err := s.Run()
+	_, err = s.Run()
 	tool.Check(err)
 	if err := inst.CheckFor(*variant)(inst.Mem); err != nil {
 		tool.Check(fmt.Errorf("result check: %w", err))
 	}
 
 	if *chrome != "" {
-		writeChrome(*chrome, rec, res.Windows, core0, *workload, *variant)
+		writeChrome(*chrome, rec, windows, core0, *workload, *variant)
 	}
 	if *folded != "" {
 		stall, _ := core0.PCProfile(0)

@@ -31,7 +31,6 @@ import (
 	"ghostthread/internal/analysis"
 	"ghostthread/internal/cli"
 	"ghostthread/internal/lint"
-	"ghostthread/internal/workloads"
 )
 
 const tool = cli.Tool("gtverify")
@@ -40,7 +39,6 @@ func main() {
 	var (
 		all      = flag.Bool("all", false, "verify every registered workload")
 		workload = flag.String("workload", "", "verify a comma-separated list of workloads")
-		scale    = cli.Scale(flag.CommandLine, workloads.ScaleProfile, "workload input scale: eval | profile")
 		asJSON   = flag.Bool("json", false, "emit a JSON verdict array on stdout instead of the table")
 		shadow   = flag.Bool("shadow", false, "also run each ghost under the dynamic shadow oracle (both stepping modes)")
 	)
@@ -48,7 +46,7 @@ func main() {
 	names, err := cli.Workloads(*all, *workload)
 	tool.Check(err)
 
-	opts := lint.VerifyOptions{Scale: *scale, Shadow: *shadow}
+	opts := lint.VerifyOptions{Shadow: *shadow}
 	var verdicts []*lint.WorkloadVerdict
 	for _, name := range names {
 		wv, err := lint.Verify(name, opts)

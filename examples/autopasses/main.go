@@ -1,8 +1,7 @@
-// Automatic transformation walkthrough: run both compiler passes on the
-// same annotated kernel — automatic software-prefetch insertion
-// (internal/swpf, the Ainsworth & Jones comparator) and automatic ghost
-// extraction (internal/slice, the paper's §4.4 pass) — and compare them
-// against the baseline and the hand-written ghost.
+// Automatic transformation walkthrough: profile an unannotated kernel,
+// let the heuristic pick its target loads, run the automatic ghost
+// extraction (internal/slice, the paper's §4.4 pass) on them, and compare
+// the extracted ghost against the baseline and the hand-written ghost.
 //
 //	go run ./examples/autopasses
 package main
@@ -15,7 +14,6 @@ import (
 	"ghostthread/internal/profile"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/slice"
-	"ghostthread/internal/swpf"
 	"ghostthread/internal/workloads"
 )
 
@@ -41,33 +39,22 @@ func main() {
 	must(inst.Check(inst.Mem))
 	fmt.Printf("%-28s %9d cycles\n", "baseline", base.Cycles)
 
-	// Automatic SWPF insertion on the baseline.
-	inst2 := build(workloads.DefaultOptions())
-	auto, n, err := swpf.Insert(inst2.Baseline.Main, targets, 16)
-	must(err)
-	fmt.Printf("swpf pass inserted %d prefetch sequence(s)\n", n)
-	res, err := sim.RunProgram(cfg, inst2.Mem, auto, nil)
-	must(err)
-	must(inst2.Check(inst2.Mem))
-	fmt.Printf("%-28s %9d cycles  (%.2fx)\n", "automatic swpf", res.Cycles,
-		float64(base.Cycles)/float64(res.Cycles))
-
 	// Automatic ghost extraction on the baseline.
-	inst3 := build(workloads.DefaultOptions())
-	ext, err := slice.Extract(inst3.Baseline.Main, targets, workloads.DefaultOptions().Sync, inst3.Counters)
+	inst2 := build(workloads.DefaultOptions())
+	ext, err := slice.Extract(inst2.Baseline.Main, targets, workloads.DefaultOptions().Sync, inst2.Counters)
 	must(err)
 	fmt.Printf("slice pass kept %d / dropped %d region instructions\n", ext.Kept, ext.Dropped)
-	res, err = sim.RunProgram(cfg, inst3.Mem, ext.Main, []*isa.Program{ext.Ghost})
+	res, err := sim.RunProgram(cfg, inst2.Mem, ext.Main, []*isa.Program{ext.Ghost})
 	must(err)
-	must(inst3.Check(inst3.Mem))
+	must(inst2.Check(inst2.Mem))
 	fmt.Printf("%-28s %9d cycles  (%.2fx)\n", "compiler-extracted ghost", res.Cycles,
 		float64(base.Cycles)/float64(res.Cycles))
 
 	// The hand-written ghost, for reference (the paper's manual flow).
-	inst4 := build(workloads.DefaultOptions())
-	res, err = sim.RunProgram(cfg, inst4.Mem, inst4.Ghost.Main, inst4.Ghost.Helpers)
+	inst3 := build(workloads.DefaultOptions())
+	res, err = sim.RunProgram(cfg, inst3.Mem, inst3.Ghost.Main, inst3.Ghost.Helpers)
 	must(err)
-	must(inst4.Check(inst4.Mem))
+	must(inst3.Check(inst3.Mem))
 	fmt.Printf("%-28s %9d cycles  (%.2fx)\n", "hand-written ghost", res.Cycles,
 		float64(base.Cycles)/float64(res.Cycles))
 }

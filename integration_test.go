@@ -8,13 +8,12 @@ import (
 	"ghostthread/internal/profile"
 	"ghostthread/internal/sim"
 	"ghostthread/internal/slice"
-	"ghostthread/internal/swpf"
 	"ghostthread/internal/workloads"
 )
 
 // TestEndToEndPipeline exercises the complete deployment flow on one
-// workload at profiling scale: profile → heuristic → manual ghost,
-// automatic extraction, and automatic SWPF — all validated.
+// workload at profiling scale: profile → heuristic → manual ghost and
+// automatic extraction — both validated.
 func TestEndToEndPipeline(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	build, err := workloads.Lookup("camel")
@@ -81,25 +80,6 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Errorf("compiler ghost %d cycles >= baseline %d", eres.Cycles, base.Cycles)
 	}
 
-	// 4c. The automatic SWPF pass must run correctly and help.
-	sinst := build(workloads.ProfileOptions())
-	auto, n, err := swpf.Insert(sinst.Baseline.Main, targets, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("swpf inserted nothing")
-	}
-	sres, err := sim.RunProgram(cfg, sinst.Mem, auto, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sinst.Check(sinst.Mem); err != nil {
-		t.Fatal(err)
-	}
-	if sres.Cycles >= base.Cycles {
-		t.Errorf("automatic swpf %d cycles >= baseline %d", sres.Cycles, base.Cycles)
-	}
 }
 
 // TestSerializeThrottleIsObservable ties the mechanism end to end: the

@@ -247,7 +247,8 @@ func transfer(in *isa.Instr, st *regState) {
 		}
 	case isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr, isa.OpDiv, isa.OpRem:
 		if a.IsConst() && c.IsConst() {
-			set(ConstIv(evalConst(in.Op, a.Lo, c.Lo)))
+			v, _ := isa.ALU(in.Op, a.Lo, c.Lo, in.Imm)
+			set(ConstIv(v))
 		} else {
 			set(Top)
 		}
@@ -294,32 +295,6 @@ func shlSat(v, s int64) int64 {
 		return math.MinInt64
 	}
 	return r
-}
-
-func evalConst(op isa.Op, a, c int64) int64 {
-	switch op {
-	case isa.OpAnd:
-		return a & c
-	case isa.OpOr:
-		return a | c
-	case isa.OpXor:
-		return a ^ c
-	case isa.OpShl:
-		return a << uint(c&63)
-	case isa.OpShr:
-		return int64(uint64(a) >> uint(c&63))
-	case isa.OpDiv:
-		if c == 0 {
-			return 0
-		}
-		return a / c
-	case isa.OpRem:
-		if c == 0 {
-			return 0
-		}
-		return a % c
-	}
-	return 0
 }
 
 // refineEdge sharpens the state along a conditional-branch edge

@@ -593,47 +593,12 @@ func (ev *SymEval) instrExpr(id int, pc int) *SymExpr {
 // foldOp evaluates an operation over constant arguments with the
 // simulator's exact semantics.
 func foldOp(in *isa.Instr, args []*SymExpr) (int64, bool) {
-	for _, a := range args {
+	var c [2]int64
+	for i, a := range args {
 		if !a.IsConst() {
 			return 0, false
 		}
+		c[i] = a.Const
 	}
-	c := func(i int) int64 { return args[i].Const }
-	switch in.Op {
-	case isa.OpAnd:
-		return c(0) & c(1), true
-	case isa.OpOr:
-		return c(0) | c(1), true
-	case isa.OpXor:
-		return c(0) ^ c(1), true
-	case isa.OpShl:
-		return c(0) << (uint64(c(1)) & 63), true
-	case isa.OpShr:
-		return int64(uint64(c(0)) >> (uint64(c(1)) & 63)), true
-	case isa.OpDiv:
-		if c(1) == 0 {
-			return 0, true
-		}
-		return c(0) / c(1), true
-	case isa.OpRem:
-		if c(1) == 0 {
-			return 0, true
-		}
-		return c(0) % c(1), true
-	case isa.OpMin:
-		return min64(c(0), c(1)), true
-	case isa.OpMax:
-		return max64(c(0), c(1)), true
-	case isa.OpMul:
-		return c(0) * c(1), true
-	case isa.OpAndI:
-		return c(0) & in.Imm, true
-	case isa.OpXorI:
-		return c(0) ^ in.Imm, true
-	case isa.OpShlI:
-		return c(0) << (uint64(in.Imm) & 63), true
-	case isa.OpShrI:
-		return int64(uint64(c(0)) >> (uint64(in.Imm) & 63)), true
-	}
-	return 0, false
+	return isa.ALU(in.Op, c[0], c[1], in.Imm)
 }

@@ -38,16 +38,13 @@ func (c Config) Sets() int64 {
 // Cache is one set-associative, LRU level. The zero value is unusable;
 // construct with New.
 type Cache struct {
-	name    string
 	sets    int64
 	setMask int64 // sets-1 when sets is a power of two, else -1 (probe uses %)
 	ways    int
 	tags    []int64 // sets*ways entries; -1 = invalid
 	readyAt []int64 // fill-completion cycle per entry
 	lastUse []int64 // LRU timestamp per entry
-	hwPf    []bool  // line was brought in by the hardware prefetcher and
-	// not yet demand-touched (tagged-prefetch trigger bit)
-	swPf []bool // line was brought in by a software prefetch and not yet
+	swPf    []bool  // line was brought in by a software prefetch and not yet
 	// demand-touched (prefetch-quality classification bit)
 
 	Hits         int64 // hits on resident, filled lines
@@ -61,25 +58,23 @@ type Cache struct {
 }
 
 // New builds a cache level. Sizes that are not an exact multiple of
-// ways*linewords are rounded down to one.
-func New(name string, cfg Config) *Cache {
+// ways*linewords are rounded down to one. The name labels the level at
+// the call site only; the model does not keep it.
+func New(_ string, cfg Config) *Cache {
 	sets := cfg.Sets()
 	n := sets * int64(cfg.Ways)
 	mask := int64(-1)
 	if sets&(sets-1) == 0 {
 		mask = sets - 1
 	}
-	c := &Cache{name: name, sets: sets, setMask: mask, ways: cfg.Ways,
+	c := &Cache{sets: sets, setMask: mask, ways: cfg.Ways,
 		tags: make([]int64, n), readyAt: make([]int64, n), lastUse: make([]int64, n),
-		hwPf: make([]bool, n), swPf: make([]bool, n)}
+		swPf: make([]bool, n)}
 	for i := range c.tags {
 		c.tags[i] = -1
 	}
 	return c
 }
-
-// Name returns the level's label (for stats rendering).
-func (c *Cache) Name() string { return c.name }
 
 // setBase returns the first entry index of line's set. Set counts are
 // powers of two for every real configuration, turning the per-probe
@@ -97,7 +92,6 @@ func (c *Cache) Reset() {
 		c.tags[i] = -1
 		c.readyAt[i] = 0
 		c.lastUse[i] = 0
-		c.hwPf[i] = false
 		c.swPf[i] = false
 	}
 	c.Hits, c.InFlightHits, c.Misses = 0, 0, 0
@@ -163,20 +157,6 @@ func (c *Cache) install(line, fillAt, now int64) {
 	c.tags[victim] = line
 	c.readyAt[victim] = fillAt
 	c.lastUse[victim] = now
-	c.hwPf[victim] = false
-}
-
-// installPrefetched is install with the tagged-prefetch trigger bit set.
-func (c *Cache) installPrefetched(line, fillAt, now int64) {
-	c.install(line, fillAt, now)
-	base := c.setBase(line)
-	for w := 0; w < c.ways; w++ {
-		i := base + int64(w)
-		if c.tags[i] == line {
-			c.hwPf[i] = true
-			return
-		}
-	}
 }
 
 // markSWPrefetched sets the software-prefetch classification tag on a
@@ -190,20 +170,6 @@ func (c *Cache) markSWPrefetched(line int64) {
 			return
 		}
 	}
-}
-
-// touchPrefetchBit reports and clears the trigger bit for a resident line
-// (first demand touch of a hardware-prefetched line extends the stream).
-func (c *Cache) touchPrefetchBit(line int64) bool {
-	base := c.setBase(line)
-	for w := 0; w < c.ways; w++ {
-		i := base + int64(w)
-		if c.tags[i] == line && c.hwPf[i] {
-			c.hwPf[i] = false
-			return true
-		}
-	}
-	return false
 }
 
 // peekReady returns the fill-ready cycle for a resident line without
@@ -310,9 +276,9 @@ type HierarchyConfig struct {
 	L2Lat  int64 // total latency on an L2 hit
 	LLCLat int64 // total latency on an LLC hit
 
-	// HWPrefetch enables the tagged streaming hardware prefetcher: a
-	// demand miss (or the first demand touch of a prefetched line)
-	// triggers fills of the next PrefetchDegree lines. This is the
+	// HWPrefetch enables the streaming hardware prefetcher: a demand L1
+	// miss that lands on the line a stream tracker predicted triggers
+	// fills of the next PrefetchDegree lines. This is the
 	// stand-in for the stride/stream prefetchers of real Intel cores —
 	// without it, sequential scans (index arrays, CSR adjacency lists)
 	// would pay full DRAM latency every 8 words, which no real machine
@@ -486,7 +452,7 @@ func (h *Hierarchy) hwFillL1(line, now int64) {
 		return
 	}
 	fill := h.sourceFill(line, now)
-	h.L1.installPrefetched(line, fill, now)
+	h.L1.install(line, fill, now)
 	h.HWPrefetches++
 }
 
@@ -496,7 +462,7 @@ func (h *Hierarchy) hwFillL2(line, now int64) {
 		return
 	}
 	fill := h.sourceFill(line, now)
-	h.L2.installPrefetched(line, fill, now)
+	h.L2.install(line, fill, now)
 	h.HWPrefetches++
 }
 
@@ -534,9 +500,6 @@ func (h *Hierarchy) WouldMissL1(addr, now int64) bool {
 	resident, _ := h.L1.peek(LineOf(addr), now)
 	return !resident
 }
-
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
 // Reset clears the private levels (shared levels are reset by the system).
 func (h *Hierarchy) Reset() {

@@ -61,21 +61,6 @@ func TestStreamerTrainsOnSecondSequentialMiss(t *testing.T) {
 	}
 }
 
-func TestInstallPrefetchedSetsAndClearsBit(t *testing.T) {
-	c := New("t", Config{SizeWords: 8 * mem.LineWords, Ways: 2})
-	c.installPrefetched(5, 0, 10)
-	if !c.touchPrefetchBit(5) {
-		t.Error("prefetch bit not set")
-	}
-	if c.touchPrefetchBit(5) {
-		t.Error("prefetch bit not cleared by first touch")
-	}
-	c.install(6, 0, 10)
-	if c.touchPrefetchBit(6) {
-		t.Error("plain install set the prefetch bit")
-	}
-}
-
 func TestPeekReady(t *testing.T) {
 	c := New("t", Config{SizeWords: 8 * mem.LineWords, Ways: 2})
 	if _, ok := c.peekReady(9); ok {

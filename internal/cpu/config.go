@@ -14,9 +14,7 @@
 // (register values, memory contents, branch direction) is applied when it
 // is dispatched, in program order, while the timing model independently
 // tracks when its value would actually be available. This is the standard
-// trace-driven simplification; it implies perfect branch prediction except
-// for branches explicitly flagged FlagHardBranch, which stall dispatch
-// until they resolve plus a redirect penalty.
+// trace-driven simplification; it implies perfect branch prediction.
 package cpu
 
 // Config parameterises the core model. The defaults echo a scaled-down
@@ -41,10 +39,6 @@ type Config struct {
 	// microcoded and far from free even on an empty pipeline).
 	SerializeLat int64
 
-	// BranchPenalty is the redirect cost charged after a FlagHardBranch
-	// resolves.
-	BranchPenalty int64
-
 	// Thread activation/deactivation costs (paper §4.2.2: activating a
 	// helper uses a system call that "may take thousands of cycles").
 	SpawnCostMain   int64 // cycles the spawning thread is blocked
@@ -66,7 +60,6 @@ func DefaultConfig() Config {
 		MulLat:          3,
 		DivLat:          12,
 		SerializeLat:    30,
-		BranchPenalty:   12,
 		SpawnCostMain:   6000,
 		SpawnCostHelper: 3000,
 		JoinCost:        1500,

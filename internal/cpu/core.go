@@ -504,8 +504,8 @@ const never = math.MaxInt64
 //   - the ROB head reaching its completion cycle (stIssued) or, for a
 //     serialize, its drain deadline;
 //   - a committable ROB head (commit-width limits can leave one);
-//   - dispatch proceeding once its fetch barriers (thread start, branch
-//     redirect, spawn/join costs) expire.
+//   - dispatch proceeding once its fetch barriers (thread start,
+//     spawn/join costs, fault preemption windows) expire.
 //
 // Dispatch blocked on a full ROB or load/store queue only unblocks via
 // commit, covered by the head clauses above.
@@ -1228,16 +1228,6 @@ func (c *Core) dispatchOne(t *thread) bool {
 		}
 		t.state[idx] = stIssued
 		t.completeAt[idx] = c.claimIssue(ready) + c.lat[d.latClass]
-		// A hard branch resolving in the future stalls fetch until its
-		// completion cycle plus the redirect penalty. A branch whose
-		// operands were final at dispatch predicts perfectly and costs
-		// nothing — the model the event-driven engine expressed with a
-		// waitBranch stall cleared at the completion event.
-		if d.hard && floor > c.now {
-			if bl := t.completeAt[idx] + c.cfg.BranchPenalty; bl > t.fetchBlockedUntil {
-				t.fetchBlockedUntil = bl
-			}
-		}
 	}
 
 	if in.Op.HasDst() {
@@ -1303,9 +1293,6 @@ func (c *Core) SetTrace(r *obs.Recorder, coreID int) {
 	c.trace = r
 	c.id = uint8(coreID)
 }
-
-// Trace returns the attached recorder, or nil.
-func (c *Core) Trace() *obs.Recorder { return c.trace }
 
 // SetWindowRecorder attaches (or with nil detaches) the windowed
 // telemetry accumulator. ghostAddr is the memory word holding the

@@ -385,46 +385,6 @@ func TestSMTPartitioningHalvesROB(t *testing.T) {
 	}
 }
 
-func TestHardBranchStallsDispatch(t *testing.T) {
-	// A hard branch depending on a DRAM load stalls fetch; the same
-	// program with a predictable branch runs much faster.
-	build := func(hard bool) *isa.Program {
-		b := isa.NewBuilder("hb")
-		base := b.Imm(4096)
-		zero := b.Imm(0)
-		n := b.Imm(32)
-		acc := b.Imm(0)
-		b.CountedLoop("loop", zero, n, func(i isa.Reg) {
-			a := b.Reg()
-			sh := b.Reg()
-			b.ShlI(sh, i, 3) // distinct lines
-			b.Add(a, base, sh)
-			v := b.Reg()
-			b.Load(v, a, 0)
-			skip := b.NewLabel()
-			b.BLT(v, zero, skip)
-			if hard {
-				b.MarkHard()
-			}
-			b.AddI(acc, acc, 1)
-			b.Bind(skip)
-		})
-		b.Halt()
-		return b.MustBuild()
-	}
-	cEasy, _ := testRig(DefaultConfig(), 1<<16)
-	cEasy.Load(build(false), nil)
-	easy := run(t, cEasy, 1_000_000)
-
-	cHard, _ := testRig(DefaultConfig(), 1<<16)
-	cHard.Load(build(true), nil)
-	hard := run(t, cHard, 1_000_000)
-
-	if hard < easy*2 {
-		t.Errorf("hard branches did not slow the loop: easy %d, hard %d", easy, hard)
-	}
-}
-
 func TestRunCycleGuard(t *testing.T) {
 	b := isa.NewBuilder("spin")
 	i := b.Imm(0)

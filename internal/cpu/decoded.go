@@ -28,16 +28,14 @@ const (
 )
 
 // dInstr is one pre-decoded instruction: the dispatch class and
-// issue-latency class precomputed and the hard-branch flag test folded to
-// a boolean, so issue, completion, commit and the event-skip lookahead
-// never re-interpret an isa.Instr.
+// issue-latency class precomputed, so issue, completion, commit and the
+// event-skip lookahead never re-interpret an isa.Instr.
 type dInstr struct {
 	class    uint8
 	src1     uint8
 	src2     uint8
 	nsrc     uint8
 	latClass uint8
-	hard     bool  // conditional branch with FlagHardBranch
 	cmeta    uint8 // commit metadata, copied into the ROB slot
 	imm      int64
 }
@@ -75,7 +73,6 @@ func decodeProgram(p *isa.Program) *decodedProgram {
 		d.src2 = uint8(in.Src2)
 		d.nsrc = uint8(in.Op.NumSrcs())
 		d.imm = in.Imm
-		d.hard = in.Op.IsCondBranch() && in.HasFlag(isa.FlagHardBranch)
 		switch in.Op {
 		case isa.OpLoad:
 			d.class = clLoad

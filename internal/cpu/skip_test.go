@@ -170,29 +170,6 @@ func TestSkipEquivalenceSerialize(t *testing.T) {
 	diffCase(t, "serialize", DefaultConfig(), 1<<16, nil, b.MustBuild(), nil, 1_000_000)
 }
 
-func TestSkipEquivalenceHardBranch(t *testing.T) {
-	b := isa.NewBuilder("hard")
-	base := b.Imm(4096)
-	zero := b.Imm(0)
-	n := b.Imm(48)
-	acc := b.Imm(0)
-	b.CountedLoop("loop", zero, n, func(i isa.Reg) {
-		sh := b.Reg()
-		b.ShlI(sh, i, 3)
-		a := b.Reg()
-		b.Add(a, base, sh)
-		v := b.Reg()
-		b.Load(v, a, 0)
-		skip := b.NewLabel()
-		b.BLT(v, zero, skip)
-		b.MarkHard()
-		b.AddI(acc, acc, 1)
-		b.Bind(skip)
-	})
-	b.Halt()
-	diffCase(t, "hardbranch", DefaultConfig(), 1<<16, nil, b.MustBuild(), nil, 1_000_000)
-}
-
 func TestSkipEquivalenceGhostHelper(t *testing.T) {
 	// SMT spawn/join with a prefetching ghost: exercises startAt wake-up,
 	// SMT-halved structural limits, and mid-flight helper kill.

@@ -125,8 +125,8 @@ func profileWorkload(workload string, build workloads.Builder, cfg sim.Config) (
 	cfg.Shadow = sim.ShadowConfig{}
 	if cfg.Telemetry.Enabled() {
 		// Telemetry configs bypass the memo: a cache hit would silently
-		// drop the windows (and Sink calls) the caller is counting on
-		// (and funcs are unhashable as keys anyway).
+		// drop the Sink calls the caller is counting on (and funcs are
+		// unhashable as keys anyway).
 		return runProfile(workload, build, cfg)
 	}
 	key := profKey{

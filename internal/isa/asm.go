@@ -14,8 +14,9 @@ import (
 //	1: load r1, [r0+4] !target
 //	...
 //
-// Flags append as !target !hard !backedge !sync tokens. Parse inverts it;
-// Parse(Dump(p)) reproduces p exactly (tests rely on this round-trip).
+// Flags append as !target !backedge !sync !skip !govparam tokens. Parse
+// inverts it; Parse(Dump(p)) reproduces p exactly (tests rely on this
+// round-trip).
 func Dump(p *Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, ".program %s\n", p.Name)
@@ -25,24 +26,14 @@ func Dump(p *Program) string {
 	}
 	for pc := range p.Code {
 		in := &p.Code[pc]
-		fmt.Fprintf(&b, "%d: %s", pc, dumpInstr(in))
+		fmt.Fprintf(&b, "%d: %s", pc, in)
 		if in.Loop >= 0 {
 			fmt.Fprintf(&b, " @%d", in.Loop)
 		}
-		for _, fl := range []struct {
-			f Flag
-			s string
-		}{
-			{FlagTargetLoad, "!target"},
-			{FlagHardBranch, "!hard"},
-			{FlagBackedge, "!backedge"},
-			{FlagSync, "!sync"},
-			{FlagSyncSkip, "!skip"},
-			{FlagGovParam, "!govparam"},
-		} {
+		for _, fl := range flagNames {
 			if in.Flags&fl.f != 0 {
-				b.WriteByte(' ')
-				b.WriteString(fl.s)
+				b.WriteString(" !")
+				b.WriteString(fl.name)
 			}
 		}
 		b.WriteByte('\n')
@@ -50,18 +41,14 @@ func Dump(p *Program) string {
 	return b.String()
 }
 
-// dumpInstr renders one instruction in the parseable operand format.
-func dumpInstr(in *Instr) string {
+// String renders the instruction in the assembly operand format Parse
+// reads (without its loop tag or flags).
+func (in *Instr) String() string {
 	switch {
-	case in.Op == OpNop || in.Op == OpHalt || in.Op == OpSerialize || in.Op == OpJoin && in.Imm == 0:
-		if in.Op == OpJoin {
-			return "join 0"
-		}
+	case in.Op == OpNop || in.Op == OpHalt || in.Op == OpSerialize:
 		return in.Op.String()
-	case in.Op == OpJoin:
-		return fmt.Sprintf("join %d", in.Imm)
-	case in.Op == OpSpawn:
-		return fmt.Sprintf("spawn %d", in.Imm)
+	case in.Op == OpSpawn || in.Op == OpJoin:
+		return fmt.Sprintf("%s %d", in.Op, in.Imm)
 	case in.Op == OpConst:
 		return fmt.Sprintf("const r%d, %d", in.Dst, in.Imm)
 	case in.Op == OpMov:
@@ -208,31 +195,23 @@ func parseInstrLine(line string) (int, Instr, error) {
 	fields := strings.Fields(rest)
 	for len(fields) > 0 {
 		last := fields[len(fields)-1]
-		switch {
-		case last == "!target":
-			in.Flags |= FlagTargetLoad
-		case last == "!hard":
-			in.Flags |= FlagHardBranch
-		case last == "!backedge":
-			in.Flags |= FlagBackedge
-		case last == "!sync":
-			in.Flags |= FlagSync
-		case last == "!skip":
-			in.Flags |= FlagSyncSkip
-		case last == "!govparam":
-			in.Flags |= FlagGovParam
-		case strings.HasPrefix(last, "@"):
-			n, err := strconv.Atoi(last[1:])
+		if name, ok := strings.CutPrefix(last, "!"); ok {
+			f := flagByName(name)
+			if f == 0 {
+				return 0, in, fmt.Errorf("unknown flag %q", last)
+			}
+			in.Flags |= f
+		} else if n, ok := strings.CutPrefix(last, "@"); ok {
+			id, err := strconv.Atoi(n)
 			if err != nil {
 				return 0, in, fmt.Errorf("bad loop tag %q", last)
 			}
-			in.Loop = int32(n)
-		default:
-			goto done
+			in.Loop = int32(id)
+		} else {
+			break
 		}
 		fields = fields[:len(fields)-1]
 	}
-done:
 	if len(fields) == 0 {
 		return 0, in, fmt.Errorf("empty instruction")
 	}

@@ -54,7 +54,6 @@ func TestDumpParseRoundTripAllOps(t *testing.T) {
 	b.BEQ(d, r0, skip)
 	b.BNE(d, r0, skip)
 	b.BLT(d, r0, skip)
-	b.MarkHard()
 	b.BGE(d, r0, skip)
 	b.BLE(d, r0, skip)
 	be := b.BGT(r1, d, top)
@@ -133,6 +132,7 @@ func TestParseErrors(t *testing.T) {
 		".program x\n0: jmp 99\n1: halt",                                       // invalid target (Validate)
 		".program x\n0: const r1\n1: halt",                                     // operand count
 		".loop id=0 name=l func=f parent=zz head=0 end=1 backedge=-1\n0: halt", // bad loop field
+		".program x\n0: beq r1, r2, 1 !hard\n1: halt",                          // unknown flag
 	}
 	for i, c := range cases {
 		if _, err := Parse(c); err == nil {

@@ -227,9 +227,6 @@ func (b *Builder) BGT(a, c Reg, l Label) int { return b.branch(OpBGT, a, c, l) }
 // MarkTarget flags the most recent instruction as an annotated target load.
 func (b *Builder) MarkTarget() { b.flagLast(FlagTargetLoad) }
 
-// MarkHard flags the most recent branch as data-dependent/unpredictable.
-func (b *Builder) MarkHard() { b.flagLast(FlagHardBranch) }
-
 // FlagRange applies f to every instruction in [from, to) (used by the
 // sync-segment generator to mark its code).
 func (b *Builder) FlagRange(from, to int, f Flag) {

@@ -39,6 +39,65 @@ type Sizer interface {
 	Size() int64
 }
 
+// ALU evaluates a register-arithmetic opcode with the machine's exact
+// semantics: a and b are the Src1 and Src2 values, imm the immediate.
+// OpConst yields imm and OpMov yields a. ok is false for every opcode
+// that is not register arithmetic (memory, control flow, threads). The
+// interpreter and the static analyses' constant folding both evaluate
+// through it; the timing core keeps its own switch, which
+// TestCoreMatchesInterpreterProperty checks against the interpreter.
+func ALU(op Op, a, b, imm int64) (v int64, ok bool) {
+	switch op {
+	case OpConst:
+		return imm, true
+	case OpMov:
+		return a, true
+	case OpAdd:
+		return a + b, true
+	case OpSub:
+		return a - b, true
+	case OpMul:
+		return a * b, true
+	case OpDiv:
+		if b == 0 {
+			return 0, true
+		}
+		return a / b, true
+	case OpRem:
+		if b == 0 {
+			return 0, true
+		}
+		return a % b, true
+	case OpAnd:
+		return a & b, true
+	case OpOr:
+		return a | b, true
+	case OpXor:
+		return a ^ b, true
+	case OpShl:
+		return a << (uint64(b) & 63), true
+	case OpShr:
+		return int64(uint64(a) >> (uint64(b) & 63)), true
+	case OpMin:
+		return min(a, b), true
+	case OpMax:
+		return max(a, b), true
+	case OpAddI:
+		return a + imm, true
+	case OpMulI:
+		return a * imm, true
+	case OpAndI:
+		return a & imm, true
+	case OpXorI:
+		return a ^ imm, true
+	case OpShlI:
+		return a << (uint64(imm) & 63), true
+	case OpShrI:
+		return int64(uint64(a) >> (uint64(imm) & 63)), true
+	}
+	return 0, false
+}
+
 // Interp functionally executes a program against mem with no timing model.
 // It is the reference semantics the cycle-level core must agree with, and
 // the fast path for validating workload results in tests.
@@ -72,54 +131,6 @@ func interp(p *Program, mem DataMemory, helpers []*Program, maxSteps int64, regs
 		next := pc + 1
 		switch in.Op {
 		case OpNop:
-		case OpConst:
-			regs[in.Dst] = in.Imm
-		case OpMov:
-			regs[in.Dst] = regs[in.Src1]
-		case OpAdd:
-			regs[in.Dst] = regs[in.Src1] + regs[in.Src2]
-		case OpSub:
-			regs[in.Dst] = regs[in.Src1] - regs[in.Src2]
-		case OpMul:
-			regs[in.Dst] = regs[in.Src1] * regs[in.Src2]
-		case OpDiv:
-			if regs[in.Src2] == 0 {
-				regs[in.Dst] = 0
-			} else {
-				regs[in.Dst] = regs[in.Src1] / regs[in.Src2]
-			}
-		case OpRem:
-			if regs[in.Src2] == 0 {
-				regs[in.Dst] = 0
-			} else {
-				regs[in.Dst] = regs[in.Src1] % regs[in.Src2]
-			}
-		case OpAnd:
-			regs[in.Dst] = regs[in.Src1] & regs[in.Src2]
-		case OpOr:
-			regs[in.Dst] = regs[in.Src1] | regs[in.Src2]
-		case OpXor:
-			regs[in.Dst] = regs[in.Src1] ^ regs[in.Src2]
-		case OpShl:
-			regs[in.Dst] = regs[in.Src1] << (uint64(regs[in.Src2]) & 63)
-		case OpShr:
-			regs[in.Dst] = int64(uint64(regs[in.Src1]) >> (uint64(regs[in.Src2]) & 63))
-		case OpMin:
-			regs[in.Dst] = min(regs[in.Src1], regs[in.Src2])
-		case OpMax:
-			regs[in.Dst] = max(regs[in.Src1], regs[in.Src2])
-		case OpAddI:
-			regs[in.Dst] = regs[in.Src1] + in.Imm
-		case OpMulI:
-			regs[in.Dst] = regs[in.Src1] * in.Imm
-		case OpAndI:
-			regs[in.Dst] = regs[in.Src1] & in.Imm
-		case OpXorI:
-			regs[in.Dst] = regs[in.Src1] ^ in.Imm
-		case OpShlI:
-			regs[in.Dst] = regs[in.Src1] << (uint64(in.Imm) & 63)
-		case OpShrI:
-			regs[in.Dst] = int64(uint64(regs[in.Src1]) >> (uint64(in.Imm) & 63))
 		case OpLoad:
 			addr := regs[in.Src1] + in.Imm
 			if !inRange(addr) {
@@ -196,7 +207,11 @@ func interp(p *Program, mem DataMemory, helpers []*Program, maxSteps int64, regs
 			res.Halted = true
 			return res, nil
 		default:
-			return res, fmt.Errorf("isa: %q pc %d: unimplemented op %s", p.Name, pc, in.Op)
+			v, ok := ALU(in.Op, regs[in.Src1], regs[in.Src2], in.Imm)
+			if !ok {
+				return res, fmt.Errorf("isa: %q pc %d: unimplemented op %s", p.Name, pc, in.Op)
+			}
+			regs[in.Dst] = v
 		}
 		pc = next
 	}

@@ -1,8 +1,8 @@
 // Package isa defines the register-machine intermediate representation
 // executed by the simulated SMT core (internal/cpu). Workload kernels are
 // built in this IR by the builders in internal/workloads, and the Ghost
-// Threading passes (internal/core, internal/slice, internal/swpf,
-// internal/parallel) are source-to-source transformations over it.
+// Threading passes (internal/core, internal/slice) are source-to-source
+// transformations over it.
 //
 // The machine is deliberately simple: 64 general-purpose 64-bit integer
 // registers per hardware thread, a flat word-addressed shared memory
@@ -157,9 +157,6 @@ const (
 	// FlagTargetLoad marks a load annotated (by the programmer, paper
 	// §4.4) as a candidate target for Ghost Threading.
 	FlagTargetLoad Flag = 1 << iota
-	// FlagHardBranch marks a data-dependent branch the front end cannot
-	// predict; dispatch stalls until it resolves, plus a redirect penalty.
-	FlagHardBranch
 	// FlagBackedge marks a loop backedge branch; the profiler counts its
 	// executions as loop iterations.
 	FlagBackedge
@@ -391,77 +388,35 @@ func (p *Program) checkSyncSkipRuns() error {
 	return nil
 }
 
-// Disasm renders the program as human-readable assembly, one instruction
-// per line, with loop annotations.
-func (p *Program) Disasm() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "; program %s (%d instrs, %d loops)\n", p.Name, len(p.Code), len(p.Loops))
-	for i := range p.Code {
-		in := &p.Code[i]
-		fmt.Fprintf(&b, "%4d: %s", i, formatInstr(in))
-		if in.Loop >= 0 {
-			fmt.Fprintf(&b, "  ; loop=%s", p.Loops[in.Loop].Name)
+// flagNames names each instruction flag. Dump writes a flag as a
+// "!name" token and Parse reads it back; FlagError prints the name.
+var flagNames = [...]struct {
+	f    Flag
+	name string
+}{
+	{FlagTargetLoad, "target"},
+	{FlagBackedge, "backedge"},
+	{FlagSync, "sync"},
+	{FlagSyncSkip, "skip"},
+	{FlagGovParam, "govparam"},
+}
+
+// flagByName returns the flag named name, or 0 when there is none.
+func flagByName(name string) Flag {
+	for _, fl := range flagNames {
+		if fl.name == name {
+			return fl.f
 		}
-		if in.Flags != 0 {
-			fmt.Fprintf(&b, " [%s]", flagString(in.Flags))
-		}
-		b.WriteByte('\n')
 	}
-	return b.String()
+	return 0
 }
 
 func flagString(f Flag) string {
 	var parts []string
-	if f&FlagTargetLoad != 0 {
-		parts = append(parts, "target")
-	}
-	if f&FlagHardBranch != 0 {
-		parts = append(parts, "hard")
-	}
-	if f&FlagBackedge != 0 {
-		parts = append(parts, "backedge")
-	}
-	if f&FlagSync != 0 {
-		parts = append(parts, "sync")
-	}
-	if f&FlagSyncSkip != 0 {
-		parts = append(parts, "skip")
-	}
-	if f&FlagGovParam != 0 {
-		parts = append(parts, "govparam")
+	for _, fl := range flagNames {
+		if f&fl.f != 0 {
+			parts = append(parts, fl.name)
+		}
 	}
 	return strings.Join(parts, ",")
-}
-
-// String renders the instruction in disassembly form (without loop or
-// flag annotations).
-func (in *Instr) String() string { return formatInstr(in) }
-
-func formatInstr(in *Instr) string {
-	switch {
-	case in.Op == OpConst:
-		return fmt.Sprintf("const r%d, %d", in.Dst, in.Imm)
-	case in.Op == OpMov:
-		return fmt.Sprintf("mov r%d, r%d", in.Dst, in.Src1)
-	case in.Op == OpLoad:
-		return fmt.Sprintf("load r%d, [r%d+%d]", in.Dst, in.Src1, in.Imm)
-	case in.Op == OpStore:
-		return fmt.Sprintf("store [r%d+%d], r%d", in.Src1, in.Imm, in.Src2)
-	case in.Op == OpPrefetch:
-		return fmt.Sprintf("prefetch [r%d+%d]", in.Src1, in.Imm)
-	case in.Op == OpAtomicAdd:
-		return fmt.Sprintf("atomicadd r%d, [r%d+%d], r%d", in.Dst, in.Src1, in.Imm, in.Src2)
-	case in.Op == OpJmp:
-		return fmt.Sprintf("jmp %d", in.Target)
-	case in.Op.IsCondBranch():
-		return fmt.Sprintf("%s r%d, r%d, %d", in.Op, in.Src1, in.Src2, in.Target)
-	case in.Op == OpSpawn:
-		return fmt.Sprintf("spawn %d", in.Imm)
-	case in.Op == OpJoin, in.Op == OpHalt, in.Op == OpSerialize, in.Op == OpNop:
-		return in.Op.String()
-	case in.Op >= OpAddI && in.Op <= OpShrI:
-		return fmt.Sprintf("%s r%d, r%d, %d", in.Op, in.Dst, in.Src1, in.Imm)
-	default:
-		return fmt.Sprintf("%s r%d, r%d, r%d", in.Op, in.Dst, in.Src1, in.Src2)
-	}
 }

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fakeMem is a map-backed DataMemory for interpreter tests.
 type fakeMem map[int64]int64
@@ -358,15 +355,5 @@ func TestInterpInfiniteLoopGuard(t *testing.T) {
 	p := b.MustBuild()
 	if _, err := Interp(p, fakeMem{}, nil, 1000); err == nil {
 		t.Error("infinite loop not caught by step guard")
-	}
-}
-
-func TestDisasm(t *testing.T) {
-	p := buildSumLoop(t, 5)
-	d := p.Disasm()
-	for _, want := range []string{"program sum", "store", "halt", "loop=sum_loop", "backedge"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, d)
-		}
 	}
 }

@@ -24,10 +24,6 @@ type Options struct {
 	// Minimality includes the info-severity slice-minimality report for
 	// compiler-extracted ghosts.
 	Minimality bool
-	// Scale selects the instance size to lint. The analyses are static,
-	// so the reduced profiling inputs (the default zero value) are
-	// representative and much cheaper to build.
-	Scale workloads.Scale
 }
 
 // Workload lints every variant of one registered workload.
@@ -36,10 +32,9 @@ func Workload(name string, opts Options) (*analysis.Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The analyses are static, so the profiling-scale instance is
+	// representative and much cheaper to build than the evaluation one.
 	wopts := workloads.ProfileOptions()
-	if opts.Scale == workloads.ScaleEval {
-		wopts = workloads.DefaultOptions()
-	}
 	inst := build(wopts)
 	rep := &analysis.Report{}
 

@@ -43,10 +43,6 @@ type WorkloadVerdict struct {
 
 // VerifyOptions configures a verification run.
 type VerifyOptions struct {
-	// Scale selects the instance size to build. The static analysis does
-	// not execute the program, so profiling scale (the zero value) is
-	// representative and cheap.
-	Scale workloads.Scale
 	// Shadow additionally runs the workload with the dynamic shadow
 	// oracle enabled, in both stepping modes, and reports the
 	// confirmed/divergent/orphaned prefetch counts.
@@ -60,10 +56,9 @@ func Verify(name string, opts VerifyOptions) (*WorkloadVerdict, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The static analysis does not execute the program, so the
+	// profiling-scale instance is representative and cheap.
 	wopts := workloads.ProfileOptions()
-	if opts.Scale == workloads.ScaleEval {
-		wopts = workloads.DefaultOptions()
-	}
 	inst := build(wopts)
 	wv := &WorkloadVerdict{Workload: name, Status: analysis.Proved}
 	if inst.Ghost == nil {

@@ -88,9 +88,6 @@ func (c *Controller) resetSlots() {
 	}
 }
 
-// Config returns the controller configuration.
-func (c *Controller) Config() ControllerConfig { return c.cfg }
-
 // pressureBusy reports whether absolute slot k is consumed by the
 // synthetic background traffic: pressure occupies exactly the slots
 // where the cumulative pressure-line count ticks over, spreading

@@ -52,8 +52,8 @@ type Config struct {
 	// Telemetry enables streaming windowed telemetry (see obs.WindowSample
 	// and DESIGN.md §14), the simulator's one time-series channel; the
 	// event recorder (System.SetTrace) is the other observer. Observation
-	// only: a windowed run's Result is bit-identical minus Result.Windows,
-	// in both stepping modes.
+	// only: a windowed run's Result is bit-identical to the run without
+	// telemetry, in both stepping modes.
 	Telemetry TelemetryConfig
 
 	// Governor enables the online adaptive ghost governor (internal/gov,
@@ -81,8 +81,8 @@ type TelemetryConfig struct {
 	GhostCounterAddr int64
 
 	// Sink, when non-nil, receives every sample as it is flushed (live
-	// streaming: NDJSON writers, gtmon feeds), in (window, core) order.
-	// Samples also accumulate into Result.Windows regardless. A full
+	// streaming: NDJSON writers, gtmon feeds), in (window, core) order;
+	// it is the only way samples leave the simulator. A full
 	// window's sample arrives at its boundary cycle (ws.End), so the sink
 	// may also read machine state there — memory words, cpu.Core.Sample —
 	// on the same schedule in both stepping modes; the figure-10 distance
@@ -168,7 +168,6 @@ type telemetry struct {
 	wrec      []*obs.WindowRecorder
 	prev      []cpu.Stats        // per-core counter snapshot at the last flush
 	flushBuf  []obs.WindowSample // current window's samples (governor input)
-	windows   []obs.WindowSample
 	lastFlush int64
 	windowIdx int64
 }
@@ -264,9 +263,6 @@ func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
 // Cores returns the core count.
 func (s *System) Cores() int { return len(s.cores) }
 
-// Mem returns the shared memory.
-func (s *System) Mem() *mem.Memory { return s.mem }
-
 // Load installs a main program (and its helpers) on core i.
 func (s *System) Load(i int, main *isa.Program, helpers []*isa.Program) {
 	s.cores[i].Load(main, helpers)
@@ -314,12 +310,6 @@ type Result struct {
 	// summed over cores (zero when Config.Shadow is off; see
 	// cpu.ShadowStats). Divergent must be zero for a sound p-slice.
 	Shadow cpu.ShadowStats
-
-	// Windows is the telemetry time-series (empty when Config.Telemetry
-	// is off): one obs.WindowSample per (window, core), in (window, core)
-	// order. Everything else in Result is bit-identical with telemetry on
-	// or off — the differential suites zero this field and DeepEqual.
-	Windows []obs.WindowSample
 
 	// GovDecisions is the governor's decision log (empty when
 	// Config.Governor is off), in (window, core) order. Deterministic:
@@ -559,10 +549,9 @@ func (s *System) flushWindows() {
 	if s.gov != nil {
 		s.governWindow()
 	}
-	for _, ws := range t.flushBuf {
-		t.windows = append(t.windows, ws)
-		if s.cfg.Telemetry.Sink != nil {
-			s.cfg.Telemetry.Sink(ws)
+	if sink := s.cfg.Telemetry.Sink; sink != nil {
+		for _, ws := range t.flushBuf {
+			sink(ws)
 		}
 	}
 	t.lastFlush = end
@@ -653,9 +642,6 @@ func (s *System) collect() (Result, error) {
 	res.LLCHits = s.llc.Hits + s.llc.InFlightHits
 	res.LLCMisses = s.llc.Misses
 	res.DRAMTransfers = s.mc.Transfers
-	if s.tele != nil {
-		res.Windows = s.tele.windows
-	}
 	res.GovDecisions = s.govLog
 	return res, nil
 }

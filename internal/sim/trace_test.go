@@ -153,14 +153,15 @@ func TestGhostLeadWindowsPopulate(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Telemetry.WindowCycles = 20_000
 	cfg.Telemetry.GhostCounterAddr = inst.Counters.GhostAddr
+	var windows []obs.WindowSample
+	cfg.Telemetry.Sink = func(ws obs.WindowSample) { windows = append(windows, ws) }
 	s := sim.New(cfg, inst.Mem)
 	s.Load(0, v.Main, v.Helpers)
-	res, err := s.Run()
-	if err != nil {
+	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var stall, leads, mshrPeak int64
-	for _, ws := range res.Windows {
+	for _, ws := range windows {
 		stall += ws.SerializeStall
 		leads += ws.GhostLeadCount
 		mshrPeak = max(mshrPeak, ws.MSHRPeak)

@@ -229,7 +229,7 @@ func buildGhost(base *isa.Program, head, end, cut int, targetPCs map[int]bool, s
 	include := computeSlice(base, head, end, cut, targetPCs)
 	remat := dataConsumed(analysis.AnalyzeAddrPatterns(base).S, head, include, targetPCs)
 
-	maxReg := MaxRegUsed(base)
+	maxReg := maxRegUsed(base)
 	syncRegs := core.SyncRegs
 	if params.Dynamic() {
 		syncRegs = core.DynamicSyncRegs
@@ -448,7 +448,7 @@ func computeSlice(base *isa.Program, head, end, cut int, targetPCs map[int]bool)
 // rewriteMain inserts the counter prologue, the per-iteration counter
 // update in the target loop, and the spawn/join pair around the region.
 func rewriteMain(base *isa.Program, head, end, targetLoop int, ctr core.Counters) (*isa.Program, error) {
-	maxReg := MaxRegUsed(base)
+	maxReg := maxRegUsed(base)
 	if maxReg+4 > isa.NumRegs {
 		return nil, fmt.Errorf("%w: %q uses %d registers; no space for counter state", ErrUnsliceable, base.Name, maxReg)
 	}
@@ -457,7 +457,7 @@ func rewriteMain(base *isa.Program, head, end, targetLoop int, ctr core.Counters
 	zeroR := isa.Reg(maxReg + 2)
 	dstR := isa.Reg(maxReg + 3)
 
-	p := Clone(base)
+	p := clone(base)
 	p.Name = base.Name + "-compiler-main"
 
 	backedge := p.Loops[targetLoop].Backedge
@@ -469,14 +469,14 @@ func rewriteMain(base *isa.Program, head, end, targetLoop int, ctr core.Counters
 	// valid. The join uses exclusive branch shifting so region-exit
 	// branches land on it; the counter update inherits the target loop's
 	// annotation so profiling attributes it correctly.
-	InsertAt(p, end, true, false, isa.Instr{Op: isa.OpJoin})
-	InsertAt(p, backedge, false, true,
+	insertAt(p, end, true, false, isa.Instr{Op: isa.OpJoin})
+	insertAt(p, backedge, false, true,
 		isa.Instr{Op: isa.OpAtomicAdd, Dst: dstR, Src1: ctrAddr, Src2: oneR, Flags: isa.FlagSync})
-	InsertAt(p, head, false, false,
+	insertAt(p, head, false, false,
 		isa.Instr{Op: isa.OpStore, Src1: ctrAddr, Src2: zeroR, Flags: isa.FlagSync},
 		isa.Instr{Op: isa.OpSpawn, Imm: 0},
 	)
-	InsertAt(p, 0, false, false,
+	insertAt(p, 0, false, false,
 		isa.Instr{Op: isa.OpConst, Dst: ctrAddr, Imm: ctr.MainAddr},
 		isa.Instr{Op: isa.OpConst, Dst: oneR, Imm: 1},
 		isa.Instr{Op: isa.OpConst, Dst: zeroR, Imm: 0},
@@ -487,22 +487,21 @@ func rewriteMain(base *isa.Program, head, end, targetLoop int, ctr core.Counters
 	return p, nil
 }
 
-// Clone deep-copies a program.
-func Clone(p *isa.Program) *isa.Program {
+// clone deep-copies a program.
+func clone(p *isa.Program) *isa.Program {
 	q := &isa.Program{Name: p.Name}
 	q.Code = append([]isa.Instr(nil), p.Code...)
 	q.Loops = append([]isa.Loop(nil), p.Loops...)
 	return q
 }
 
-// InsertAt splices instrs at position at, fixing branch targets and loop
+// insertAt splices instrs at position at, fixing branch targets and loop
 // extents. With exclusiveBranch=true, branches targeting exactly `at` are
 // NOT shifted (they land on the inserted code — used for the join so loop
 // exits deactivate the ghost). With inheritLoop=true the inserted
 // instructions adopt the loop annotation of the instruction currently at
-// `at` (used for updates inserted inside a loop). The automatic SWPF pass
-// (internal/swpf) reuses it.
-func InsertAt(p *isa.Program, at int, exclusiveBranch, inheritLoop bool, instrs ...isa.Instr) {
+// `at` (used for updates inserted inside a loop).
+func insertAt(p *isa.Program, at int, exclusiveBranch, inheritLoop bool, instrs ...isa.Instr) {
 	n := int32(len(instrs))
 	shift := func(t int32) int32 {
 		if t > int32(at) || (!exclusiveBranch && t == int32(at)) {
@@ -537,9 +536,9 @@ func InsertAt(p *isa.Program, at int, exclusiveBranch, inheritLoop bool, instrs 
 	p.Code = append(p.Code[:at], append(append([]isa.Instr(nil), instrs...), p.Code[at:]...)...)
 }
 
-// MaxRegUsed returns one past the highest register index the program
+// maxRegUsed returns one past the highest register index the program
 // touches.
-func MaxRegUsed(p *isa.Program) int {
+func maxRegUsed(p *isa.Program) int {
 	maxR := 0
 	for i := range p.Code {
 		in := &p.Code[i]

@@ -94,7 +94,7 @@ func TestExtractProducesValidPrograms(t *testing.T) {
 func TestExtractedGhostIsReadOnly(t *testing.T) {
 	res, _, _, _, _ := extractIndirect(t)
 	if !isa.ReadOnly(res.Ghost) {
-		t.Fatalf("extracted ghost contains stores:\n%s", res.Ghost.Disasm())
+		t.Fatalf("extracted ghost contains stores:\n%s", isa.Dump(res.Ghost))
 	}
 }
 
