@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"ghostthread/internal/cli"
-	"ghostthread/internal/obs"
 )
 
 const tool = cli.Tool("gtmon")
@@ -42,7 +41,7 @@ func main() {
 		tool.Check(cli.Usagef("-in is required"))
 	}
 
-	mon := obs.NewMonitor()
+	mon := NewMonitor()
 
 	if *once {
 		f, err := os.Open(*in)
@@ -69,7 +68,7 @@ func main() {
 // then ingests each complete line as the producer appends it, surviving
 // partial trailing lines (the producer writes crash-safe unbuffered
 // lines, but a read can still race mid-line).
-func tail(mon *obs.Monitor, path string, poll time.Duration) {
+func tail(mon *Monitor, path string, poll time.Duration) {
 	var f *os.File
 	for {
 		var err error

@@ -86,18 +86,6 @@ func (c *Cache) setBase(line int64) int64 {
 	return (line % c.sets) * int64(c.ways)
 }
 
-// Reset invalidates all lines and clears counters.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = -1
-		c.readyAt[i] = 0
-		c.lastUse[i] = 0
-		c.swPf[i] = false
-	}
-	c.Hits, c.InFlightHits, c.Misses = 0, 0, 0
-	c.PF = PrefetchQuality{}
-}
-
 // lookup probes for line; on hit it refreshes LRU state and returns the
 // fill-ready cycle. demand distinguishes demand accesses from software
 // prefetches: the first demand touch of a software-prefetched line
@@ -499,10 +487,4 @@ func (h *Hierarchy) DelayFill(addr, at int64) {
 func (h *Hierarchy) WouldMissL1(addr, now int64) bool {
 	resident, _ := h.L1.peek(LineOf(addr), now)
 	return !resident
-}
-
-// Reset clears the private levels (shared levels are reset by the system).
-func (h *Hierarchy) Reset() {
-	h.L1.Reset()
-	h.L2.Reset()
 }

@@ -199,18 +199,6 @@ func TestConfigSets(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	h := testHierarchy()
-	h.Access(0x700, 0)
-	h.L1.Reset()
-	if h.L1.Hits != 0 || h.L1.Misses != 0 {
-		t.Error("Reset left counters")
-	}
-	if h.L1.Contains(LineOf(0x700), 10_000) {
-		t.Error("Reset left lines resident")
-	}
-}
-
 func TestPeekReadyExposesInFlightFills(t *testing.T) {
 	h := testHierarchy()
 	addr := int64(0x8000)

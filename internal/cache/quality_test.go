@@ -112,12 +112,3 @@ func TestPrefetchClassificationOnlyOnDemand(t *testing.T) {
 		t.Fatalf("demand touch after prefetch touch: timely=%d, want 1", q.Timely)
 	}
 }
-
-func TestResetClearsPrefetchQuality(t *testing.T) {
-	h := testHierarchy()
-	h.PrefetchAccess(0x600, 0)
-	h.Reset()
-	if q := h.PrefetchQuality(); q != (PrefetchQuality{}) {
-		t.Fatalf("Reset left prefetch-quality counters: %+v", q)
-	}
-}

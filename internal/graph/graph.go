@@ -56,6 +56,10 @@ func (r *RNG) Float() float64 {
 // entries; node u's neighbours are Neigh[Offsets[u]:Offsets[u+1]], sorted
 // ascending and de-duplicated. Everything is int64 so the workload
 // builders can copy it straight into simulated memory words.
+//
+// A CSR is read-only once its generator (or Undirected) returns it: the
+// workloads package shares one instance across every build and goroutine
+// of a process, so nothing may write Offsets or Neigh afterwards.
 type CSR struct {
 	N       int64
 	Offsets []int64

@@ -1,10 +1,9 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/gob"
-	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 
@@ -15,7 +14,7 @@ import (
 // cached report changes (e.g. the profiler's attribution rules). A version
 // mismatch is treated as a stale key: the blob is evicted and the profile
 // recomputed.
-const diskCacheVersion = 3
+const diskCacheVersion = 4
 
 // profCacheDir is the on-disk profile-cache directory ("" = disabled).
 // It is written once at process start (flag parsing) before any worker
@@ -52,13 +51,16 @@ type diskBlob struct {
 // renderKey produces the stable textual form of a profKey that is both
 // hashed for the filename and stored in the blob for verification. profKey
 // contains only scalars and fixed structs of scalars, so %+v is stable.
+// Because the blob carries the full key, the filename hash only has to
+// spread keys, not resist forgery: FNV-128a suffices.
 func renderKey(key profKey) string {
 	return fmt.Sprintf("v%d|%+v", diskCacheVersion, key)
 }
 
 func diskCachePath(rendered string) string {
-	sum := sha256.Sum256([]byte(rendered))
-	return filepath.Join(profCacheDir, "gtprof-"+hex.EncodeToString(sum[:16])+".gob")
+	h := fnv.New128a()
+	h.Write([]byte(rendered))
+	return filepath.Join(profCacheDir, fmt.Sprintf("gtprof-%x.json", h.Sum(nil)))
 }
 
 // diskCacheLoad returns the cached report for key, or nil on any miss.
@@ -76,7 +78,7 @@ func diskCacheLoad(key profKey) *profile.Report {
 	}
 	defer f.Close()
 	var blob diskBlob
-	if err := gob.NewDecoder(f).Decode(&blob); err != nil ||
+	if err := json.NewDecoder(f).Decode(&blob); err != nil ||
 		blob.Version != diskCacheVersion || blob.Key != rendered {
 		os.Remove(path)
 		return nil
@@ -98,7 +100,7 @@ func diskCacheStore(key profKey, rep *profile.Report) {
 		return
 	}
 	blob := diskBlob{Version: diskCacheVersion, Key: rendered, Report: *rep}
-	if err := gob.NewEncoder(tmp).Encode(&blob); err != nil {
+	if err := json.NewEncoder(tmp).Encode(&blob); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return

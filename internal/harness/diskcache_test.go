@@ -5,7 +5,7 @@ package harness
 // end-to-end disk hit through profileWorkload's memo.
 
 import (
-	"encoding/gob"
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -27,8 +27,8 @@ func cacheDir(t *testing.T) string {
 	return dir
 }
 
-// testKey builds a profKey for the default machine, varied by workload
-// name.
+// testKey builds the profKey profileWorkload uses for the default
+// machine, varied by workload name.
 func testKey(workload string) profKey {
 	cfg := sim.DefaultConfig()
 	return profKey{
@@ -40,6 +40,8 @@ func testKey(workload string) profKey {
 		memCtl:    cfg.MemCtl,
 		maxCycles: cfg.MaxCycles,
 		cycleStep: cfg.CycleStep,
+		fault:     cfg.Fault,
+		governor:  cfg.Governor,
 	}
 }
 
@@ -77,7 +79,7 @@ func TestDiskCacheCorruptBlobEvicted(t *testing.T) {
 	key := testKey("corrupt")
 	diskCacheStore(key, testReport())
 	path := diskCachePath(renderKey(key))
-	if err := os.WriteFile(path, []byte("not a gob stream"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("not a JSON blob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if diskCacheLoad(key) != nil {
@@ -100,12 +102,8 @@ func TestDiskCacheCorruptBlobEvicted(t *testing.T) {
 func TestDiskCacheStaleKeyEvicted(t *testing.T) {
 	cacheDir(t)
 	keyA, keyB := testKey("stale-a"), testKey("stale-b")
-	diskCacheStore(keyA, testReport())
-	pathA := diskCachePath(renderKey(keyA))
 	pathB := diskCachePath(renderKey(keyB))
-	if err := os.Rename(pathA, pathB); err != nil {
-		t.Fatal(err)
-	}
+	writeBlob(t, pathB, diskBlob{Version: diskCacheVersion, Key: renderKey(keyA), Report: *testReport()})
 	if diskCacheLoad(keyB) != nil {
 		t.Error("blob stored under a mismatched key was returned")
 	}
@@ -121,20 +119,25 @@ func TestDiskCacheVersionMismatchEvicted(t *testing.T) {
 	key := testKey("versioned")
 	rendered := renderKey(key)
 	path := diskCachePath(rendered)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	blob := diskBlob{Version: diskCacheVersion + 1, Key: rendered, Report: *testReport()}
-	if err := gob.NewEncoder(f).Encode(&blob); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	writeBlob(t, path, blob)
 	if diskCacheLoad(key) != nil {
 		t.Error("version-mismatched blob was returned")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("version-mismatched blob was not evicted: stat err = %v", err)
+	}
+}
+
+// writeBlob hand-writes blob at path in the cache's JSON layout.
+func writeBlob(t *testing.T, path string, blob diskBlob) {
+	t.Helper()
+	b, err := json.Marshal(&blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -186,5 +189,41 @@ func TestProfileWorkloadDiskHit(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Error("disk-cached report differs from the freshly profiled one")
+	}
+}
+
+// TestDiskCacheRealReport round-trips a real profiling report, program
+// included, through the JSON blob: a hand-made report exercises no
+// instruction flags, loop forest or per-loop load lists.
+func TestDiskCacheRealReport(t *testing.T) {
+	cacheDir(t)
+	const name = "bfs.kron"
+	build, err := workloads.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(name)
+	profMu.Lock()
+	delete(profCache, key)
+	profMu.Unlock()
+
+	rep, err := profileWorkload(name, build, sim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Loops) == 0 || len(rep.FuncStall) == 0 {
+		t.Fatalf("%s profile has no loops or function stalls: the round trip would be vacuous", name)
+	}
+	got := diskCacheLoad(key)
+	if got == nil {
+		t.Fatal("profileWorkload did not store its report")
+	}
+	if !got.Equal(rep) {
+		t.Error("loaded report is not Equal to the stored one")
+	}
+	if got.Prog.Name != rep.Prog.Name ||
+		!reflect.DeepEqual(got.Prog.Code, rep.Prog.Code) ||
+		!reflect.DeepEqual(got.Prog.Loops, rep.Prog.Loops) {
+		t.Error("loaded report's program differs from the profiled one")
 	}
 }

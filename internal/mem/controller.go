@@ -65,7 +65,6 @@ type Controller struct {
 	// of the request sequence alone and composes with event skipping.
 	jitterMax int64
 	jitter    fault.Stream
-	jitter0   fault.Stream // snapshot restored by Reset
 
 	// Transfers counts demand line transfers (for bandwidth stats and
 	// the energy model).
@@ -78,14 +77,10 @@ func NewController(cfg ControllerConfig) *Controller {
 		cfg.CyclesPerLine = 1
 	}
 	c := &Controller{cfg: cfg}
-	c.resetSlots()
-	return c
-}
-
-func (c *Controller) resetSlots() {
 	for i := range c.slotStamp {
 		c.slotStamp[i] = -1
 	}
+	return c
 }
 
 // pressureBusy reports whether absolute slot k is consumed by the
@@ -131,19 +126,8 @@ func (c *Controller) Schedule(now int64) int64 {
 
 // SetJitter enables (max > 0) uniform [0, max] extra cycles on every
 // transfer's access latency, drawn from s — row-buffer state, refresh, and
-// scheduling noise the fixed-latency model abstracts away. The stream is
-// snapshotted so Reset re-arms the identical jitter schedule.
+// scheduling noise the fixed-latency model abstracts away.
 func (c *Controller) SetJitter(max int64, s fault.Stream) {
 	c.jitterMax = max
 	c.jitter = s
-	c.jitter0 = s
-}
-
-// Reset clears timing state but keeps the configuration; the jitter
-// stream rewinds to its SetJitter snapshot so a reset run replays the
-// same schedule.
-func (c *Controller) Reset() {
-	c.resetSlots()
-	c.Transfers = 0
-	c.jitter = c.jitter0
 }

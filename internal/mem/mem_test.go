@@ -150,19 +150,6 @@ func TestHeapAllocSliceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestControllerReset(t *testing.T) {
-	c := NewController(ControllerConfig{AccessLatency: 100, CyclesPerLine: 4, PressureLinesPerKCycle: 50})
-	c.Schedule(0)
-	c.Schedule(0)
-	c.Reset()
-	if c.Transfers != 0 {
-		t.Errorf("Transfers after reset = %d", c.Transfers)
-	}
-	if got := c.Schedule(0); got != 100 {
-		t.Errorf("post-reset schedule = %d, want unloaded 100", got)
-	}
-}
-
 func TestControllerZeroCyclesPerLineDefaults(t *testing.T) {
 	c := NewController(ControllerConfig{AccessLatency: 10})
 	if got := c.Schedule(0); got != 10 {

@@ -115,7 +115,7 @@ type Event struct {
 // recorder.
 type Recorder struct {
 	buf []Event
-	n   uint64 // total events emitted since Reset
+	n   uint64 // total events emitted
 }
 
 // DefaultCapacity is the recorder size tools use unless told otherwise:
@@ -138,7 +138,7 @@ func (r *Recorder) Emit(e Event) {
 	r.n++
 }
 
-// Emitted returns the total number of events emitted since Reset.
+// Emitted returns the total number of events emitted.
 func (r *Recorder) Emitted() uint64 { return r.n }
 
 // Dropped returns how many events were overwritten by ring wrap-around.
@@ -170,6 +170,3 @@ func (r *Recorder) Events() []Event {
 	out = append(out, r.buf[:start]...)
 	return out
 }
-
-// Reset discards all recorded events, keeping the allocation.
-func (r *Recorder) Reset() { r.n = 0 }

@@ -41,11 +41,6 @@ func TestRecorderWrap(t *testing.T) {
 			t.Fatalf("event %d has cycle %d, want %d (oldest retained first)", i, e.Cycle, want)
 		}
 	}
-
-	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 || len(r.Events()) != 0 {
-		t.Fatalf("reset recorder not empty: len=%d dropped=%d", r.Len(), r.Dropped())
-	}
 }
 
 func TestRecorderDefaultCapacity(t *testing.T) {

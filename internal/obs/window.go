@@ -2,6 +2,16 @@ package obs
 
 import "ghostthread/internal/cache"
 
+// MonitorRow is one line of the windowed-telemetry NDJSON stream: a
+// WindowSample plus the run identity the harness tags it with. Bare
+// gtrun streams (no tags) parse too — the tag fields stay empty.
+type MonitorRow struct {
+	Workload string `json:"workload,omitempty"`
+	Variant  string `json:"variant,omitempty"`
+	Level    string `json:"level,omitempty"`
+	WindowSample
+}
+
 // WindowSample is one per-core sample of the streaming telemetry
 // time-series: the activity deltas of one W-cycle window, emitted at the
 // window's closing flush. All counter fields are deltas over the window

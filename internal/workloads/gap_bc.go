@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ghostthread/internal/core"
-	"ghostthread/internal/graph"
 	"ghostthread/internal/isa"
 	"ghostthread/internal/mem"
 )
@@ -32,7 +31,7 @@ func NewBC(graphName string, opts Options) *Instance {
 	if opts.Sync.TooFar > 48 {
 		opts.Sync.TooFar, opts.Sync.Close = 48, 16
 	}
-	g := graph.Undirected(gapGraph(graphName, opts.Scale))
+	g := gapInput(graphName, opts.Scale)
 	n := g.N
 
 	mm := mem.New(gapMemWords(g, 8, 0))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ghostthread/internal/core"
-	"ghostthread/internal/graph"
 	"ghostthread/internal/isa"
 	"ghostthread/internal/mem"
 )
@@ -20,7 +19,7 @@ func init() { registerGAP("bfs", NewBFS) }
 // memory image, matching the paper's methodology of excluding init
 // functions from timing.
 func NewBFS(graphName string, opts Options) *Instance {
-	g := graph.Undirected(gapGraph(graphName, opts.Scale))
+	g := gapInput(graphName, opts.Scale)
 	n := g.N
 
 	mm := mem.New(gapMemWords(g, 6, 0))

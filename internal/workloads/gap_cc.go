@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ghostthread/internal/core"
-	"ghostthread/internal/graph"
 	"ghostthread/internal/isa"
 	"ghostthread/internal/mem"
 )
@@ -22,7 +21,7 @@ func init() { registerGAP("cc", NewCC) }
 // parallel variant converges to exactly the per-component minimum label,
 // and a single strong Check covers every variant.
 func NewCC(graphName string, opts Options) *Instance {
-	g := graph.Undirected(gapGraph(graphName, opts.Scale))
+	g := gapInput(graphName, opts.Scale)
 	n := g.N
 
 	mm := mem.New(gapMemWords(g, 3, 0))

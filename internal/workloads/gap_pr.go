@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"ghostthread/internal/core"
-	"ghostthread/internal/graph"
 	"ghostthread/internal/isa"
 	"ghostthread/internal/mem"
 )
@@ -28,7 +27,7 @@ const (
 // threshold, so no target loads are selected, Ghost Threading falls back
 // to SMT OpenMP, and that slows pr.kron/pr.urand down.
 func NewPR(graphName string, opts Options) *Instance {
-	g := graph.Undirected(gapGraph(graphName, opts.Scale))
+	g := gapInput(graphName, opts.Scale)
 	n := g.N
 
 	mm := mem.New(gapMemWords(g, 4, 0))

@@ -25,7 +25,7 @@ const ssspINF = int64(1) << 40
 // checked against a Go Dijkstra; the racy parallel variant can lose a
 // propagation ordering (never a value), so it is checked against bounds.
 func NewSSSP(graphName string, opts Options) *Instance {
-	g := graph.Undirected(gapGraph(graphName, opts.Scale))
+	g := gapInput(graphName, opts.Scale)
 	n := g.N
 
 	mm := mem.New(gapMemWords(g, 9, 1))

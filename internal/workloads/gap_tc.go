@@ -41,6 +41,11 @@ func tcGraph(name string, scale Scale) *graph.CSR {
 	panic("workloads: unknown tc graph " + name)
 }
 
+// tcInput is the undirected tcGraph input, built once per process.
+func tcInput(name string, scale Scale) *graph.CSR {
+	return undirectedGraph(graphKey{tc: true, name: name, scale: scale})
+}
+
 // NewTC builds GAP Triangle Counting with the ordered binary-search
 // formulation: for each wedge u<v (edge) and w>v in N(v), search w in
 // N(u). The target load is the binary-search probe neigh[mid] — a
@@ -50,7 +55,7 @@ func tcGraph(name string, scale Scale) *graph.CSR {
 // adjacency lists cache well), so all techniques show modest effects,
 // matching the paper's figure 6.
 func NewTC(graphName string, opts Options) *Instance {
-	g := graph.Undirected(tcGraph(graphName, opts.Scale))
+	g := tcInput(graphName, opts.Scale)
 	n := g.N
 
 	mm := mem.New(gapMemWords(g, 2, 0))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ghostthread/internal/core"
-	"ghostthread/internal/graph"
 	"ghostthread/internal/isa"
 	"ghostthread/internal/mem"
 )
@@ -117,7 +116,7 @@ func multiRange(n int64, cores, c int) (lo, hi int64) {
 // computes contributions for its node range, barriers, pulls scores for
 // its range, and barriers again. Deterministic for every technique.
 func newMultiPR(graphName string, cores int, tech MultiTech, opts Options) *MultiInstance {
-	g := graph.Undirected(gapGraph(graphName, opts.Scale))
+	g := gapInput(graphName, opts.Scale)
 	n := g.N
 
 	mm := mem.New(gapMemWords(g, 6, 0))
@@ -354,7 +353,7 @@ func newMultiPR(graphName string, cores int, tech MultiTech, opts Options) *Mult
 // links and compresses its node range, with two barriers and a
 // master-published continue flag.
 func newMultiCC(graphName string, cores int, tech MultiTech, opts Options) *MultiInstance {
-	g := graph.Undirected(gapGraph(graphName, opts.Scale))
+	g := gapInput(graphName, opts.Scale)
 	n := g.N
 
 	mm := mem.New(gapMemWords(g, 4, 0))

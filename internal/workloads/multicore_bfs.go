@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ghostthread/internal/core"
-	"ghostthread/internal/graph"
 	"ghostthread/internal/isa"
 	"ghostthread/internal/mem"
 )
@@ -16,7 +15,7 @@ import (
 // parent[] may vary between valid choices, so the check validates depth
 // exactly and parent by adjacency.
 func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *MultiInstance {
-	g := graph.Undirected(gapGraph(graphName, opts.Scale))
+	g := gapInput(graphName, opts.Scale)
 	n := g.N
 
 	mm := mem.New(gapMemWords(g, 8, 0))
