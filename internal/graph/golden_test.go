@@ -103,6 +103,10 @@ func TestWorkloadGraphDigests(t *testing.T) {
 	for _, c := range cases {
 		g := c.build()
 		u := Undirected(g)
+		if cap(u.Neigh) != len(u.Neigh) {
+			// Workloads keep every undirected input for the process's life.
+			t.Errorf("%s undirected: Neigh capacity %d for %d edges", c.name, cap(u.Neigh), len(u.Neigh))
+		}
 		for _, v := range []struct {
 			kind string
 			g    *CSR

@@ -286,7 +286,9 @@ func Twitter(n, deg int64, seed uint64) *CSR {
 // distinct, as every generator leaves them. Row u of the closure is the
 // union of u's out-row and in-row; the in-rows come from counting-sorting
 // g's edges by target, and since sources are visited in ascending order
-// each in-row comes out sorted, so a linear merge replaces a sort.
+// each in-row comes out sorted, so a linear merge replaces a sort. The
+// merge runs twice, to size each row and then to fill it, so Neigh is
+// allocated at its exact length.
 func Undirected(g *CSR) *CSR {
 	deg := make([]int64, g.N)
 	for _, v := range g.Neigh {
@@ -299,26 +301,40 @@ func Undirected(g *CSR) *CSR {
 			deg[v]++
 		}
 	}
-	s := &CSR{N: g.N, Offsets: make([]int64, g.N+1), Neigh: make([]int64, 0, 2*len(g.Neigh))}
+	s := &CSR{N: g.N, Offsets: make([]int64, g.N+1)}
 	for u := int64(0); u < g.N; u++ {
-		a, b := g.Neighbors(u), in.Neighbors(u)
-		for len(a) > 0 || len(b) > 0 {
-			var v int64
-			switch {
-			case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
-				v, a = a[0], a[1:]
-			case len(a) == 0 || b[0] < a[0]:
-				v, b = b[0], b[1:]
-			default: // u→v and v→u are both in g
-				v, a, b = a[0], a[1:], b[1:]
-			}
-			if v != u {
-				s.Neigh = append(s.Neigh, v)
-			}
-		}
-		s.Offsets[u+1] = int64(len(s.Neigh))
+		s.Offsets[u+1] = s.Offsets[u] + mergeRow(nil, u, g.Neighbors(u), in.Neighbors(u))
+	}
+	s.Neigh = make([]int64, s.Offsets[g.N])
+	for u := int64(0); u < g.N; u++ {
+		mergeRow(s.Neigh[s.Offsets[u]:s.Offsets[u+1]], u, g.Neighbors(u), in.Neighbors(u))
 	}
 	return s
+}
+
+// mergeRow merges the sorted rows a and b into dst without duplicates or
+// u itself, and returns how many entries the merge holds. A nil dst only
+// counts them.
+func mergeRow(dst []int64, u int64, a, b []int64) int64 {
+	n := int64(0)
+	for len(a) > 0 || len(b) > 0 {
+		var v int64
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			v, a = a[0], a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			v, b = b[0], b[1:]
+		default: // u→v and v→u are both in g
+			v, a, b = a[0], a[1:], b[1:]
+		}
+		if v != u {
+			if dst != nil {
+				dst[n] = v
+			}
+			n++
+		}
+	}
+	return n
 }
 
 // EdgeWeight returns the deterministic weight of edge index e in [1, 64],

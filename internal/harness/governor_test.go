@@ -14,11 +14,11 @@ import (
 // the same W the metrics smoke uses.
 const govWindow = 20000
 
-// TestGovernedBfsKronCompilerRecovers is the PR's headline regression
-// test: bfs.kron's compiler-extracted ghost carries per-level live-ins
-// that go stale after level 0, turning the helper into pure overhead
-// (the −7.5% regression EXPERIMENTS.md dissects). The governor must
-// catch it mid-run — kill the wasted ghost, re-spawn it with fresh
+// TestGovernedBfsKronCompilerRecovers is the governor's headline
+// regression test: bfs.kron's static compiler ghost, spawned once per
+// level, still runs slower than no helper (the regression
+// EXPERIMENTS.md dissects). The governed per-phase ghost must catch its
+// degraded tail mid-run — kill the wasted ghost, re-spawn it with fresh
 // registers after RevivePeriod — and recover the run to at least
 // no-helper performance.
 func TestGovernedBfsKronCompilerRecovers(t *testing.T) {

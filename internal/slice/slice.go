@@ -3,8 +3,11 @@
 // given a baseline program whose target loads are annotated (and selected
 // by the heuristic), it
 //
-//  1. picks the extraction region — the outermost loop enclosing the
-//     hottest target (the loop a #pragma would name),
+//  1. picks the extraction region — the hottest target's spawn loop,
+//     chosen from the profile by core.SelectTargets: the innermost loop
+//     enclosing the target loop one of whose entries covers enough of
+//     the run to pay for a spawn (a BFS level), else the outermost one
+//     (the loop a #pragma would name),
 //  2. duplicates the region's control-flow structure into a new ghost
 //     program, keeping the backward slice of the target addresses plus
 //     every branch (and the computation branches depend on), dropping all
@@ -25,9 +28,11 @@
 // key compare); only a target whose value a kept data instruction reads
 // (a loop-carried pointer-chase hop) is kept as a demand load, so the
 // ghost's own address stream stays live (see Result.Rematerialized).
-// Live-ins that main recomputes after spawn (per-level loop bounds,
-// frontier pointers) still go stale — catching that at runtime is the
-// adaptive governor's job (internal/gov).
+// Live-ins that main recomputes inside the region (per-level loop
+// bounds and frontier pointers, when the region is the outermost loop)
+// still go stale — a spawn region entered once per level avoids that,
+// and otherwise catching it at runtime is the adaptive governor's job
+// (internal/gov).
 package slice
 
 import (
@@ -71,7 +76,8 @@ type Options struct {
 	// A no-op when the region loop has no inner loops
 	// (nothing outer to re-seed per-iteration). Only meaningful under a
 	// governed run; an unmanaged per-phase ghost dies after one region
-	// iteration and never comes back.
+	// iteration and never comes back. The region is always the
+	// outermost loop: Target.SpawnDepth is ignored.
 	PerPhase bool
 }
 
@@ -120,7 +126,11 @@ type Result struct {
 // extraction whose ghost cannot be proven address-equivalent fails with
 // ErrUnproved. Targets must be non-empty; the loop of the
 // highest-coverage target (the first, per core.SelectTargets ordering)
-// is synchronised, and its outermost enclosing loop becomes the region.
+// is synchronised, and that target's spawn loop (core.SpawnLoop: the
+// loop SpawnDepth levels below the outermost enclosing loop) becomes the
+// region, so main spawns the ghost before each entry of it and joins
+// after. Per-phase extraction ignores SpawnDepth and takes the outermost
+// loop, whose header the governor re-seeds at.
 func Extract(base *isa.Program, targets []core.Target, params core.SyncParams, ctr core.Counters) (*Result, error) {
 	return ExtractWith(base, targets, params, ctr, Options{})
 }
@@ -134,10 +144,15 @@ func ExtractWith(base *isa.Program, targets []core.Target, params core.SyncParam
 	if targetLoop < 0 || targetLoop >= len(base.Loops) {
 		return nil, fmt.Errorf("%w: target loop %d out of range in %q", ErrUnsliceable, targetLoop, base.Name)
 	}
-	region := targetLoop
-	for base.Loops[region].Parent >= 0 {
-		region = base.Loops[region].Parent
+	// The region is the target's spawn loop (core.SelectTargets), so the
+	// ghost restarts from main's state on every entry of it. Per-phase
+	// slices keep the outermost loop: the governor re-seeds them at its
+	// header instead.
+	spawn := targets[0]
+	if opts.PerPhase {
+		spawn.SpawnDepth = 0
 	}
+	region := core.SpawnLoop(base.Loops, spawn)
 	head, end := base.Loops[region].Head, base.Loops[region].End
 
 	// Target load PCs inside the region (only those get prefetched).

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ghostthread/internal/analysis"
+	"ghostthread/internal/core"
 	"ghostthread/internal/lint"
 	"ghostthread/internal/slice"
 	"ghostthread/internal/workloads"
@@ -21,36 +22,59 @@ const verdictsGolden = "testdata/compiler_verdicts_golden.json"
 // compilerVerdicts is one golden entry: the outcome of extracting a
 // workload's compiler slice.
 type compilerVerdicts struct {
-	Workload string              `json:"workload"`
-	PerPhase bool                `json:"per_phase"`
-	Err      string              `json:"error,omitempty"`
-	Verdicts []*analysis.Verdict `json:"verdicts,omitempty"`
+	Workload   string              `json:"workload"`
+	PerPhase   bool                `json:"per_phase"`
+	SpawnDepth int                 `json:"spawn_depth"`
+	Region     string              `json:"region,omitempty"`
+	Err        string              `json:"error,omitempty"`
+	Verdicts   []*analysis.Verdict `json:"verdicts,omitempty"`
 }
 
 // TestCompilerVerdictsGolden pins the translation-validation verdicts of
 // every registered workload's compiler slice (profile scale, static
 // targets, AllowUnproved), with and without the per-phase cut, against a
-// checked-in golden. It guards the validator's exact output: status,
-// matched PCs, leads, skip and speculation points, unfold labels and
-// rendered expressions. Re-bless after a reviewed change with
+// checked-in golden. Whole-region slices are also extracted at every
+// spawn depth core.SelectTargets can choose (each loop strictly between
+// the outermost loop and the target loop), and each of those must
+// prove: the rule may pick any of them from a profile. The golden guards
+// the validator's exact output: status, matched PCs, leads, skip and
+// speculation points, unfold labels and rendered expressions. Re-bless
+// after a reviewed change with
 //
 //	go test ./internal/slice -run TestCompilerVerdictsGolden -update
 func TestCompilerVerdictsGolden(t *testing.T) {
 	var got []compilerVerdicts
 	for _, e := range workloads.Entries() {
-		for _, perPhase := range []bool{false, true} {
-			wopts := workloads.ProfileOptions()
-			inst := e.Build(wopts)
-			base := inst.Baseline.Main
-			entry := compilerVerdicts{Workload: e.Name, PerPhase: perPhase}
-			ext, err := slice.ExtractWith(base, lint.StaticTargets(base), wopts.Sync, inst.Counters,
+		wopts := workloads.ProfileOptions()
+		inst := e.Build(wopts)
+		base := inst.Baseline.Main
+		targets := lint.StaticTargets(base)
+		extract := func(perPhase bool, depth int) {
+			entry := compilerVerdicts{Workload: e.Name, PerPhase: perPhase, SpawnDepth: depth}
+			ts := append([]core.Target(nil), targets...)
+			if len(ts) > 0 {
+				ts[0].SpawnDepth = depth
+			}
+			ext, err := slice.ExtractWith(base, ts, wopts.Sync, inst.Counters,
 				slice.Options{AllowUnproved: true, PerPhase: perPhase})
 			if err != nil {
 				entry.Err = err.Error()
 			} else {
+				entry.Region = base.Loops[ext.RegionLoop].Name
 				entry.Verdicts = ext.Verdicts
 			}
+			if depth > 0 && (err != nil || !proved(ext.Verdicts)) {
+				t.Errorf("%s: spawn depth %d region %q does not prove: %v", e.Name, depth, entry.Region, err)
+			}
 			got = append(got, entry)
+		}
+		extract(false, 0)
+		extract(true, 0)
+		if len(targets) > 0 {
+			l := targets[0].LoopID
+			for d := 1; core.SpawnLoop(base.Loops, core.Target{LoopID: l, SpawnDepth: d}) != l; d++ {
+				extract(false, d)
+			}
 		}
 	}
 	raw, err := json.MarshalIndent(got, "", "  ")
@@ -72,6 +96,16 @@ func TestCompilerVerdictsGolden(t *testing.T) {
 	if !bytes.Equal(raw, want) {
 		t.Fatalf("compiler verdicts drifted from %s:\n%s", verdictsGolden, firstDiff(want, raw))
 	}
+}
+
+// proved reports whether every verdict proves its spawn site.
+func proved(vs []*analysis.Verdict) bool {
+	for _, v := range vs {
+		if v.Status == analysis.Unproved {
+			return false
+		}
+	}
+	return len(vs) > 0
 }
 
 // firstDiff renders the first differing line of two texts with its
