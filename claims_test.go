@@ -6,8 +6,11 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"ghostthread/internal/core"
 )
 
 // This file checks EXPERIMENTS.md's "Reproduction status" table against
@@ -23,6 +26,7 @@ type fig6Golden struct {
 		GhostSelected bool               `json:"ghost_selected"`
 		Targets       int                `json:"targets"`
 		Speedup       map[string]float64 `json:"speedup"`
+		EnergySaving  map[string]float64 `json:"energy_saving"`
 		Prefetch      map[string]struct {
 			Issued int64 `json:"issued"`
 		} `json:"prefetch"`
@@ -231,4 +235,181 @@ func TestClaimsIdleHeadlineRatios(t *testing.T) {
 	if seen != len(want) {
 		t.Errorf("headline table has %d of the %d idle ratio rows", seen, len(want))
 	}
+}
+
+// TestClaimsFigure9Table checks that EXPERIMENTS.md's figure-9 geomean
+// table quotes testdata/fig9_golden.json's geomeans, and Ghost
+// Threading's no-omp column, at two decimals.
+func TestClaimsFigure9Table(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fig9_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g struct {
+		Geomean map[string]map[string]float64 `json:"geomean"`
+		NoOMP   float64                       `json:"no_omp"`
+	}
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatalf("fig9 golden: %v", err)
+	}
+	seen := 0
+	for _, line := range experimentsSection(t, "## Figure 9 — multi-core scaling (bfs, cc, pr × 5 graphs)") {
+		f := strings.Fields(line)
+		if len(f) != 5 {
+			continue
+		}
+		gm, ok := g.Geomean[f[0]]
+		if !ok {
+			continue
+		}
+		seen++
+		noOMP := "-"
+		if f[0] == "ghost-threading" {
+			noOMP = fmt.Sprintf("%.2f", g.NoOMP)
+		}
+		want := []string{noOMP, fmt.Sprintf("%.2f", gm["1"]), fmt.Sprintf("%.2f", gm["2"]), fmt.Sprintf("%.2f", gm["4"])}
+		for i, col := range []string{"no-omp", "1c", "2c", "4c"} {
+			if f[i+1] != want[i] {
+				t.Errorf("figure-9 table: %s %s is %s, golden says %s", f[0], col, f[i+1], want[i])
+			}
+		}
+	}
+	if seen != len(g.Geomean) {
+		t.Errorf("figure-9 table has %d of the golden's %d technique rows", seen, len(g.Geomean))
+	}
+}
+
+// statusRow returns the cells of the reproduction-status row for the
+// named experiment.
+func statusRow(t *testing.T, experiment string) []string {
+	t.Helper()
+	for _, line := range experimentsSection(t, "## Reproduction status summary") {
+		if c := tableCells(line); len(c) == 3 && c[0] == experiment {
+			return c
+		}
+	}
+	t.Fatalf("status table has no %q row", experiment)
+	return nil
+}
+
+// TestClaimsFigure7 checks the figure-7 energy geomeans, in the status
+// row and in the figure-7 table, against the savings the figure-6
+// golden records per row: one minus the geomean of the energy ratios,
+// as harness.Matrix.GeomeanSaving computes them.
+func TestClaimsFigure7(t *testing.T) {
+	g := loadFig6Golden(t)
+	techs := []struct{ key, label string }{
+		{"swpf", "SWPF"},
+		{"smt-openmp", "SMT OpenMP"},
+		{"ghost-threading", "Ghost Threading"},
+		{"compiler-ghost", "Compiler ghosts"},
+	}
+	want := make([]string, len(techs))
+	for i, tc := range techs {
+		logSum := 0.0
+		for _, r := range g.Rows {
+			if s, ok := r.EnergySaving[tc.key]; ok {
+				logSum += math.Log(1 - s)
+			}
+		}
+		want[i] = fmt.Sprintf("%.1f", 100*(1-math.Exp(logSum/float64(len(g.Rows)))))
+	}
+
+	status := statusRow(t, "Figure 7")[2]
+	if quoted := strings.Join(want, " / ") + " %"; !strings.Contains(status, quoted) {
+		t.Errorf("figure-7 status row %q does not quote the golden's %s", status, quoted)
+	}
+	seen := 0
+	for _, line := range experimentsSection(t, "## Figure 7 — idle-server package energy savings") {
+		c := tableCells(line)
+		for i, tc := range techs {
+			if len(c) == 3 && c[0] == tc.label {
+				seen++
+				if c[2] != want[i]+"%" {
+					t.Errorf("figure-7 table: %s is %s, golden says %s%%", tc.label, c[2], want[i])
+				}
+			}
+		}
+	}
+	if seen != len(techs) {
+		t.Errorf("figure-7 table has %d of the %d technique rows", seen, len(techs))
+	}
+}
+
+// fig10Summary matches a summary line of testdata/fig10_golden.txt.
+var fig10Summary = regexp.MustCompile(`^(with|without) sync: +min=(\d+) max=(\d+) mean=(\d+) over \d+ samples$`)
+
+// TestClaimsFigure10 checks the figure-10 status row and table against
+// figure 10(a) in testdata/fig10_golden.txt: both mean distances, their
+// ratio, and the synchronised maximum's overshoot of the default TooFar
+// threshold.
+func TestClaimsFigure10(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fig10_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The status row and table quote panel (a), the coarse-window run.
+	panelA, _, _ := strings.Cut(string(raw), "\nFigure 10(b)")
+	stats := map[string][3]int64{} // min, max, mean
+	for _, line := range strings.Split(panelA, "\n") {
+		m := fig10Summary.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		var v [3]int64
+		for i := range v {
+			v[i], _ = strconv.ParseInt(m[i+2], 10, 64)
+		}
+		stats[m[1]] = v
+	}
+	with, ok1 := stats["with"]
+	without, ok2 := stats["without"]
+	if !ok1 || !ok2 {
+		t.Fatalf("fig10 golden lacks a with/without summary line: %v", stats)
+	}
+	tooFar := core.DefaultSyncParams().TooFar
+	ratio := int64(math.Round(float64(without[2])/float64(with[2])/10)) * 10
+
+	status := statusRow(t, "Figure 10")[2]
+	for _, quoted := range []string{
+		fmt.Sprintf("mean distance %s vs %d synchronised", commas(without[2]), with[2]),
+		fmt.Sprintf("about %s×", commas(ratio)),
+		fmt.Sprintf("stay in %d–%d", with[0], with[1]),
+		fmt.Sprintf("TooFar = %d", tooFar),
+		fmt.Sprintf("overshot by up to %d", with[1]-tooFar),
+	} {
+		if !strings.Contains(status, quoted) {
+			t.Errorf("figure-10 status row %q does not say %q", status, quoted)
+		}
+	}
+	if with[1] <= tooFar {
+		t.Errorf("synchronised maximum %d does not exceed TooFar = %d, as the status row says", with[1], tooFar)
+	}
+
+	want := map[string]string{
+		"with synchronization":    fmt.Sprintf("%s (%d–%s)", commas(with[2]), with[0], commas(with[1])),
+		"without synchronization": fmt.Sprintf("%s (%d–%s)", commas(without[2]), without[0], commas(without[1])),
+	}
+	seen := 0
+	for _, line := range experimentsSection(t, "## Figure 10 — inter-thread distance (cc.urand, Afforest link loop)") {
+		c := tableCells(line)
+		if w, ok := want[c[0]]; ok && len(c) == 3 {
+			seen++
+			if c[1] != w {
+				t.Errorf("figure-10 table: %s mean distance is %q, golden says %q", c[0], c[1], w)
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("figure-10 table has %d of the %d configuration rows", seen, len(want))
+	}
+}
+
+// commas renders n with thousands separators, as EXPERIMENTS.md does.
+func commas(n int64) string {
+	s := strconv.FormatInt(n, 10)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
 }

@@ -136,6 +136,19 @@ func loadGraph(h *mem.Heap, g *graph.CSR) *gapData {
 	return d
 }
 
+// maxDegreeNode returns the lowest-numbered node of highest degree: the
+// traversal source of bc, bfs and sssp, so kron/twitter traversals cover
+// most of the graph.
+func maxDegreeNode(g *graph.CSR) int64 {
+	source := int64(0)
+	for v := int64(1); v < g.N; v++ {
+		if g.Degree(v) > g.Degree(source) {
+			source = v
+		}
+	}
+	return source
+}
+
 // gapMemWords sizes the memory for a kernel over g with extra per-node
 // and per-edge arrays.
 func gapMemWords(g *graph.CSR, perNodeArrays, perEdgeArrays int64) int64 {

@@ -49,12 +49,7 @@ func NewBC(graphName string, opts Options) *Instance {
 	shDepth := h.Alloc(1)
 	shDir := h.Alloc(1)
 
-	source := int64(0)
-	for v := int64(1); v < n; v++ {
-		if g.Degree(v) > g.Degree(source) {
-			source = v
-		}
-	}
+	source := maxDegreeNode(g)
 	mm.Fill(depthA, n, -1)
 	mm.StoreWord(depthA+source, 0)
 	mm.StoreWord(sigmaA+source, 1)

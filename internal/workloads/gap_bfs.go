@@ -2,8 +2,10 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 
 	"ghostthread/internal/core"
+	"ghostthread/internal/graph"
 	"ghostthread/internal/isa"
 	"ghostthread/internal/mem"
 )
@@ -34,14 +36,7 @@ func NewBFS(graphName string, opts Options) *Instance {
 	shLo := h.Alloc(1)
 	shHi := h.Alloc(1)
 
-	// Source: the highest-degree node, so kron/twitter traversals cover
-	// most of the graph.
-	source := int64(0)
-	for v := int64(1); v < n; v++ {
-		if g.Degree(v) > g.Degree(source) {
-			source = v
-		}
-	}
+	source := maxDegreeNode(g)
 
 	initMem := func() {
 		mm.Fill(parentA, n, -1)
@@ -50,29 +45,7 @@ func NewBFS(graphName string, opts Options) *Instance {
 	}
 	initMem()
 
-	// Go reference (identical sequential semantics).
-	wantParent := make([]int64, n)
-	for v := range wantParent {
-		wantParent[v] = -1
-	}
-	wantParent[source] = source
-	cur := []int64{source}
-	for len(cur) > 0 {
-		var next []int64
-		for _, u := range cur {
-			for _, v := range g.Neighbors(u) {
-				if wantParent[v] < 0 {
-					wantParent[v] = u
-					next = append(next, v)
-				}
-			}
-		}
-		cur = next
-	}
-	var wantSum int64
-	for _, p := range wantParent {
-		wantSum += p
-	}
+	wantParent, _ := bfsReference(g, source)
 
 	name := "bfs." + graphName
 	dPf := SWPFDistance
@@ -282,48 +255,7 @@ func NewBFS(graphName string, opts Options) *Instance {
 		b.Load(qc, shQC, 0)
 		b.Load(qBase, shQB, 0)
 		zero := b.Imm(0)
-		qLast := b.Reg()
-		b.AddI(qLast, qc, -1)
-		b.Max(qLast, qLast, zero)
-		b.CountedLoop("bfs_tdstep_g", zero, qc, func(qi isa.Reg) {
-			ua := b.Reg()
-			b.Add(ua, qBase, qi)
-			u := b.Reg()
-			b.Load(u, ua, 0)
-			// Self-accelerating lookahead: prefetch the offsets of a node
-			// a few frontier slots ahead so the ghost's own offsets loads
-			// do not serialise its progress (the main thread's offsets
-			// loads then hit as well, since the ghost leads it).
-			fq := b.Reg()
-			b.AddI(fq, qi, 8)
-			b.Min(fq, fq, qLast)
-			fa := b.Reg()
-			b.Add(fa, qBase, fq)
-			fu := b.Reg()
-			b.Load(fu, fa, 0)
-			foa := b.Reg()
-			b.Add(foa, offsR, fu)
-			b.Prefetch(foa, 0)
-			oa := b.Reg()
-			b.Add(oa, offsR, u)
-			s := b.Reg()
-			b.Load(s, oa, 0)
-			e := b.Reg()
-			b.Load(e, oa, 1)
-			b.CountedLoop("bfs_inner_g", s, e, func(ei isa.Reg) {
-				na := b.Reg()
-				b.Add(na, neighR, ei)
-				v := b.Reg()
-				b.Load(v, na, 0)
-				pa := b.Reg()
-				b.Add(pa, parentR, v)
-				b.Prefetch(pa, 0)
-				core.EmitSync(b, st, func() {
-					b.AddI(ei, ei, st.Params.SkipStep)
-					core.AdvanceLocal(b, st, st.Params.SkipStep)
-				})
-			})
-		})
+		emitBFSGhostScan(b, st, zero, qc, zero, qBase, offsR, neighR, parentR)
 		b.Halt()
 		return b.MustBuild()
 	}
@@ -333,38 +265,116 @@ func NewBFS(graphName string, opts Options) *Instance {
 		Mem:      mm,
 		Counters: d.counters(),
 		Check: combineChecks(
-			checkWord(d.out, wantSum, name+" parent checksum"),
+			checkWord(d.out, wordSum(wantParent), name+" parent checksum"),
 			checkWords(parentA, wantParent, name+" parent"),
 		),
-		CheckRelaxed: func(m *mem.Memory) error {
+		CheckRelaxed: combineChecks(
 			// The racy parallel TDStep may pick different (valid)
 			// parents: check the reached set matches and every parent
 			// edge exists.
-			for v := int64(0); v < n; v++ {
-				p := m.LoadWord(parentA + v)
-				if (p >= 0) != (wantParent[v] >= 0) {
-					return fmt.Errorf("%s: node %d reached=%v, want %v", name, v, p >= 0, wantParent[v] >= 0)
-				}
-				if p < 0 || v == source {
-					continue
-				}
-				found := false
-				for _, w := range g.Neighbors(v) {
-					if w == p {
-						found = true
-						break
+			func(m *mem.Memory) error {
+				for v := int64(0); v < n; v++ {
+					if p := m.LoadWord(parentA + v); (p >= 0) != (wantParent[v] >= 0) {
+						return fmt.Errorf("%s: node %d reached=%v, want %v", name, v, p >= 0, wantParent[v] >= 0)
 					}
 				}
-				if !found {
-					return fmt.Errorf("%s: node %d has non-adjacent parent %d", name, v, p)
-				}
-			}
-			return nil
-		},
+				return nil
+			},
+			checkParentEdges(g, parentA, source, wantParent, name),
+		),
 		Baseline: &Variant{Main: buildMain(camelBase)},
 		SWPF:     &Variant{Main: buildMain(camelSWPF)},
 		Parallel: &Variant{Main: buildMain(camelParMain), Helpers: []*isa.Program{buildParWorker()}},
 		Ghost:    &Variant{Main: buildMain(camelGhostMain), Helpers: []*isa.Program{buildGhost()}},
 	}
 	return inst
+}
+
+// bfsReference runs a sequential top-down BFS from source and returns
+// every node's parent and depth, -1 where unreached. A node's parent is
+// its first claimer in queue order, as in NewBFS's sequential variants.
+func bfsReference(g *graph.CSR, source int64) (parent, depth []int64) {
+	parent = make([]int64, g.N)
+	depth = make([]int64, g.N)
+	for v := range parent {
+		parent[v], depth[v] = -1, -1
+	}
+	parent[source], depth[source] = source, 0
+	queue := []int64{source}
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for _, v := range g.Neighbors(u) {
+			if depth[v] < 0 {
+				parent[v], depth[v] = u, depth[u]+1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return parent, depth
+}
+
+// checkParentEdges returns a Check that every node the reference reaches
+// (want[v] >= 0), source aside, has a parent adjacent to it: racy and
+// multi-core claims may pick any parent one level up.
+func checkParentEdges(g *graph.CSR, parentA, source int64, want []int64, name string) func(m *mem.Memory) error {
+	return func(m *mem.Memory) error {
+		for v := int64(0); v < g.N; v++ {
+			if v == source || want[v] < 0 {
+				continue
+			}
+			p := m.LoadWord(parentA + v)
+			if !slices.Contains(g.Neighbors(v), p) {
+				return fmt.Errorf("%s: node %d has non-adjacent parent %d", name, v, p)
+			}
+		}
+		return nil
+	}
+}
+
+// emitBFSGhostScan emits the ghost's p-slice of a frontier scan over
+// queue entries [lo, hi) at qBase (figure 4(b)): per edge, prefetch
+// targetR[v] and run the synchronization segment st (figure 4(d)).
+func emitBFSGhostScan(b *isa.Builder, st *core.SyncState, lo, hi, zero, qBase, offsR, neighR, targetR isa.Reg) {
+	qLast := b.Reg()
+	b.AddI(qLast, hi, -1)
+	b.Max(qLast, qLast, zero)
+	b.CountedLoop("bfs_tdstep_g", lo, hi, func(qi isa.Reg) {
+		ua := b.Reg()
+		b.Add(ua, qBase, qi)
+		u := b.Reg()
+		b.Load(u, ua, 0)
+		// Self-accelerating lookahead: prefetch the offsets of a node
+		// a few frontier slots ahead so the ghost's own offsets loads
+		// do not serialise its progress (the main thread's offsets
+		// loads then hit as well, since the ghost leads it).
+		fq := b.Reg()
+		b.AddI(fq, qi, 8)
+		b.Min(fq, fq, qLast)
+		fa := b.Reg()
+		b.Add(fa, qBase, fq)
+		fu := b.Reg()
+		b.Load(fu, fa, 0)
+		foa := b.Reg()
+		b.Add(foa, offsR, fu)
+		b.Prefetch(foa, 0)
+		oa := b.Reg()
+		b.Add(oa, offsR, u)
+		s := b.Reg()
+		b.Load(s, oa, 0)
+		e := b.Reg()
+		b.Load(e, oa, 1)
+		b.CountedLoop("bfs_inner_g", s, e, func(ei isa.Reg) {
+			na := b.Reg()
+			b.Add(na, neighR, ei)
+			v := b.Reg()
+			b.Load(v, na, 0)
+			pa := b.Reg()
+			b.Add(pa, targetR, v)
+			b.Prefetch(pa, 0)
+			core.EmitSync(b, st, func() {
+				b.AddI(ei, ei, st.Params.SkipStep)
+				core.AdvanceLocal(b, st, st.Params.SkipStep)
+			})
+		})
+	})
 }

@@ -45,12 +45,7 @@ func NewSSSP(graphName string, opts Options) *Instance {
 	shLo := h.Alloc(1)
 	shHi := h.Alloc(1)
 
-	source := int64(0)
-	for v := int64(1); v < n; v++ {
-		if g.Degree(v) > g.Degree(source) {
-			source = v
-		}
-	}
+	source := maxDegreeNode(g)
 	mm.Fill(distA, n, ssspINF)
 	mm.StoreWord(distA+source, 0)
 	mm.StoreWord(q1A, source)

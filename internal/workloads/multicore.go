@@ -25,6 +25,12 @@ func (t MultiTech) String() string {
 	return [...]string{"baseline", "swpf", "smt-openmp", "ghost"}[t]
 }
 
+// kind is the single-core main-program flavour whose emitters t's main
+// programs share.
+func (t MultiTech) kind() camelKind {
+	return [...]camelKind{camelBase, camelSWPF, camelParMain, camelGhostMain}[t]
+}
+
 // CorePrograms is one core's program load.
 type CorePrograms struct {
 	Main    *isa.Program
@@ -105,6 +111,12 @@ func emitBarrier(b *isa.Builder, st barrierState, r barrierRegs) {
 	b.Bind(done)
 }
 
+// coreCounters returns core c's main/ghost counter words, which sit in
+// pairs from ctrBase.
+func coreCounters(ctrBase int64, c int) core.Counters {
+	return core.Counters{MainAddr: ctrBase + int64(2*c), GhostAddr: ctrBase + int64(2*c+1)}
+}
+
 // multiRange returns core c's node slice [lo, hi) of n nodes.
 func multiRange(n int64, cores, c int) (lo, hi int64) {
 	lo = n * int64(c) / int64(cores)
@@ -131,158 +143,9 @@ func newMultiPR(graphName string, cores int, tech MultiTech, opts Options) *Mult
 		mm.StoreWord(scoreA+v, prOne)
 	}
 
-	// Reference (same as single-core pr).
-	score := make([]int64, n)
-	contrib := make([]int64, n)
-	for v := range score {
-		score[v] = prOne
-	}
-	for it := 0; it < prIters; it++ {
-		for u := int64(0); u < n; u++ {
-			if deg := g.Degree(u); deg > 0 {
-				contrib[u] = score[u] / deg
-			} else {
-				contrib[u] = 0
-			}
-		}
-		for v := int64(0); v < n; v++ {
-			var sum int64
-			for _, u := range g.Neighbors(v) {
-				sum += contrib[u]
-			}
-			score[v] = prBase + (prAlpha*sum)>>prShift
-		}
-	}
-	wantScore := append([]int64(nil), score...)
+	wantScore := prReference(g)
 
 	name := fmt.Sprintf("pr.%s@%d-%s", graphName, cores, tech)
-
-	emitContribRange := func(b *isa.Builder, scoreR, contribR, offsR isa.Reg, lo, hi int64) {
-		loR := b.Imm(lo)
-		hiR := b.Imm(hi)
-		b.CountedLoop("pr_contrib", loR, hiR, func(u isa.Reg) {
-			oa := b.Reg()
-			b.Add(oa, offsR, u)
-			s := b.Reg()
-			b.Load(s, oa, 0)
-			e := b.Reg()
-			b.Load(e, oa, 1)
-			deg := b.Reg()
-			b.Sub(deg, e, s)
-			sa := b.Reg()
-			b.Add(sa, scoreR, u)
-			sv := b.Reg()
-			b.Load(sv, sa, 0)
-			c := b.Reg()
-			b.Div(c, sv, deg)
-			ca := b.Reg()
-			b.Add(ca, contribR, u)
-			b.Store(ca, 0, c)
-		})
-	}
-
-	emitPullRange := func(b *isa.Builder, scoreR, contribR, offsR, neighR isa.Reg,
-		lo, hi int64, withPrefetch bool, ctrA isa.Reg, one isa.Reg, tmp isa.Reg) {
-		loR := b.Imm(lo)
-		hiR := b.Imm(hi)
-		dPf := SWPFDistance
-		b.CountedLoop("pr_pull", loR, hiR, func(v isa.Reg) {
-			oa := b.Reg()
-			b.Add(oa, offsR, v)
-			s := b.Reg()
-			b.Load(s, oa, 0)
-			e := b.Reg()
-			b.Load(e, oa, 1)
-			sum := b.Reg()
-			b.Const(sum, 0)
-			var eLast isa.Reg
-			if withPrefetch {
-				eLast = b.Reg()
-				b.AddI(eLast, e, -1)
-			}
-			b.CountedLoop("pr_pull_inner", s, e, func(ei isa.Reg) {
-				if withPrefetch {
-					pe := b.Reg()
-					b.AddI(pe, ei, dPf)
-					b.Min(pe, pe, eLast)
-					pna := b.Reg()
-					b.Add(pna, neighR, pe)
-					pu := b.Reg()
-					b.Load(pu, pna, 0)
-					pca := b.Reg()
-					b.Add(pca, contribR, pu)
-					b.Prefetch(pca, 0)
-				}
-				na := b.Reg()
-				b.Add(na, neighR, ei)
-				u := b.Reg()
-				b.Load(u, na, 0)
-				ca := b.Reg()
-				b.Add(ca, contribR, u)
-				cu := b.Reg()
-				b.Load(cu, ca, 0)
-				b.Add(sum, sum, cu)
-				if ctrA != 0 {
-					core.EmitUpdate(b, ctrA, one, tmp)
-				}
-			})
-			b.MulI(sum, sum, prAlpha)
-			b.ShrI(sum, sum, prShift)
-			b.AddI(sum, sum, prBase)
-			sca := b.Reg()
-			b.Add(sca, scoreR, v)
-			b.Store(sca, 0, sum)
-		})
-	}
-
-	buildGhostRange := func(c int, lo, hi int64) *isa.Program {
-		b := isa.NewBuilder(fmt.Sprintf("%s-ghost-c%d", name, c))
-		b.Func("PageRankPull")
-		st := core.NewSync(b, opts.Sync, core.Counters{
-			MainAddr: ctrBase + int64(2*c), GhostAddr: ctrBase + int64(2*c+1)})
-		contribR := b.Imm(contribA)
-		offsR := b.Imm(d.offsets)
-		neighR := b.Imm(d.neigh)
-		loR := b.Imm(lo)
-		hiR := b.Imm(hi)
-		b.CountedLoop("pr_pull_g", loR, hiR, func(v isa.Reg) {
-			oa := b.Reg()
-			b.Add(oa, offsR, v)
-			s := b.Reg()
-			b.Load(s, oa, 0)
-			e := b.Reg()
-			b.Load(e, oa, 1)
-			b.CountedLoop("pr_pull_inner_g", s, e, func(ei isa.Reg) {
-				na := b.Reg()
-				b.Add(na, neighR, ei)
-				u := b.Reg()
-				b.Load(u, na, 0)
-				ca := b.Reg()
-				b.Add(ca, contribR, u)
-				b.Prefetch(ca, 0)
-				core.EmitSync(b, st, func() {
-					b.AddI(ei, ei, st.Params.SkipStep)
-					core.AdvanceLocal(b, st, st.Params.SkipStep)
-				})
-			})
-		})
-		b.Halt()
-		return b.MustBuild()
-	}
-
-	buildWorkerRange := func(c int, lo, hi int64) *isa.Program {
-		b := isa.NewBuilder(fmt.Sprintf("%s-worker-c%d", name, c))
-		b.Func("PageRankPull")
-		scoreR := b.Imm(scoreA)
-		contribR := b.Imm(contribA)
-		offsR := b.Imm(d.offsets)
-		neighR := b.Imm(d.neigh)
-		one := b.Imm(1)
-		tmp := b.Reg()
-		emitPullRange(b, scoreR, contribR, offsR, neighR, lo, hi, false, 0, one, tmp)
-		b.Halt()
-		return b.MustBuild()
-	}
 
 	inst := &MultiInstance{Name: name, Cores: cores, Mem: mm}
 	for c := 0; c < cores; c++ {
@@ -300,25 +163,25 @@ func newMultiPR(graphName string, cores int, tech MultiTech, opts Options) *Mult
 		br := newBarrierRegs(b, bar, one)
 		var ctrA isa.Reg
 		if tech == MultiGhost {
-			ctrA = b.Imm(ctrBase + int64(2*c))
+			ctrA = b.Imm(coreCounters(ctrBase, c).MainAddr)
 		}
 		var helpers []*isa.Program
 		mid := (lo + hi) / 2
 		b.CountedLoop("pr_iters", zero, iters, func(it isa.Reg) {
-			emitContribRange(b, scoreR, contribR, offsR, lo, hi)
+			emitPRContrib(b, b.Imm(lo), b.Imm(hi), scoreR, contribR, offsR)
 			emitBarrier(b, bar, br)
 			switch tech {
 			case MultiSMT:
 				b.Spawn(0)
-				emitPullRange(b, scoreR, contribR, offsR, neighR, lo, mid, false, 0, one, tmp)
+				emitPRPull(b, tech.kind(), b.Imm(lo), b.Imm(mid), scoreR, contribR, offsR, neighR, one, tmp, 0)
 				b.JoinWait()
 			case MultiGhost:
 				b.Store(ctrA, 0, zero)
 				b.Spawn(0)
-				emitPullRange(b, scoreR, contribR, offsR, neighR, lo, hi, false, ctrA, one, tmp)
+				emitPRPull(b, tech.kind(), b.Imm(lo), b.Imm(hi), scoreR, contribR, offsR, neighR, one, tmp, ctrA)
 				b.Join()
 			default:
-				emitPullRange(b, scoreR, contribR, offsR, neighR, lo, hi, tech == MultiSWPF, 0, one, tmp)
+				emitPRPull(b, tech.kind(), b.Imm(lo), b.Imm(hi), scoreR, contribR, offsR, neighR, one, tmp, 0)
 			}
 			emitBarrier(b, bar, br)
 		})
@@ -339,13 +202,16 @@ func newMultiPR(graphName string, cores int, tech MultiTech, opts Options) *Mult
 		b.Halt()
 		switch tech {
 		case MultiSMT:
-			helpers = []*isa.Program{buildWorkerRange(c, mid, hi)}
+			helpers = []*isa.Program{prWorker(fmt.Sprintf("%s-worker-c%d", name, c), d, scoreA, contribA, mid, hi)}
 		case MultiGhost:
-			helpers = []*isa.Program{buildGhostRange(c, lo, hi)}
+			helpers = []*isa.Program{prGhost(fmt.Sprintf("%s-ghost-c%d", name, c), opts.Sync, coreCounters(ctrBase, c), d, contribA, lo, hi)}
 		}
 		inst.Per = append(inst.Per, CorePrograms{Main: b.MustBuild(), Helpers: helpers})
 	}
-	inst.Check = checkWords(scoreA, wantScore, name+" score")
+	inst.Check = combineChecks(
+		checkWord(d.out, wordSum(wantScore), name+" score checksum"),
+		checkWords(scoreA, wantScore, name+" score"),
+	)
 	return inst
 }
 
@@ -370,152 +236,13 @@ func newMultiCC(graphName string, cores int, tech MultiTech, opts Options) *Mult
 	}
 	mm.StoreWord(goA, 1)
 
-	// Reference fixed point (union-find, as in single-core cc).
-	parent := make([]int64, n)
-	for v := range parent {
-		parent[v] = int64(v)
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for u := int64(0); u < n; u++ {
-		for _, v := range g.Neighbors(u) {
-			ru, rv := find(u), find(v)
-			if ru != rv {
-				if ru < rv {
-					parent[rv] = ru
-				} else {
-					parent[ru] = rv
-				}
-			}
-		}
-	}
-	wantComp := make([]int64, n)
-	for v := int64(0); v < n; v++ {
-		wantComp[v] = find(v)
-	}
+	wantComp := ccReference(g)
 
 	name := fmt.Sprintf("cc.%s@%d-%s", graphName, cores, tech)
-	dPf := SWPFDistance
 
-	emitLinkRange := func(b *isa.Builder, compR, offsR, neighR, changedAR, one, tmp isa.Reg,
-		lo, hi int64, withPrefetch bool, ctrA isa.Reg) {
-		loR := b.Imm(lo)
-		hiR := b.Imm(hi)
-		b.CountedLoop("cc_link", loR, hiR, func(u isa.Reg) {
-			oa := b.Reg()
-			b.Add(oa, offsR, u)
-			s := b.Reg()
-			b.Load(s, oa, 0)
-			e := b.Reg()
-			b.Load(e, oa, 1)
-			ca := b.Reg()
-			b.Add(ca, compR, u)
-			var eLast isa.Reg
-			if withPrefetch {
-				eLast = b.Reg()
-				b.AddI(eLast, e, -1)
-			}
-			b.CountedLoop("cc_link_inner", s, e, func(ei isa.Reg) {
-				if withPrefetch {
-					pe := b.Reg()
-					b.AddI(pe, ei, dPf)
-					b.Min(pe, pe, eLast)
-					pna := b.Reg()
-					b.Add(pna, neighR, pe)
-					pv := b.Reg()
-					b.Load(pv, pna, 0)
-					ppa := b.Reg()
-					b.Add(ppa, compR, pv)
-					b.Prefetch(ppa, 0)
-				}
-				na := b.Reg()
-				b.Add(na, neighR, ei)
-				v := b.Reg()
-				b.Load(v, na, 0)
-				cu := b.Reg()
-				b.Load(cu, ca, 0)
-				cva := b.Reg()
-				b.Add(cva, compR, v)
-				cv := b.Reg()
-				b.Load(cv, cva, 0)
-				skip := b.NewLabel()
-				b.BGE(cv, cu, skip)
-				b.Store(ca, 0, cv)
-				b.AtomicAdd(tmp, changedAR, 0, one)
-				b.Bind(skip)
-				if ctrA != 0 {
-					core.EmitUpdate(b, ctrA, one, tmp)
-				}
-			})
-		})
-	}
-
-	emitCompressRange := func(b *isa.Builder, compR isa.Reg, lo, hi int64) {
-		loR := b.Imm(lo)
-		hiR := b.Imm(hi)
-		b.CountedLoop("cc_compress", loR, hiR, func(u isa.Reg) {
-			ca := b.Reg()
-			b.Add(ca, compR, u)
-			c := b.Reg()
-			b.Load(c, ca, 0)
-			jl := b.LoopBegin("cc_jump")
-			top := b.HereLabel()
-			cca := b.Reg()
-			b.Add(cca, compR, c)
-			cc := b.Reg()
-			b.Load(cc, cca, 0)
-			done := b.NewLabel()
-			b.BGE(cc, c, done)
-			b.Mov(c, cc)
-			be := b.Jmp(top)
-			b.SetBackedge(jl, be)
-			b.LoopEnd(jl)
-			b.Bind(done)
-			b.Store(ca, 0, c)
-		})
-	}
-
-	buildGhostRange := func(c int, lo, hi int64) *isa.Program {
-		b := isa.NewBuilder(fmt.Sprintf("%s-ghost-c%d", name, c))
-		b.Func("Afforest")
-		st := core.NewSync(b, opts.Sync, core.Counters{
-			MainAddr: ctrBase + int64(2*c), GhostAddr: ctrBase + int64(2*c+1)})
-		compR := b.Imm(compA)
-		offsR := b.Imm(d.offsets)
-		neighR := b.Imm(d.neigh)
-		loR := b.Imm(lo)
-		hiR := b.Imm(hi)
-		b.CountedLoop("cc_link_g", loR, hiR, func(u isa.Reg) {
-			oa := b.Reg()
-			b.Add(oa, offsR, u)
-			s := b.Reg()
-			b.Load(s, oa, 0)
-			e := b.Reg()
-			b.Load(e, oa, 1)
-			b.CountedLoop("cc_link_inner_g", s, e, func(ei isa.Reg) {
-				na := b.Reg()
-				b.Add(na, neighR, ei)
-				v := b.Reg()
-				b.Load(v, na, 0)
-				cva := b.Reg()
-				b.Add(cva, compR, v)
-				b.Prefetch(cva, 0)
-				core.EmitSync(b, st, func() {
-					b.AddI(ei, ei, st.Params.SkipStep)
-					core.AdvanceLocal(b, st, st.Params.SkipStep)
-				})
-			})
-		})
-		b.Halt()
-		return b.MustBuild()
-	}
-
+	// The SMT worker links and compresses [lo, hi). It materialises the
+	// bounds once per loop where NewCC's worker shares one pair, so the
+	// two workers stay separate builders over the shared emitters.
 	buildWorkerRange := func(c int, lo, hi int64) *isa.Program {
 		b := isa.NewBuilder(fmt.Sprintf("%s-worker-c%d", name, c))
 		b.Func("Afforest")
@@ -525,8 +252,8 @@ func newMultiCC(graphName string, cores int, tech MultiTech, opts Options) *Mult
 		changedAR := b.Imm(changedA)
 		one := b.Imm(1)
 		tmp := b.Reg()
-		emitLinkRange(b, compR, offsR, neighR, changedAR, one, tmp, lo, hi, false, 0)
-		emitCompressRange(b, compR, lo, hi)
+		emitCCLink(b, camelBase, b.Imm(lo), b.Imm(hi), compR, offsR, neighR, changedAR, one, tmp, 0)
+		emitCCCompress(b, b.Imm(lo), b.Imm(hi), compR)
 		b.Halt()
 		return b.MustBuild()
 	}
@@ -547,7 +274,7 @@ func newMultiCC(graphName string, cores int, tech MultiTech, opts Options) *Mult
 		br := newBarrierRegs(b, bar, one)
 		var ctrA isa.Reg
 		if tech == MultiGhost {
-			ctrA = b.Imm(ctrBase + int64(2*c))
+			ctrA = b.Imm(coreCounters(ctrBase, c).MainAddr)
 		}
 		var helpers []*isa.Program
 		mid := (lo + hi) / 2
@@ -557,18 +284,18 @@ func newMultiCC(graphName string, cores int, tech MultiTech, opts Options) *Mult
 		switch tech {
 		case MultiSMT:
 			b.Spawn(0)
-			emitLinkRange(b, compR, offsR, neighR, changedAR, one, tmp, lo, mid, false, 0)
-			emitCompressRange(b, compR, lo, mid)
+			emitCCLink(b, tech.kind(), b.Imm(lo), b.Imm(mid), compR, offsR, neighR, changedAR, one, tmp, 0)
+			emitCCCompress(b, b.Imm(lo), b.Imm(mid), compR)
 			b.JoinWait()
 		case MultiGhost:
 			b.Store(ctrA, 0, zero)
 			b.Spawn(0)
-			emitLinkRange(b, compR, offsR, neighR, changedAR, one, tmp, lo, hi, false, ctrA)
+			emitCCLink(b, tech.kind(), b.Imm(lo), b.Imm(hi), compR, offsR, neighR, changedAR, one, tmp, ctrA)
 			b.Join()
-			emitCompressRange(b, compR, lo, hi)
+			emitCCCompress(b, b.Imm(lo), b.Imm(hi), compR)
 		default:
-			emitLinkRange(b, compR, offsR, neighR, changedAR, one, tmp, lo, hi, tech == MultiSWPF, 0)
-			emitCompressRange(b, compR, lo, hi)
+			emitCCLink(b, tech.kind(), b.Imm(lo), b.Imm(hi), compR, offsR, neighR, changedAR, one, tmp, 0)
+			emitCCCompress(b, b.Imm(lo), b.Imm(hi), compR)
 		}
 		emitBarrier(b, bar, br)
 		if c == 0 {
@@ -604,10 +331,13 @@ func newMultiCC(graphName string, cores int, tech MultiTech, opts Options) *Mult
 		case MultiSMT:
 			helpers = []*isa.Program{buildWorkerRange(c, mid, hi)}
 		case MultiGhost:
-			helpers = []*isa.Program{buildGhostRange(c, lo, hi)}
+			helpers = []*isa.Program{ccGhost(fmt.Sprintf("%s-ghost-c%d", name, c), opts.Sync, coreCounters(ctrBase, c), d, compA, lo, hi)}
 		}
 		inst.Per = append(inst.Per, CorePrograms{Main: b.MustBuild(), Helpers: helpers})
 	}
-	inst.Check = checkWords(compA, wantComp, name+" comp")
+	inst.Check = combineChecks(
+		checkWord(d.out, wordSum(wantComp), name+" label checksum"),
+		checkWords(compA, wantComp, name+" comp"),
+	)
 	return inst
 }

@@ -32,12 +32,7 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 	bar := barrierState{arriveA: h.Alloc(1), phaseA: h.Alloc(1), cores: int64(cores)}
 	ctrBase := h.Alloc(int64(2 * cores))
 
-	source := int64(0)
-	for v := int64(1); v < n; v++ {
-		if g.Degree(v) > g.Degree(source) {
-			source = v
-		}
-	}
+	source := maxDegreeNode(g)
 	mm.Fill(depthA, n, -1)
 	mm.StoreWord(depthA+source, 0)
 	mm.StoreWord(parentA+source, source)
@@ -47,31 +42,17 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 	mm.StoreWord(shLoA, 0)
 	mm.StoreWord(shHiA, 1)
 
-	// Reference depths (deterministic) via Go BFS.
-	wantDepth := make([]int64, n)
-	for v := range wantDepth {
-		wantDepth[v] = -1
-	}
-	wantDepth[source] = 0
-	q := []int64{source}
-	for qi := 0; qi < len(q); qi++ {
-		u := q[qi]
-		for _, v := range g.Neighbors(u) {
-			if wantDepth[v] < 0 {
-				wantDepth[v] = wantDepth[u] + 1
-				q = append(q, v)
-			}
-		}
-	}
+	_, wantDepth := bfsReference(g, source)
 
 	name := fmt.Sprintf("bfs.%s@%d-%s", graphName, cores, tech)
-	dPf := SWPFDistance
 
 	// emitLevelChunk scans queue[lo, hi) (register bounds), claiming
-	// unvisited neighbours at depth du+1.
-	emitLevelChunk := func(b *isa.Builder, lo, hi, du isa.Reg,
+	// unvisited neighbours at depth du+1. kind camelSWPF adds the
+	// unguarded lookahead prefetch; camelGhostMain publishes the per-edge
+	// iteration counter at ctrA.
+	emitLevelChunk := func(b *isa.Builder, kind camelKind, lo, hi, du isa.Reg,
 		depthR, parentR, claimR, queueR, qTailR, offsR, neighR, zero, one isa.Reg,
-		tmp isa.Reg, withPrefetch bool, ctrA isa.Reg) {
+		tmp isa.Reg, ctrA isa.Reg) {
 		du1 := b.Reg()
 		b.AddI(du1, du, 1)
 		b.CountedLoop("bfs_mc_level", lo, hi, func(qi isa.Reg) {
@@ -88,9 +69,9 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 			b.CountedLoop("bfs_mc_inner", s, e, func(ei isa.Reg) {
 				na := b.Reg()
 				b.Add(na, neighR, ei)
-				if withPrefetch {
+				if kind == camelSWPF {
 					pv := b.Reg()
-					b.Load(pv, na, dPf)
+					b.Load(pv, na, SWPFDistance)
 					ppa := b.Reg()
 					b.Add(ppa, depthR, pv)
 					b.Prefetch(ppa, 0)
@@ -122,7 +103,7 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 				b.Store(qa, 0, v)
 				b.Bind(notFirst)
 				b.Bind(seen)
-				if ctrA != 0 {
+				if kind == camelGhostMain {
 					core.EmitUpdate(b, ctrA, one, tmp)
 				}
 			})
@@ -132,8 +113,7 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 	buildGhostChunk := func(c int) *isa.Program {
 		b := isa.NewBuilder(fmt.Sprintf("%s-ghost-c%d", name, c))
 		b.Func("TDStep")
-		st := core.NewSync(b, opts.Sync, core.Counters{
-			MainAddr: ctrBase + int64(2*c), GhostAddr: ctrBase + int64(2*c+1)})
+		st := core.NewSync(b, opts.Sync, coreCounters(ctrBase, c))
 		depthR := b.Imm(depthA)
 		queueR := b.Imm(queueA)
 		offsR := b.Imm(d.offsets)
@@ -145,67 +125,17 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 		shH := b.Imm(shHiA)
 		b.Load(lo, shL, 0)
 		b.Load(hi, shH, 0)
-		// This core's chunk of the level.
-		chunk := b.Reg()
-		b.Sub(chunk, hi, lo)
-		myLo := b.Reg()
-		b.MulI(myLo, chunk, int64(c))
-		b.Div(myLo, myLo, b.Imm(int64(cores)))
-		b.Add(myLo, myLo, lo)
-		myHi := b.Reg()
-		b.MulI(myHi, chunk, int64(c+1))
-		b.Div(myHi, myHi, b.Imm(int64(cores)))
-		b.Add(myHi, myHi, lo)
-		qLast := b.Reg()
-		b.AddI(qLast, myHi, -1)
-		b.Max(qLast, qLast, zero)
-		b.CountedLoop("bfs_mc_level_g", myLo, myHi, func(qi isa.Reg) {
-			ua := b.Reg()
-			b.Add(ua, queueR, qi)
-			u := b.Reg()
-			b.Load(u, ua, 0)
-			fq := b.Reg()
-			b.AddI(fq, qi, 8)
-			b.Min(fq, fq, qLast)
-			fa := b.Reg()
-			b.Add(fa, queueR, fq)
-			fu := b.Reg()
-			b.Load(fu, fa, 0)
-			foa := b.Reg()
-			b.Add(foa, offsR, fu)
-			b.Prefetch(foa, 0)
-			oa := b.Reg()
-			b.Add(oa, offsR, u)
-			s := b.Reg()
-			b.Load(s, oa, 0)
-			e := b.Reg()
-			b.Load(e, oa, 1)
-			b.CountedLoop("bfs_mc_inner_g", s, e, func(ei isa.Reg) {
-				na := b.Reg()
-				b.Add(na, neighR, ei)
-				v := b.Reg()
-				b.Load(v, na, 0)
-				pa := b.Reg()
-				b.Add(pa, depthR, v)
-				b.Prefetch(pa, 0)
-				core.EmitSync(b, st, func() {
-					b.AddI(ei, ei, st.Params.SkipStep)
-					core.AdvanceLocal(b, st, st.Params.SkipStep)
-				})
-			})
-		})
+		myLo, myHi := emitCoreChunk(b, lo, hi, c, func() isa.Reg { return b.Imm(int64(cores)) })
+		emitBFSGhostScan(b, st, myLo, myHi, zero, queueR, offsR, neighR, depthR)
 		b.Halt()
 		return b.MustBuild()
 	}
 
 	buildWorkerChunk := func(c int) *isa.Program {
-		// The SMT worker takes the upper half of this core's chunk; its
-		// bounds arrive via the spawn-time register copy (the main thread
-		// leaves them in the registers workerLo/workerHi below).
+		// The SMT worker takes the upper half of this core's chunk,
+		// reading the level's bounds and depth from the shared words.
 		b := isa.NewBuilder(fmt.Sprintf("%s-worker-c%d", name, c))
 		b.Func("TDStep")
-		// Register layout must match the main program's prologue: the
-		// worker reads its bounds from the shared words instead.
 		depthR := b.Imm(depthA)
 		parentR := b.Imm(parentA)
 		claimR := b.Imm(claimA)
@@ -226,20 +156,11 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 		b.Load(hi, shH, 0)
 		b.Load(du, shD, 0)
 		// This core's chunk, upper half.
-		chunk := b.Reg()
-		b.Sub(chunk, hi, lo)
-		myLo := b.Reg()
-		b.MulI(myLo, chunk, int64(c))
-		b.Div(myLo, myLo, b.Imm(int64(cores)))
-		b.Add(myLo, myLo, lo)
-		myHi := b.Reg()
-		b.MulI(myHi, chunk, int64(c+1))
-		b.Div(myHi, myHi, b.Imm(int64(cores)))
-		b.Add(myHi, myHi, lo)
+		myLo, myHi := emitCoreChunk(b, lo, hi, c, func() isa.Reg { return b.Imm(int64(cores)) })
 		mid := b.Reg()
 		b.Add(mid, myLo, myHi)
 		b.ShrI(mid, mid, 1)
-		emitLevelChunk(b, mid, myHi, du, depthR, parentR, claimR, queueR, qTailR, offsR, neighR, zero, one, tmp, false, 0)
+		emitLevelChunk(b, camelBase, mid, myHi, du, depthR, parentR, claimR, queueR, qTailR, offsR, neighR, zero, one, tmp, 0)
 		b.Halt()
 		return b.MustBuild()
 	}
@@ -264,7 +185,7 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 		shD := b.Imm(shDepthA)
 		var ctrA isa.Reg
 		if tech == MultiGhost {
-			ctrA = b.Imm(ctrBase + int64(2*c))
+			ctrA = b.Imm(coreCounters(ctrBase, c).MainAddr)
 		}
 		du := b.Imm(0)
 		coresR := b.Imm(int64(cores))
@@ -277,17 +198,7 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 		b.Load(hi, shH, 0)
 		done := b.NewLabel()
 		b.BGE(lo, hi, done)
-		// This core's contiguous chunk of the level.
-		chunk := b.Reg()
-		b.Sub(chunk, hi, lo)
-		myLo := b.Reg()
-		b.MulI(myLo, chunk, int64(c))
-		b.Div(myLo, myLo, coresR)
-		b.Add(myLo, myLo, lo)
-		myHi := b.Reg()
-		b.MulI(myHi, chunk, int64(c+1))
-		b.Div(myHi, myHi, coresR)
-		b.Add(myHi, myHi, lo)
+		myLo, myHi := emitCoreChunk(b, lo, hi, c, func() isa.Reg { return coresR })
 
 		switch tech {
 		case MultiSMT:
@@ -296,15 +207,15 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 			b.Add(mid, myLo, myHi)
 			b.ShrI(mid, mid, 1)
 			b.Spawn(0)
-			emitLevelChunk(b, myLo, mid, du, depthR, parentR, claimR, queueR, qTailR, offsR, neighR, zero, one, tmp, false, 0)
+			emitLevelChunk(b, tech.kind(), myLo, mid, du, depthR, parentR, claimR, queueR, qTailR, offsR, neighR, zero, one, tmp, 0)
 			b.JoinWait()
 		case MultiGhost:
 			b.Store(ctrA, 0, zero)
 			b.Spawn(0)
-			emitLevelChunk(b, myLo, myHi, du, depthR, parentR, claimR, queueR, qTailR, offsR, neighR, zero, one, tmp, false, ctrA)
+			emitLevelChunk(b, tech.kind(), myLo, myHi, du, depthR, parentR, claimR, queueR, qTailR, offsR, neighR, zero, one, tmp, ctrA)
 			b.Join()
 		default:
-			emitLevelChunk(b, myLo, myHi, du, depthR, parentR, claimR, queueR, qTailR, offsR, neighR, zero, one, tmp, tech == MultiSWPF, 0)
+			emitLevelChunk(b, tech.kind(), myLo, myHi, du, depthR, parentR, claimR, queueR, qTailR, offsR, neighR, zero, one, tmp, 0)
 		}
 		emitBarrier(b, bar, br)
 		if c == 0 {
@@ -345,30 +256,29 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 		}
 		inst.Per = append(inst.Per, CorePrograms{Main: b.MustBuild(), Helpers: helpers})
 	}
-	inst.Check = func(m *mem.Memory) error {
-		for v := int64(0); v < n; v++ {
-			if got := m.LoadWord(depthA + v); got != wantDepth[v] {
-				return fmt.Errorf("%s: depth[%d] = %d, want %d", name, v, got, wantDepth[v])
-			}
-		}
-		// Parents may differ between valid claims: check adjacency.
-		for v := int64(0); v < n; v++ {
-			if v == source || wantDepth[v] < 0 {
-				continue
-			}
-			p := m.LoadWord(parentA + v)
-			ok := false
-			for _, w := range g.Neighbors(v) {
-				if w == p {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return fmt.Errorf("%s: node %d has non-adjacent parent %d", name, v, p)
-			}
-		}
-		return nil
-	}
+	inst.Check = combineChecks(
+		checkWord(d.out, wordSum(wantDepth), name+" depth checksum"),
+		checkWords(depthA, wantDepth, name+" depth"),
+		checkParentEdges(g, parentA, source, wantDepth, name),
+	)
 	return inst
+}
+
+// emitCoreChunk emits core c's contiguous chunk [myLo, myHi) of the
+// level's queue slots [lo, hi): slot lo + (hi-lo)*c/cores onwards. cores
+// yields the divisor register at each of the two divisions: the main
+// program passes the register its prologue loads once, while the helpers
+// materialise the constant at each division.
+func emitCoreChunk(b *isa.Builder, lo, hi isa.Reg, c int, cores func() isa.Reg) (myLo, myHi isa.Reg) {
+	chunk := b.Reg()
+	b.Sub(chunk, hi, lo)
+	myLo = b.Reg()
+	b.MulI(myLo, chunk, int64(c))
+	b.Div(myLo, myLo, cores())
+	b.Add(myLo, myLo, lo)
+	myHi = b.Reg()
+	b.MulI(myHi, chunk, int64(c+1))
+	b.Div(myHi, myHi, cores())
+	b.Add(myHi, myHi, lo)
+	return myLo, myHi
 }

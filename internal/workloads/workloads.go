@@ -177,6 +177,16 @@ func emitHash(b *isa.Builder, x, tmp isa.Reg, rounds int) {
 	}
 }
 
+// wordSum returns the sum of xs: the reference value of a kernel's
+// checksum word.
+func wordSum(xs []int64) int64 {
+	var s int64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
 // checkWord returns a Check function comparing one memory word.
 func checkWord(addr, want int64, what string) func(m *mem.Memory) error {
 	return func(m *mem.Memory) error {
