@@ -60,18 +60,21 @@ verify-smoke:
 verify-golden:
 	$(GO) run ./cmd/gtverify -all -json > testdata/verify_golden.json
 
-# Results smoke: the full figure-6 table (34 rows: selection, targets,
-# baseline cycles, every column's speedup and energy saving, and the
-# prefetch reports) and figure 3 (the three Camel forms) diffed against
-# checked-in goldens. The simulator is deterministic, so any drift means a
-# simulated number moved — fix it, or review the diff and re-bless with
-# `make results-golden`. The grep drops the simulated-cycle totals, which
-# vary with how the harness shares runs; the figure-6 golden is therefore
-# a line diff, not valid JSON.
+# Results smoke: the full figure-6 and figure-8 tables (34 rows each on
+# the idle and the busy machine: selection, targets, baseline cycles,
+# every column's speedup and energy saving, and the prefetch reports) and
+# figure 3 (the three Camel forms) diffed against checked-in goldens. The
+# simulator is deterministic, so any drift means a simulated number moved
+# — fix it, or review the diff and re-bless with `make results-golden`.
+# The grep drops the simulated-cycle totals, which vary with how the
+# harness shares runs; the figure-6 and figure-8 goldens are therefore
+# line diffs, not valid JSON.
 RESULTS_FILTER = grep -v -E '"(simulated_cycles|sim_cycles)":'
 results-smoke:
 	$(GO) run ./cmd/ghostbench -experiment fig6 -json -quiet | $(RESULTS_FILTER) > RESULTS_fig6.json
 	diff -u testdata/fig6_golden.json RESULTS_fig6.json
+	$(GO) run ./cmd/ghostbench -experiment fig8 -json -quiet | $(RESULTS_FILTER) > RESULTS_fig8.json
+	diff -u testdata/fig8_golden.json RESULTS_fig8.json
 	$(GO) run ./cmd/ghostbench -experiment fig3 > RESULTS_fig3.txt
 	diff -u testdata/fig3_golden.txt RESULTS_fig3.txt
 
@@ -79,6 +82,7 @@ results-smoke:
 # simulated number. Explain the diff in CHANGES.md.
 results-golden:
 	$(GO) run ./cmd/ghostbench -experiment fig6 -json -quiet | $(RESULTS_FILTER) > testdata/fig6_golden.json
+	$(GO) run ./cmd/ghostbench -experiment fig8 -json -quiet | $(RESULTS_FILTER) > testdata/fig8_golden.json
 	$(GO) run ./cmd/ghostbench -experiment fig3 > testdata/fig3_golden.txt
 
 # Profiling entry point for perf work: a 4-workload figure-6 slice
