@@ -15,6 +15,38 @@ func pureOp(op isa.Op) bool {
 	return false
 }
 
+// deadDef reports whether the instruction at pc is a dead definition: a
+// reachable, side-effect-free value computation whose result no
+// instruction reads.
+func deadDef(s *SSA, pc int) bool {
+	in := &s.G.Prog.Code[pc]
+	return s.G.ReachablePC(pc) && pureOp(in.Op) && in.Op.HasDst() && len(s.Uses(pc)) == 0
+}
+
+// CheckDeadDefs reports every dead definition (deadDef) in the programs
+// of one variant, at error severity: a generated program carries only
+// the instructions that earn their place, as the paper's p-slices do
+// (§4.4). Helpers inherit the main thread's registers at spawn, so a
+// main definition of a register that some helper reads before writing
+// it counts as used.
+func CheckDeadDefs(main *Patterns, helpers []*Patterns) []Finding {
+	var inherited RegSet
+	for _, h := range helpers {
+		live := h.G.liveIn()[h.G.BlockOf[0]]
+		inherited.Union(&live)
+	}
+	var out []Finding
+	for i, pt := range append([]*Patterns{main}, helpers...) {
+		for pc, in := range pt.Prog.Code {
+			if deadDef(pt.S, pc) && !(i == 0 && inherited.Has(in.Dst)) {
+				out = append(out, finding("dead-def", pt.Prog, pc, SevError,
+					"dead definition: result of %s is never read", in.Op))
+			}
+		}
+	}
+	return out
+}
+
 // ReportMinimality audits how tight a compiler-extracted ghost is: a
 // p-slice should contain nothing but the address chain of the prefetch
 // and its synchronization segment. It reports (as information, never
@@ -43,7 +75,7 @@ func ReportMinimality(pt *Patterns) []Finding {
 			syncN++
 			continue // the sync segment is fixed overhead, not slice fat
 		}
-		if (pureOp(in.Op) || in.Op == isa.OpLoad) && in.Op.HasDst() && len(pt.S.Uses(pc)) == 0 {
+		if deadDef(pt.S, pc) || in.Op == isa.OpLoad && len(pt.S.Uses(pc)) == 0 {
 			dead++
 			out = append(out, finding("minimality", p, pc, SevInfo,
 				"dead instruction: result of %s is never used", in.Op))

@@ -129,7 +129,7 @@ type SyncState struct {
 	mainR   isa.Reg
 	backoff isa.Reg
 	mainA   isa.Reg // register holding Counters.MainAddr
-	traceA  isa.Reg // register holding Counters.GhostAddr
+	traceA  isa.Reg // register holding Counters.GhostAddr, when Params.Trace
 
 	// Dynamic-sync registers, allocated only when Params.Dynamic():
 	// address registers for the two threshold words and a scratch
@@ -139,9 +139,9 @@ type SyncState struct {
 	thr     isa.Reg
 }
 
-// SyncRegs is the number of registers NewSync allocates for a static
-// sync segment; DynamicSyncRegs for a dynamic one. Slicers reserve this
-// much headroom below isa.NumRegs.
+// SyncRegs is the most registers NewSync allocates for a static sync
+// segment (one fewer without Params.Trace); DynamicSyncRegs for a
+// dynamic one. Slicers reserve this much headroom below isa.NumRegs.
 const (
 	SyncRegs        = 8
 	DynamicSyncRegs = SyncRegs + 3
@@ -161,7 +161,9 @@ func NewSync(b *isa.Builder, params SyncParams, ctr Counters) *SyncState {
 	st.mainR = b.Reg()
 	st.backoff = b.Reg()
 	st.mainA = b.Imm(ctr.MainAddr)
-	st.traceA = b.Imm(ctr.GhostAddr)
+	if params.Trace {
+		st.traceA = b.Imm(ctr.GhostAddr)
+	}
 	if params.Dynamic() {
 		st.tooFarA = b.Imm(params.TooFarAddr)
 		st.closeA = b.Imm(params.CloseAddr)

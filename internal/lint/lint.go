@@ -56,16 +56,20 @@ func Workload(name string, opts Options) (*analysis.Report, error) {
 	}
 
 	// Structural checks on every program of every variant: ISA-level
-	// validation plus the loop-annotation cross-check.
+	// validation, the loop-annotation cross-check and, per variant, the
+	// dead-definition check.
 	seen := map[*isa.Program]bool{}
 	for _, nv := range inst.Variants() {
 		progs := append([]*isa.Program{nv.Variant.Main}, nv.Variant.Helpers...)
+		valid := true
 		for _, p := range progs {
-			if p == nil || seen[p] {
+			err := p.Validate()
+			valid = valid && err == nil
+			if seen[p] {
 				continue
 			}
 			seen[p] = true
-			if err := p.Validate(); err != nil {
+			if err != nil {
 				rep.Add(analysis.Finding{
 					Checker: "validate", Program: p.Name, PC: -1,
 					Severity: analysis.SevError, Msg: err.Error(),
@@ -73,6 +77,10 @@ func Workload(name string, opts Options) (*analysis.Report, error) {
 				continue
 			}
 			rep.Add(analysis.CrossCheckLoops(analyze(p)[0])...)
+		}
+		if valid {
+			pts := analyze(progs...)
+			rep.Add(analysis.CheckDeadDefs(pts[0], pts[1:])...)
 		}
 	}
 

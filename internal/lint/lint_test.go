@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ghostthread/internal/analysis"
+	"ghostthread/internal/isa"
 	"ghostthread/internal/lint"
 	"ghostthread/internal/workloads"
 )
@@ -34,6 +35,48 @@ func TestSweepAllWorkloads(t *testing.T) {
 	}
 	if !raceWarn {
 		t.Error("no race warnings from the relaxed graph kernels; the race lint may have gone blind")
+	}
+}
+
+// TestMultiCoreBuildsHaveNoDeadDefinitions holds the figure-9 builds,
+// which gtlint's registry sweep never sees, to the dead-definition rule
+// Workload enforces: every NewMulti build (bfs, cc and pr on the five
+// graphs at 1, 2 and 4 cores under each technique) at profile scale,
+// each core's main program checked with its helpers.
+func TestMultiCoreBuildsHaveNoDeadDefinitions(t *testing.T) {
+	pats := map[*isa.Program]*analysis.Patterns{}
+	analyze := func(p *isa.Program) *analysis.Patterns {
+		if pats[p] == nil {
+			pats[p] = analysis.AnalyzeAddrPatterns(p)
+		}
+		return pats[p]
+	}
+	builds := 0
+	for _, kernel := range workloads.MultiKernels {
+		for _, gn := range workloads.GraphNames {
+			for _, cores := range []int{1, 2, 4} {
+				for _, tech := range []workloads.MultiTech{workloads.MultiBaseline, workloads.MultiSWPF,
+					workloads.MultiSMT, workloads.MultiGhost} {
+					in, err := workloads.NewMulti(kernel, gn, cores, tech, workloads.ProfileOptions())
+					if err != nil {
+						t.Fatal(err)
+					}
+					builds++
+					for _, cp := range in.Per {
+						helpers := make([]*analysis.Patterns, len(cp.Helpers))
+						for i, hp := range cp.Helpers {
+							helpers[i] = analyze(hp)
+						}
+						for _, f := range analysis.CheckDeadDefs(analyze(cp.Main), helpers) {
+							t.Errorf("%s: %s", in.Name, f)
+						}
+					}
+				}
+			}
+		}
+	}
+	if builds != 180 {
+		t.Errorf("checked %d multi-core builds, want 180", builds)
 	}
 }
 

@@ -188,11 +188,20 @@ func (s *camelSpec) buildMain(kind camelKind) *isa.Program {
 	return b.MustBuild()
 }
 
+// indexBase materialises the index array's base address, which every
+// form reads but camel-par: it hashes i instead of loading index[i].
+func (s *camelSpec) indexBase(b *isa.Builder) (r isa.Reg) {
+	if s.form != CamelParallel {
+		r = b.Imm(s.index)
+	}
+	return r
+}
+
 // emitFlat emits forms (a) and (b): a single loop over n iterations.
 func (s *camelSpec) emitFlat(b *isa.Builder, kind camelKind) {
 	sum := b.Imm(0)
 	valuesR := b.Imm(s.values)
-	indexR := b.Imm(s.index)
+	indexR := s.indexBase(b)
 	tmp := b.Reg()
 	lo, hi := int64(0), s.n
 	if kind == camelParMain {
@@ -200,11 +209,9 @@ func (s *camelSpec) emitFlat(b *isa.Builder, kind camelKind) {
 	}
 	var one, ctrA isa.Reg
 	if kind == camelGhostMain {
-		one = b.Imm(1)
-		ctrA = b.Imm(s.mainCtr)
-		b.Spawn(0)
+		one, ctrA = b.Imm(1), b.Imm(s.mainCtr)
 	}
-	if kind == camelParMain {
+	if kind == camelGhostMain || kind == camelParMain {
 		b.Spawn(0)
 	}
 	loR := b.Imm(lo)
@@ -277,11 +284,9 @@ func (s *camelSpec) emitNested(b *isa.Builder, kind camelKind) {
 	}
 	var one, ctrA isa.Reg
 	if kind == camelGhostMain {
-		one = b.Imm(1)
-		ctrA = b.Imm(s.mainCtr)
-		b.Spawn(0)
+		one, ctrA = b.Imm(1), b.Imm(s.mainCtr)
 	}
-	if kind == camelParMain {
+	if kind == camelGhostMain || kind == camelParMain {
 		b.Spawn(0)
 	}
 	loR := b.Imm(loRow)
@@ -349,7 +354,7 @@ func (s *camelSpec) buildParWorker() *isa.Program {
 	b.Func("camel")
 	sum := b.Imm(0)
 	valuesR := b.Imm(s.values)
-	indexR := b.Imm(s.index)
+	indexR := s.indexBase(b)
 	tmp := b.Reg()
 	switch s.form {
 	case CamelOriginal, CamelParallel:
@@ -410,7 +415,7 @@ func (s *camelSpec) buildGhost() *isa.Program {
 	b.Func("camel")
 	st := core.NewSync(b, s.opts.Sync, core.Counters{MainAddr: s.mainCtr, GhostAddr: s.ghostCtr})
 	valuesR := b.Imm(s.values)
-	indexR := b.Imm(s.index)
+	indexR := s.indexBase(b)
 	tmp := b.Reg()
 	switch s.form {
 	case CamelOriginal, CamelParallel:

@@ -7,6 +7,7 @@ import (
 
 	"ghostthread/internal/core"
 	"ghostthread/internal/graph"
+	"ghostthread/internal/isa"
 	"ghostthread/internal/mem"
 )
 
@@ -147,6 +148,35 @@ func maxDegreeNode(g *graph.CSR) int64 {
 		}
 	}
 	return source
+}
+
+// emitAppendWorkerQueue emits the parallel main's append, after each
+// split level of bfs or sssp, of the SMT worker's private next queue at
+// wqA (its length in the word at countA) onto qnext, advancing nq.
+func emitAppendWorkerQueue(b *isa.Builder, loop string, wqA, countA int64, qnext, nq isa.Reg) {
+	wq := b.Imm(wqA)
+	wc := b.Reg()
+	pw := b.Imm(countA)
+	b.Load(wc, pw, 0)
+	wi := b.Reg()
+	b.Const(wi, 0)
+	cp := b.LoopBegin(loop)
+	top := b.HereLabel()
+	done := b.NewLabel()
+	b.BGE(wi, wc, done)
+	sa := b.Reg()
+	b.Add(sa, wq, wi)
+	v := b.Reg()
+	b.Load(v, sa, 0)
+	da := b.Reg()
+	b.Add(da, qnext, nq)
+	b.Store(da, 0, v)
+	b.AddI(nq, nq, 1)
+	b.AddI(wi, wi, 1)
+	be := b.Jmp(top)
+	b.SetBackedge(cp, be)
+	b.LoopEnd(cp)
+	b.Bind(done)
 }
 
 // gapMemWords sizes the memory for a kernel over g with extra per-node

@@ -254,14 +254,13 @@ func NewBC(graphName string, opts Options) *Instance {
 		zero := b.Imm(0)
 		one := b.Imm(1)
 		tmp := b.Reg()
-		var ctrA isa.Reg
-		if kind == camelGhostMain {
-			ctrA = b.Imm(d.mainCtr)
+		var ctrA, shL, shH, shD, shDr isa.Reg // set only where a helper is spawned
+		switch kind {
+		case camelGhostMain:
+			ctrA, shL, shH, shDr = b.Imm(d.mainCtr), b.Imm(shLo), b.Imm(shHi), b.Imm(shDir)
+		case camelParMain:
+			shL, shH, shD, shDr = b.Imm(shLo), b.Imm(shHi), b.Imm(shDepth), b.Imm(shDir)
 		}
-		shL := b.Imm(shLo)
-		shH := b.Imm(shHi)
-		shD := b.Imm(shDepth)
-		shDr := b.Imm(shDir)
 
 		// Forward phase, level by level. levelStart[l] tracks the queue
 		// position where level l begins.

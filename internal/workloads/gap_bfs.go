@@ -55,7 +55,7 @@ func NewBFS(graphName string, opts Options) *Instance {
 	// kind camelSWPF inserts prefetches; camelGhostMain publishes the
 	// per-edge iteration counter.
 	emitTDStep := func(b *isa.Builder, kind camelKind, lo, hi, qBase, nqBase, nq isa.Reg,
-		parentR, offsR, neighR, zero, negOne isa.Reg, tmp isa.Reg, ctrA, one, cnt isa.Reg) {
+		parentR, offsR, neighR, zero, tmp, ctrA, one, cnt isa.Reg) {
 		b.CountedLoop("bfs_tdstep", lo, hi, func(qi isa.Reg) {
 			ua := b.Reg()
 			b.Add(ua, qBase, qi)
@@ -100,7 +100,6 @@ func NewBFS(graphName string, opts Options) *Instance {
 				}
 			})
 		})
-		_ = negOne
 	}
 
 	buildMain := func(kind camelKind) *isa.Program {
@@ -110,22 +109,19 @@ func NewBFS(graphName string, opts Options) *Instance {
 		offsR := b.Imm(d.offsets)
 		neighR := b.Imm(d.neigh)
 		zero := b.Imm(0)
-		negOne := b.Imm(-1)
-		one := b.Imm(1)
 		cnt := b.Imm(0)
 		tmp := b.Reg()
 		qcur := b.Imm(q1A)
 		qnext := b.Imm(q2A)
 		qcount := b.Imm(1)
 		nq := b.Reg()
-		var ctrA isa.Reg
-		if kind == camelGhostMain {
-			ctrA = b.Imm(d.mainCtr)
+		var one, ctrA, shQC, shQB, shL, shH isa.Reg // set only where a helper is spawned
+		switch kind {
+		case camelGhostMain:
+			one, ctrA, shQC, shQB = b.Imm(1), b.Imm(d.mainCtr), b.Imm(shQCount), b.Imm(shQBase)
+		case camelParMain:
+			shQB, shL, shH = b.Imm(shQBase), b.Imm(shLo), b.Imm(shHi)
 		}
-		shQC := b.Imm(shQCount)
-		shQB := b.Imm(shQBase)
-		shL := b.Imm(shLo)
-		shH := b.Imm(shHi)
 
 		levels := b.LoopBegin("bfs_levels")
 		levelTop := b.HereLabel()
@@ -142,7 +138,7 @@ func NewBFS(graphName string, opts Options) *Instance {
 			b.Store(shQB, 0, qcur)
 			b.Store(ctrA, 0, zero)
 			b.Spawn(0)
-			emitTDStep(b, kind, zero, qcount, qcur, qnext, nq, parentR, offsR, neighR, zero, negOne, tmp, ctrA, one, cnt)
+			emitTDStep(b, kind, zero, qcount, qcur, qnext, nq, parentR, offsR, neighR, zero, tmp, ctrA, one, cnt)
 			b.Join()
 		case camelParMain:
 			// Split the frontier with the worker: it takes [half, qcount)
@@ -152,34 +148,11 @@ func NewBFS(graphName string, opts Options) *Instance {
 			b.Store(shL, 0, half)
 			b.Store(shH, 0, qcount)
 			b.Spawn(0)
-			emitTDStep(b, kind, zero, half, qcur, qnext, nq, parentR, offsR, neighR, zero, negOne, tmp, ctrA, one, cnt)
+			emitTDStep(b, kind, zero, half, qcur, qnext, nq, parentR, offsR, neighR, zero, tmp, ctrA, one, cnt)
 			b.JoinWait()
-			// Append the worker's queue (count in partial).
-			wq := b.Imm(q3A)
-			wc := b.Reg()
-			pw := b.Imm(d.partial)
-			b.Load(wc, pw, 0)
-			wi := b.Reg()
-			b.Const(wi, 0)
-			cpLoop := b.LoopBegin("bfs_concat")
-			cpTop := b.HereLabel()
-			cpDone := b.NewLabel()
-			b.BGE(wi, wc, cpDone)
-			sa := b.Reg()
-			b.Add(sa, wq, wi)
-			vv := b.Reg()
-			b.Load(vv, sa, 0)
-			da := b.Reg()
-			b.Add(da, qnext, nq)
-			b.Store(da, 0, vv)
-			b.AddI(nq, nq, 1)
-			b.AddI(wi, wi, 1)
-			cpBe := b.Jmp(cpTop)
-			b.SetBackedge(cpLoop, cpBe)
-			b.LoopEnd(cpLoop)
-			b.Bind(cpDone)
+			emitAppendWorkerQueue(b, "bfs_concat", q3A, d.partial, qnext, nq)
 		default:
-			emitTDStep(b, kind, zero, qcount, qcur, qnext, nq, parentR, offsR, neighR, zero, negOne, tmp, ctrA, one, cnt)
+			emitTDStep(b, kind, zero, qcount, qcur, qnext, nq, parentR, offsR, neighR, zero, tmp, ctrA, one, cnt)
 		}
 
 		// Swap frontier queues and continue.
@@ -217,8 +190,6 @@ func NewBFS(graphName string, opts Options) *Instance {
 		offsR := b.Imm(d.offsets)
 		neighR := b.Imm(d.neigh)
 		zero := b.Imm(0)
-		negOne := b.Imm(-1)
-		one := b.Imm(1)
 		cnt := b.Imm(0)
 		tmp := b.Reg()
 		qBase := b.Reg()
@@ -232,7 +203,7 @@ func NewBFS(graphName string, opts Options) *Instance {
 		b.Load(hi, shH, 0)
 		nqBase := b.Imm(q3A)
 		nq := b.Imm(0)
-		emitTDStep(b, camelBase, lo, hi, qBase, nqBase, nq, parentR, offsR, neighR, zero, negOne, tmp, 0, one, cnt)
+		emitTDStep(b, camelBase, lo, hi, qBase, nqBase, nq, parentR, offsR, neighR, zero, tmp, 0, 0, cnt)
 		pw := b.Imm(d.partial)
 		b.Store(pw, 0, nq)
 		b.Halt()

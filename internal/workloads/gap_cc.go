@@ -28,8 +28,6 @@ func NewCC(graphName string, opts Options) *Instance {
 	d := loadGraph(h, g)
 	compA := h.Alloc(n)
 	changedA := h.Alloc(1) // shared "labels changed this pass" counter
-	shLo := h.Alloc(1)
-	shHi := h.Alloc(1)
 
 	for v := int64(0); v < n; v++ {
 		mm.StoreWord(compA+v, v)
@@ -49,17 +47,16 @@ func NewCC(graphName string, opts Options) *Instance {
 		zero := b.Imm(0)
 		one := b.Imm(1)
 		nR := b.Imm(n)
-		halfR := b.Imm(n / 2)
+		var halfR isa.Reg // only the parallel main splits the nodes
+		if kind == camelParMain {
+			halfR = b.Imm(n / 2)
+		}
 		tmp := b.Reg()
 		var ctrA, gctrA isa.Reg
 		if kind == camelGhostMain {
 			ctrA = b.Imm(d.mainCtr)
 			gctrA = b.Imm(d.ghostCtr)
 		}
-		shL := b.Imm(shLo)
-		shH := b.Imm(shHi)
-		_ = shL
-		_ = shH
 
 		passes := b.LoopBegin("cc_passes")
 		top := b.HereLabel()

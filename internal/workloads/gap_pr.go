@@ -52,14 +52,15 @@ func NewPR(graphName string, opts Options) *Instance {
 		offsR := b.Imm(d.offsets)
 		neighR := b.Imm(d.neigh)
 		zero := b.Imm(0)
-		one := b.Imm(1)
 		nR := b.Imm(n)
-		halfR := b.Imm(n / 2)
 		iters := b.Imm(prIters)
 		tmp := b.Reg()
-		var ctrA isa.Reg
-		if kind == camelGhostMain {
-			ctrA = b.Imm(d.mainCtr)
+		var one, ctrA, halfR isa.Reg // set only where a helper is spawned
+		switch kind {
+		case camelGhostMain:
+			one, ctrA = b.Imm(1), b.Imm(d.mainCtr)
+		case camelParMain:
+			halfR = b.Imm(n / 2)
 		}
 		b.CountedLoop("pr_iters", zero, iters, func(it isa.Reg) {
 			emitPRContrib(b, zero, nR, scoreR, contribR, offsR)
@@ -213,9 +214,8 @@ func prWorker(name string, d *gapData, scoreA, contribA, lo, hi int64) *isa.Prog
 	contribR := b.Imm(contribA)
 	offsR := b.Imm(d.offsets)
 	neighR := b.Imm(d.neigh)
-	one := b.Imm(1)
 	tmp := b.Reg()
-	emitPRPull(b, camelBase, b.Imm(lo), b.Imm(hi), scoreR, contribR, offsR, neighR, one, tmp, 0)
+	emitPRPull(b, camelBase, b.Imm(lo), b.Imm(hi), scoreR, contribR, offsR, neighR, 0, tmp, 0)
 	b.Halt()
 	return b.MustBuild()
 }

@@ -159,14 +159,13 @@ func NewSSSP(graphName string, opts Options) *Instance {
 		qnext := b.Imm(q2A)
 		qcount := b.Imm(1)
 		nq := b.Reg()
-		var ctrA isa.Reg
-		if kind == camelGhostMain {
-			ctrA = b.Imm(d.mainCtr)
+		var ctrA, shQC, shQB, shL, shH isa.Reg // set only where a helper is spawned
+		switch kind {
+		case camelGhostMain:
+			ctrA, shQC, shQB = b.Imm(d.mainCtr), b.Imm(shQCount), b.Imm(shQBase)
+		case camelParMain:
+			shQB, shL, shH = b.Imm(shQBase), b.Imm(shLo), b.Imm(shHi)
 		}
-		shQC := b.Imm(shQCount)
-		shQB := b.Imm(shQBase)
-		shL := b.Imm(shLo)
-		shH := b.Imm(shHi)
 
 		rounds := b.LoopBegin("sssp_rounds")
 		top := b.HereLabel()
@@ -191,29 +190,7 @@ func NewSSSP(graphName string, opts Options) *Instance {
 			b.Spawn(0)
 			emitRound(b, kind, zero, half, qcur, qnext, nq, distR, inqR, offsR, neighR, weightR, zero, one, tmp, ctrA)
 			b.JoinWait()
-			wq := b.Imm(q3A)
-			wc := b.Reg()
-			pw := b.Imm(d.partial)
-			b.Load(wc, pw, 0)
-			wi := b.Reg()
-			b.Const(wi, 0)
-			cp := b.LoopBegin("sssp_concat")
-			cpTop := b.HereLabel()
-			cpDone := b.NewLabel()
-			b.BGE(wi, wc, cpDone)
-			sa := b.Reg()
-			b.Add(sa, wq, wi)
-			vv := b.Reg()
-			b.Load(vv, sa, 0)
-			dta := b.Reg()
-			b.Add(dta, qnext, nq)
-			b.Store(dta, 0, vv)
-			b.AddI(nq, nq, 1)
-			b.AddI(wi, wi, 1)
-			cpBe := b.Jmp(cpTop)
-			b.SetBackedge(cp, cpBe)
-			b.LoopEnd(cp)
-			b.Bind(cpDone)
+			emitAppendWorkerQueue(b, "sssp_concat", q3A, d.partial, qnext, nq)
 		default:
 			emitRound(b, kind, zero, qcount, qcur, qnext, nq, distR, inqR, offsR, neighR, weightR, zero, one, tmp, ctrA)
 		}

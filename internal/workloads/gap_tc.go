@@ -85,7 +85,7 @@ func NewTC(graphName string, opts Options) *Instance {
 
 	// emitCount emits the triangle count over u in [lo, hi) into cnt.
 	emitCount := func(b *isa.Builder, kind camelKind, lo, hi isa.Reg,
-		offsR, neighR, zero, one, cnt isa.Reg, tmp isa.Reg, ctrA isa.Reg) {
+		offsR, neighR, one, cnt isa.Reg, tmp isa.Reg, ctrA isa.Reg) {
 		b.CountedLoop("tc_outer", lo, hi, func(u isa.Reg) {
 			oa := b.Reg()
 			b.Add(oa, offsR, u)
@@ -169,32 +169,33 @@ func NewTC(graphName string, opts Options) *Instance {
 		neighR := b.Imm(d.neigh)
 		zero := b.Imm(0)
 		one := b.Imm(1)
-		nR := b.Imm(n)
-		halfR := b.Imm(n / 2)
+		hi := n // the parallel main counts the lower half, its worker the upper
+		if kind == camelParMain {
+			hi = n / 2
+		}
+		hiR := b.Imm(hi)
 		cnt := b.Imm(0)
 		tmp := b.Reg()
 		var ctrA isa.Reg
 		if kind == camelGhostMain {
 			ctrA = b.Imm(d.mainCtr)
 		}
+		// SWPF cannot help the binary search (each probe's address
+		// depends on the previous probe's value), so the paper's SWPF
+		// leaves tc alone; our SWPF variant is the baseline code.
+		if kind == camelGhostMain || kind == camelParMain {
+			b.Spawn(0)
+		}
+		emitCount(b, kind, zero, hiR, offsR, neighR, one, cnt, tmp, ctrA)
 		switch kind {
 		case camelGhostMain:
-			b.Spawn(0)
-			emitCount(b, kind, zero, nR, offsR, neighR, zero, one, cnt, tmp, ctrA)
 			b.Join()
 		case camelParMain:
-			b.Spawn(0)
-			emitCount(b, kind, zero, halfR, offsR, neighR, zero, one, cnt, tmp, ctrA)
 			b.JoinWait()
 			pw := b.Imm(d.partial)
 			pv := b.Reg()
 			b.Load(pv, pw, 0)
 			b.Add(cnt, cnt, pv)
-		default:
-			// SWPF cannot help the binary search (each probe's address
-			// depends on the previous probe's value), so the paper's SWPF
-			// leaves tc alone; our SWPF variant is the baseline code.
-			emitCount(b, kind, zero, nR, offsR, neighR, zero, one, cnt, tmp, ctrA)
 		}
 		outR := b.Imm(d.out)
 		b.Store(outR, 0, cnt)
@@ -207,13 +208,10 @@ func NewTC(graphName string, opts Options) *Instance {
 		b.Func("TriangleCount")
 		offsR := b.Imm(d.offsets)
 		neighR := b.Imm(d.neigh)
-		zero := b.Imm(0)
 		one := b.Imm(1)
 		cnt := b.Imm(0)
 		tmp := b.Reg()
-		halfR := b.Imm(n / 2)
-		nR := b.Imm(n)
-		emitCount(b, camelBase, halfR, nR, offsR, neighR, zero, one, cnt, tmp, 0)
+		emitCount(b, camelBase, b.Imm(n/2), b.Imm(n), offsR, neighR, one, cnt, tmp, 0)
 		pw := b.Imm(d.partial)
 		b.Store(pw, 0, cnt)
 		b.Halt()

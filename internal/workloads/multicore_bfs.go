@@ -182,7 +182,10 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 		br := newBarrierRegs(b, bar, one)
 		shL := b.Imm(shLoA)
 		shH := b.Imm(shHiA)
-		shD := b.Imm(shDepthA)
+		var shD isa.Reg // the level's depth, which only the SMT worker reads
+		if tech == MultiSMT {
+			shD = b.Imm(shDepthA)
+		}
 		var ctrA isa.Reg
 		if tech == MultiGhost {
 			ctrA = b.Imm(coreCounters(ctrBase, c).MainAddr)
