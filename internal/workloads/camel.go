@@ -175,9 +175,14 @@ const (
 	camelGhostMain // full range + iteration counter + spawn/join
 )
 
+// suffix names the main program of this flavour after its workload.
+func (k camelKind) suffix() string {
+	return [...]string{"base", "swpf", "par", "ghostmain"}[k]
+}
+
 // buildMain emits the main program for the given flavour.
 func (s *camelSpec) buildMain(kind camelKind) *isa.Program {
-	b := isa.NewBuilder(s.form.String() + "-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])
+	b := isa.NewBuilder(s.form.String() + "-" + kind.suffix())
 	b.Func("camel")
 	switch s.form {
 	case CamelOriginal, CamelParallel:

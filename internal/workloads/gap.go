@@ -179,6 +179,22 @@ func emitAppendWorkerQueue(b *isa.Builder, loop string, wqA, countA int64, qnext
 	b.Bind(done)
 }
 
+// emitChecksum emits the checksum function: the sum of arr[0, n) stored
+// at out. nR yields the bound register once sum is allocated: the
+// register the prologue loaded, or a fresh one.
+func emitChecksum(b *isa.Builder, loop string, zero, arrR isa.Reg, nR func() isa.Reg, out int64) {
+	b.Func("checksum")
+	sum := b.Imm(0)
+	b.CountedLoop(loop, zero, nR(), func(v isa.Reg) {
+		a := b.Reg()
+		b.Add(a, arrR, v)
+		x := b.Reg()
+		b.Load(x, a, 0)
+		b.Add(sum, sum, x)
+	})
+	b.Store(b.Imm(out), 0, sum)
+}
+
 // gapMemWords sizes the memory for a kernel over g with extra per-node
 // and per-edge arrays.
 func gapMemWords(g *graph.CSR, perNodeArrays, perEdgeArrays int64) int64 {

@@ -56,37 +56,19 @@ func NewBC(graphName string, opts Options) *Instance {
 	mm.StoreWord(queueA, source)
 	mm.StoreWord(qTailA, 1)
 
-	// Go reference (same algorithm, same integer arithmetic).
-	depth := make([]int64, n)
+	// Go reference (same algorithm, same integer arithmetic): sigma sums
+	// over BFS visit order, delta over its reverse.
+	_, depth, queue := bfsReference(g, source)
 	sigma := make([]int64, n)
 	delta := make([]int64, n)
-	for v := range depth {
-		depth[v] = -1
-	}
-	depth[source] = 0
 	sigma[source] = 1
-	queue := []int64{source}
-	levelStart := []int64{0}
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
+	for _, u := range queue {
 		for _, v := range g.Neighbors(u) {
-			if depth[v] < 0 {
-				depth[v] = depth[u] + 1
-				queue = append(queue, v)
-			}
 			if depth[v] == depth[u]+1 {
 				sigma[v] += sigma[u]
 			}
 		}
 	}
-	// Level starts for the backward sweep.
-	levelStart = levelStart[:0]
-	for qi, u := range queue {
-		if qi == 0 || depth[u] != depth[queue[qi-1]] {
-			levelStart = append(levelStart, int64(qi))
-		}
-	}
-	levelStart = append(levelStart, int64(len(queue)))
 	for qi := len(queue) - 1; qi >= 0; qi-- {
 		v := queue[qi]
 		coeff := ((int64(1) << bcShift) + delta[v]) / sigma[v]
@@ -240,7 +222,7 @@ func NewBC(graphName string, opts Options) *Instance {
 	}
 
 	buildMain := func(kind camelKind) *isa.Program {
-		b := isa.NewBuilder(name + "-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])
+		b := isa.NewBuilder(name + "-" + kind.suffix())
 		b.Func("Brandes")
 		depthR := b.Imm(depthA)
 		sigmaR := b.Imm(sigmaA)
@@ -355,18 +337,7 @@ func NewBC(graphName string, opts Options) *Instance {
 		b.LoopEnd(bwd)
 		b.Bind(bwdDone)
 
-		b.Func("checksum")
-		sum := b.Imm(0)
-		nR := b.Imm(n)
-		b.CountedLoop("bc_checksum", zero, nR, func(v isa.Reg) {
-			pa := b.Reg()
-			b.Add(pa, deltaR, v)
-			pv := b.Reg()
-			b.Load(pv, pa, 0)
-			b.Add(sum, sum, pv)
-		})
-		outR := b.Imm(d.out)
-		b.Store(outR, 0, sum)
+		emitChecksum(b, "bc_checksum", zero, deltaR, func() isa.Reg { return b.Imm(n) }, d.out)
 		b.Halt()
 		return b.MustBuild()
 	}
@@ -433,62 +404,15 @@ func NewBC(graphName string, opts Options) *Instance {
 		b.Load(lo, shL, 0)
 		b.Load(hi, shH, 0)
 		b.Load(dir, shDr, 0)
-		qLast := b.Reg()
-		b.AddI(qLast, hi, -1)
-		b.Max(qLast, qLast, zero)
-
-		emitLevel := func(suffix string, backward bool) {
-			b.CountedLoop("bc_level_g"+suffix, lo, hi, func(qi isa.Reg) {
-				ua := b.Reg()
-				b.Add(ua, queueR, qi)
-				u := b.Reg()
-				b.Load(u, ua, 0)
-				fq := b.Reg()
-				b.AddI(fq, qi, 8)
-				b.Min(fq, fq, qLast)
-				fa := b.Reg()
-				b.Add(fa, queueR, fq)
-				fu := b.Reg()
-				b.Load(fu, fa, 0)
-				foa := b.Reg()
-				b.Add(foa, offsR, fu)
-				b.Prefetch(foa, 0)
-				oa := b.Reg()
-				b.Add(oa, offsR, u)
-				s := b.Reg()
-				b.Load(s, oa, 0)
-				e := b.Reg()
-				b.Load(e, oa, 1)
-				b.CountedLoop("bc_level_inner_g"+suffix, s, e, func(ei isa.Reg) {
-					na := b.Reg()
-					b.Add(na, neighR, ei)
-					v := b.Reg()
-					b.Load(v, na, 0)
-					pa := b.Reg()
-					b.Add(pa, depthR, v)
-					b.Prefetch(pa, 0)
-					sga := b.Reg()
-					b.Add(sga, sigmaR, v)
-					b.Prefetch(sga, 0)
-					if backward {
-						dla := b.Reg()
-						b.Add(dla, deltaR, v)
-						b.Prefetch(dla, 0)
-					}
-					core.EmitSync(b, st, func() {
-						b.AddI(ei, ei, st.Params.SkipStep)
-						core.AdvanceLocal(b, st, st.Params.SkipStep)
-					})
-				})
-			})
-			b.Halt()
-		}
+		qLast := emitQLast(b, hi, zero)
 
 		back := b.NewLabel()
 		b.BNE(dir, zero, back)
-		emitLevel("_f", false)
+		emitGhostFrontierScan(b, st, "bc_level_g_f", "bc_level_inner_g_f", lo, hi, qLast, queueR, offsR, neighR, depthR, sigmaR)
+		b.Halt()
 		b.Bind(back)
-		emitLevel("_b", true)
+		emitGhostFrontierScan(b, st, "bc_level_g_b", "bc_level_inner_g_b", lo, hi, qLast, queueR, offsR, neighR, depthR, sigmaR, deltaR)
+		b.Halt()
 		return b.MustBuild()
 	}
 

@@ -38,7 +38,7 @@ func NewCC(graphName string, opts Options) *Instance {
 	name := "cc." + graphName
 
 	buildMain := func(kind camelKind) *isa.Program {
-		b := isa.NewBuilder(name + "-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])
+		b := isa.NewBuilder(name + "-" + kind.suffix())
 		b.Func("Afforest")
 		compR := b.Imm(compA)
 		offsR := b.Imm(d.offsets)
@@ -85,17 +85,7 @@ func NewCC(graphName string, opts Options) *Instance {
 		b.SetBackedge(passes, be)
 		b.LoopEnd(passes)
 
-		b.Func("checksum")
-		sum := b.Imm(0)
-		b.CountedLoop("cc_checksum", zero, nR, func(v isa.Reg) {
-			ca := b.Reg()
-			b.Add(ca, compR, v)
-			cv := b.Reg()
-			b.Load(cv, ca, 0)
-			b.Add(sum, sum, cv)
-		})
-		outR := b.Imm(d.out)
-		b.Store(outR, 0, sum)
+		emitChecksum(b, "cc_checksum", zero, compR, func() isa.Reg { return nR }, d.out)
 		b.Halt()
 		return b.MustBuild()
 	}

@@ -45,7 +45,7 @@ func NewPR(graphName string, opts Options) *Instance {
 	name := "pr." + graphName
 
 	buildMain := func(kind camelKind) *isa.Program {
-		b := isa.NewBuilder(name + "-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])
+		b := isa.NewBuilder(name + "-" + kind.suffix())
 		b.Func("PageRankPull")
 		scoreR := b.Imm(scoreA)
 		contribR := b.Imm(contribA)
@@ -79,17 +79,7 @@ func NewPR(graphName string, opts Options) *Instance {
 			}
 		})
 
-		b.Func("checksum")
-		sum := b.Imm(0)
-		b.CountedLoop("pr_checksum", zero, nR, func(v isa.Reg) {
-			sa := b.Reg()
-			b.Add(sa, scoreR, v)
-			sv := b.Reg()
-			b.Load(sv, sa, 0)
-			b.Add(sum, sum, sv)
-		})
-		outR := b.Imm(d.out)
-		b.Store(outR, 0, sum)
+		emitChecksum(b, "pr_checksum", zero, scoreR, func() isa.Reg { return nR }, d.out)
 		b.Halt()
 		return b.MustBuild()
 	}

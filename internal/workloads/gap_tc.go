@@ -163,7 +163,7 @@ func NewTC(graphName string, opts Options) *Instance {
 	}
 
 	buildMain := func(kind camelKind) *isa.Program {
-		b := isa.NewBuilder(name + "-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])
+		b := isa.NewBuilder(name + "-" + kind.suffix())
 		b.Func("TriangleCount")
 		offsR := b.Imm(d.offsets)
 		neighR := b.Imm(d.neigh)

@@ -7,41 +7,29 @@ import (
 	"ghostthread/internal/sim"
 )
 
-// gapBuilders returns one builder per kernel (tested per-kernel over all
-// graphs would be slow; each kernel runs on two contrasting graphs).
-func gapBuilders() map[string][]string {
-	return map[string][]string{
-		"bfs":  {"urand", "road"},
-		"cc":   {"kron", "web"},
-		"pr":   {"urand", "kron"},
-		"sssp": {"twitter", "road"},
-		"tc":   {"urand", "road"},
-		"bc":   {"kron", "web"},
-	}
-}
-
+// TestGAPVariantsFunctionallyCorrect runs every variant of every GAP
+// workload, all six kernels on all five graphs, under the functional
+// interpreter and checks it against the workload's Go reference.
 func TestGAPVariantsFunctionallyCorrect(t *testing.T) {
-	for kernel, graphs := range gapBuilders() {
-		for _, gname := range graphs {
-			for _, vname := range VariantNames {
-				t.Run(kernel+"."+gname+"/"+vname, func(t *testing.T) {
-					build, err := Lookup(kernel + "." + gname)
-					if err != nil {
-						t.Fatal(err)
-					}
-					inst := build(ProfileOptions())
-					v := inst.VariantByName(vname)
-					if v == nil {
-						t.Skip("variant unavailable")
-					}
-					if _, err := isa.Interp(v.Main, inst.Mem, v.Helpers, 500_000_000); err != nil {
-						t.Fatal(err)
-					}
-					if err := inst.CheckFor(vname)(inst.Mem); err != nil {
-						t.Error(err)
-					}
-				})
-			}
+	for _, wn := range GAPWorkloadNames() {
+		for _, vname := range VariantNames {
+			t.Run(wn+"/"+vname, func(t *testing.T) {
+				build, err := Lookup(wn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst := build(ProfileOptions())
+				v := inst.VariantByName(vname)
+				if v == nil {
+					t.Skip("variant unavailable")
+				}
+				if _, err := isa.Interp(v.Main, inst.Mem, v.Helpers, 500_000_000); err != nil {
+					t.Fatal(err)
+				}
+				if err := inst.CheckFor(vname)(inst.Mem); err != nil {
+					t.Error(err)
+				}
+			})
 		}
 	}
 }

@@ -215,7 +215,7 @@ func NewHashJoin(hashRounds int, opts Options) *Instance {
 	}
 
 	buildMain := func(kind camelKind) *isa.Program {
-		b := isa.NewBuilder(name + "-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])
+		b := isa.NewBuilder(name + "-" + kind.suffix())
 		var ctrA, one isa.Reg
 		if kind == camelGhostMain {
 			one = b.Imm(1)

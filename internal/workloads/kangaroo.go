@@ -61,7 +61,7 @@ func NewKangaroo(opts Options) *Instance {
 	d := SWPFDistance
 
 	buildMain := func(kind camelKind) *isa.Program {
-		b := isa.NewBuilder("kangaroo-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])
+		b := isa.NewBuilder("kangaroo-" + kind.suffix())
 		b.Func("kangaroo")
 		sum := b.Imm(0)
 		idxR := b.Imm(indexA)

@@ -186,18 +186,7 @@ func newMultiPR(graphName string, cores int, tech MultiTech, opts Options) *Mult
 			emitBarrier(b, bar, br)
 		})
 		if c == 0 {
-			b.Func("checksum")
-			sum := b.Imm(0)
-			nR := b.Imm(n)
-			b.CountedLoop("pr_checksum", zero, nR, func(v isa.Reg) {
-				sa := b.Reg()
-				b.Add(sa, scoreR, v)
-				sv := b.Reg()
-				b.Load(sv, sa, 0)
-				b.Add(sum, sum, sv)
-			})
-			outR := b.Imm(d.out)
-			b.Store(outR, 0, sum)
+			emitChecksum(b, "pr_checksum", zero, scoreR, func() isa.Reg { return b.Imm(n) }, d.out)
 		}
 		b.Halt()
 		switch tech {
@@ -313,18 +302,7 @@ func newMultiCC(graphName string, cores int, tech MultiTech, opts Options) *Mult
 		b.LoopEnd(passes)
 
 		if c == 0 {
-			b.Func("checksum")
-			sum := b.Imm(0)
-			nR := b.Imm(n)
-			b.CountedLoop("cc_checksum", zero, nR, func(v isa.Reg) {
-				ca := b.Reg()
-				b.Add(ca, compR, v)
-				cv := b.Reg()
-				b.Load(cv, ca, 0)
-				b.Add(sum, sum, cv)
-			})
-			outR := b.Imm(d.out)
-			b.Store(outR, 0, sum)
+			emitChecksum(b, "cc_checksum", zero, compR, func() isa.Reg { return b.Imm(n) }, d.out)
 		}
 		b.Halt()
 		switch tech {

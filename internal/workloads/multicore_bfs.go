@@ -42,7 +42,7 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 	mm.StoreWord(shLoA, 0)
 	mm.StoreWord(shHiA, 1)
 
-	_, wantDepth := bfsReference(g, source)
+	_, wantDepth, _ := bfsReference(g, source)
 
 	name := fmt.Sprintf("bfs.%s@%d-%s", graphName, cores, tech)
 
@@ -126,7 +126,7 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 		b.Load(lo, shL, 0)
 		b.Load(hi, shH, 0)
 		myLo, myHi := emitCoreChunk(b, lo, hi, c, func() isa.Reg { return b.Imm(int64(cores)) })
-		emitBFSGhostScan(b, st, myLo, myHi, zero, queueR, offsR, neighR, depthR)
+		emitGhostFrontierScan(b, st, "bfs_tdstep_g", "bfs_inner_g", myLo, myHi, emitQLast(b, myHi, zero), queueR, offsR, neighR, depthR)
 		b.Halt()
 		return b.MustBuild()
 	}
@@ -236,18 +236,7 @@ func newMultiBFS(graphName string, cores int, tech MultiTech, opts Options) *Mul
 		b.Bind(done)
 
 		if c == 0 {
-			b.Func("checksum")
-			sum := b.Imm(0)
-			nR := b.Imm(n)
-			b.CountedLoop("bfs_mc_checksum", zero, nR, func(v isa.Reg) {
-				pa := b.Reg()
-				b.Add(pa, depthR, v)
-				pv := b.Reg()
-				b.Load(pv, pa, 0)
-				b.Add(sum, sum, pv)
-			})
-			outR := b.Imm(d.out)
-			b.Store(outR, 0, sum)
+			emitChecksum(b, "bfs_mc_checksum", zero, depthR, func() isa.Reg { return b.Imm(n) }, d.out)
 		}
 		b.Halt()
 		var helpers []*isa.Program

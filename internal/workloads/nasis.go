@@ -64,7 +64,7 @@ func NewNASIS(opts Options) *Instance {
 	d := SWPFDistance
 
 	buildMain := func(kind camelKind) *isa.Program {
-		b := isa.NewBuilder("nasis-" + [...]string{"base", "swpf", "par", "ghostmain"}[kind])
+		b := isa.NewBuilder("nasis-" + kind.suffix())
 		keysR := b.Imm(keysA)
 		countR := b.Imm(countA)
 		rankR := b.Imm(rankA)
